@@ -15,14 +15,11 @@ import click
 
 from .root_datum import build_root_datum
 from .affine_weyl import AffineWeyl, ExpLabel
-from .coefficients import QPoly
+from .coefficients import FIELD_SIZES, QPoly
 from .hecke import HeckeElement, hecke_mul, t_basis
 from .spherical import spherical_mul, unit_indicator
-from .exp_module import ExpModule, fiber_class
+from .exp_module import ExpModule, NonDominantIndex, fiber_class
 from . import fq_oracle
-
-_PRIME_POWERS = {2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29,
-                 31, 32, 37, 41, 43, 47, 49}
 
 
 @dataclass
@@ -40,8 +37,11 @@ class RunConfig:
         if self.bound <= 0:
             raise click.UsageError("bound must be positive")
         for q in self.q_list:
-            if q not in _PRIME_POWERS:
-                raise click.UsageError(f"{q} is not a prime power <= 49")
+            if q not in FIELD_SIZES:
+                raise click.UsageError(
+                    f"unsupported field size {q}; supported: "
+                    + ", ".join(map(str, FIELD_SIZES))
+                )
 
 
 def _emit(cfg: RunConfig, doc):
@@ -217,7 +217,10 @@ def expmod(group, fmt, out, seed, lam, mu, rank_one, bound):
         raise click.UsageError(str(e))
     doc = {"group": group}
     if lam is not None and mu is not None:
-        vec = M.spherical_action_basis(_coords(lam), _coords(mu))
+        try:
+            vec = M.spherical_action_basis(_coords(lam), _coords(mu))
+        except NonDominantIndex as e:
+            raise click.UsageError(str(e))
         doc["action"] = vec.to_json()
     if rank_one:
         window = _height_window(M.rd, bound)

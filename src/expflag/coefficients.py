@@ -276,6 +276,10 @@ _IRRED2 = {
     7: (4, 1),   # x^2 - x - 4 = x^2 + 6x + 3
 }
 
+# the fields GF implements, q -> (p, k): F_p and F_p^2 for p in _IRRED2
+_FIELDS = {p**k: (p, k) for p in _IRRED2 for k in (1, 2)}
+FIELD_SIZES = tuple(sorted(_FIELDS))
+
 
 class GF:
     """F_q with elements encoded as integers 0..q-1.
@@ -285,9 +289,9 @@ class GF:
     """
 
     def __init__(self, q):
-        p, k = _factor_prime_power(q)
-        if p > 7 or k > 2:
+        if q not in _FIELDS:
             raise ValueError(f"unsupported field size {q}")
+        p, k = _FIELDS[q]
         self.q = q
         self.p = p
         self.k = k
@@ -296,6 +300,15 @@ class GF:
         else:
             c0, c1 = _IRRED2[p]
             self._c = (c0, c1)
+        # one brute-force pass here (q <= 49) makes inv a lookup
+        self._inv = [0] * q
+        for a in range(1, q):
+            for b in range(1, q):
+                if self.mul(a, b) == 1:
+                    self._inv[a] = b
+                    break
+            else:
+                raise AssertionError("unit without inverse")
 
     def add(self, a, b):
         p = self.p
@@ -326,11 +339,7 @@ class GF:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError
-        # brute force is fine at q <= 49
-        for b in range(1, self.q):
-            if self.mul(a, b) == 1:
-                return b
-        raise AssertionError("unit without inverse")
+        return self._inv[a]
 
     def pow(self, a, n):
         out = 1
@@ -364,18 +373,6 @@ class GF:
             if len(seen) == self.q - 1:
                 return g
         raise AssertionError("no multiplicative generator")
-
-
-def _factor_prime_power(q):
-    for p in (2, 3, 5, 7):
-        k = 0
-        n = q
-        while n % p == 0:
-            n //= p
-            k += 1
-        if n == 1 and k >= 1:
-            return p, k
-    raise ValueError(f"{q} is not a supported prime power")
 
 
 @lru_cache(maxsize=None)

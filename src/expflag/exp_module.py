@@ -37,6 +37,10 @@ class RankOneViolated(ExpModuleError):
     pass
 
 
+class NonDominantIndex(ExpModuleError):
+    pass
+
+
 def _load_case_table():
     with resources.files("expflag.data").joinpath("case_table.json").open() as fh:
         raw = json.load(fh)
@@ -320,6 +324,13 @@ class ExpModule:
 
     # ---- index conversion
 
+    def _check_dominant(self, *coweights):
+        for mu in coweights:
+            if len(mu) != self.rd.char_lattice_rank or not self.rd.is_dominant(mu):
+                raise NonDominantIndex(
+                    f"index {tuple(mu)} is not a dominant coweight of {self.rd.name}"
+                )
+
     def to_adj(self, mu):
         return self.rd.to_adjoint_coords(mu)
 
@@ -424,7 +435,9 @@ class ExpModule:
         return self._action_cache[key]
 
     def spherical_action_basis(self, lam, mu) -> ExpModVector:
-        """m_lam . 1_mu in the m-basis."""
+        """m_lam . 1_mu in the m-basis; raises NonDominantIndex unless both
+        indices are dominant."""
+        self._check_dominant(lam, mu)
         r = self._raw_action(lam, mu)
         out = {}
         for lab, c in r.support.items():
@@ -459,9 +472,12 @@ class ExpModule:
 
     def convolution_fiber(self, lam, mu, source=None) -> QPoly:
         """Class of the fiber over t^(lam + rho-hat) of the convolution of the
-        closed exponential orbit of `source` (default 0) with Gr^mu."""
+        closed exponential orbit of `source` (default 0) with Gr^mu.
+
+        Raises NonDominantIndex unless lam, mu and source are dominant."""
         if source is None:
             source = tuple(0 for _ in range(self.rd.char_lattice_rank))
+        self._check_dominant(lam, mu, source)
         r = self._raw_action(source, mu)
         c = r.coefficient(self.closed_label(lam))
         if c.is_zero():

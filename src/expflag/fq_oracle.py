@@ -17,6 +17,16 @@ validate the generic q-polynomial computations by specialization.
 Presets use the standard 2-dimensional representation; PGL2 is modelled as
 lattices modulo global t-scaling (the canonical form fixes the lower-right
 elementary exponent to 0).
+
+Left (``act``) and right (``translate``) translates by an upper-triangular
+element with monomial diagonal [[d0 t^e0, g01], [0, d1 t^e1]] leave the
+Hermite form triangular, so they are computed in closed form: every coset
+representative, ``x_plus``, ``d_torus`` and the torus of the twisted
+Iwahori take this path. ``x_minus``, the SL2 ``t>j`` generators (their
+diagonal is not a monomial) and any product whose diagonal exponent reaches
+the cut go through the general Hermite normal form ``_hnf_point``.
+``test_closed_form_translates_match_general_hnf`` checks that both give the
+same point, or the same error.
 """
 
 from __future__ import annotations
@@ -234,14 +244,69 @@ def _hnf_point(preset, q, mat, cut):
     return GrPoint(preset, q, a, c, tuple(sorted(b.items())))
 
 
+def _triangular_point(point: GrPoint, mat, cut, left):
+    """Closed-form Hermite form of g L (left) or L g, or None.
+
+    Applies when g = [[d0 t^e0, g01], [0, d1 t^e1]] with d0, d1 nonzero.
+    With L = [[t^a, b], [0, t^c]] the product is already triangular with
+    diagonal d0 t^(a+e0), d1 t^(c+e1), so its Hermite form only rescales
+    the second column by 1/d1 and reduces its top entry modulo t^(a+e0).
+    The top entry is d0 t^e0 b + t^c g01 for g L and t^a g01 + d1 t^e1 b
+    for L g. Every kept exponent is below a + e0 < cut, so dropping the
+    terms at or above cut, as _s_mul does, changes nothing.
+
+    Returns None, leaving the work to _hnf_point, for any other g and when
+    a diagonal exponent reaches cut (the general path then raises) or
+    cut <= 0 (it then also drops the 1/d1 scaling).
+    """
+    (g00, g01), (g10, g11) = mat
+    if g10 or len(g00) != 1 or len(g11) != 1:
+        return None
+    ((e0, d0),) = g00.items()
+    ((e1, d1),) = g11.items()
+    a, c = point.a + e0, point.c + e1
+    if not (d0 and d1) or max(a, c, 0) >= cut:
+        return None
+    F = gf(point.q)
+    u = 1 if d1 == 1 else F.inv(d1)
+    if left:
+        parts = ((e0, d0 if u == 1 else F.mul(d0, u), point.b),
+                 (point.c, u, g01.items()))
+    else:
+        parts = ((e1, 1, point.b), (point.a, u, g01.items()))
+    b = {}
+    for shift, scale, terms in parts:
+        for e, co in terms:
+            e += shift
+            if e >= a:
+                continue
+            if scale != 1:
+                co = F.mul(co, scale)
+            if e in b:
+                co = F.add(b[e], co)
+            if co:
+                b[e] = co
+            else:
+                b.pop(e, None)
+    if point.preset == "PGL2":
+        a, b, c = a - c, {e - c: co for e, co in b.items()}, 0
+    return GrPoint(point.preset, point.q, a, c, tuple(sorted(b.items())))
+
+
 def act(point: GrPoint, mat, cut):
     """Left translate of a point by a group element."""
+    out = _triangular_point(point, mat, cut, left=True)
+    if out is not None:
+        return out
     F = gf(point.q)
     return _hnf_point(point.preset, point.q, _m_mul(F, mat, point.matrix(), cut), cut)
 
 
 def translate(point: GrPoint, mat, cut):
     """Right translate x -> x g, as in convolution by a coset sum."""
+    out = _triangular_point(point, mat, cut, left=False)
+    if out is not None:
+        return out
     F = gf(point.q)
     return _hnf_point(point.preset, point.q, _m_mul(F, point.matrix(), mat, cut), cut)
 

@@ -133,6 +133,28 @@ def test_bad_q_is_config_error(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "--group", "SL2", "--q", "11"],
+    ["oracle", "--group", "SL2", "--q", "11"],
+    ["oracle", "--group", "SL2", "--q", "8"],
+    ["verify", "--group", "SL2", "--q", "8"],
+])
+def test_unsupported_field_is_config_error(runner, args):
+    # only the fields the F_q arithmetic implements are accepted
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "unsupported field size" in res.output
+
+
+@pytest.mark.parametrize("lam,mu", [("-1", "1"), ("0", "-1"), ("1,0", "1")])
+def test_non_dominant_expmod_index_is_config_error(runner, lam, mu):
+    res = runner.invoke(
+        main, ["expmod", "--group", "SL2", "--lam", lam, "--mu", mu]
+    )
+    assert res.exit_code == 2, res.output
+    assert "not a dominant coweight" in res.output
+
+
 def test_bad_bound_is_config_error(runner):
     res = runner.invoke(main, ["weyl", "--group", "SL2", "--bound", "-1"])
     assert res.exit_code == 2

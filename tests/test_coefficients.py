@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from expflag.coefficients import (
     CycNum,
     DivisionNotExact,
+    FIELD_SIZES,
     GF,
     Inconsistent,
     QPoly,
@@ -87,6 +88,24 @@ def test_gf_field_axioms(q):
     for a in els:
         for b in els:
             assert F.trace(F.add(a, b)) == (F.trace(a) + F.trace(b)) % F.p
+
+
+@pytest.mark.parametrize("q", FIELD_SIZES)
+def test_gf_inverse_table(q):
+    F = gf(q)
+    units = list(F.units())
+    for a in units:
+        assert F.mul(a, F.inv(a)) == 1
+    assert sorted(F.inv(a) for a in units) == units
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
+
+
+def test_gf_sizes_are_p_and_p_squared_for_p_at_most_7():
+    assert FIELD_SIZES == (2, 3, 4, 5, 7, 9, 25, 49)
+    for q in (0, 1, 6, 8, 11, 27):
+        with pytest.raises(ValueError):
+            GF(q)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])

@@ -10,6 +10,7 @@ from expflag.exp_module import (
     BigExpVector,
     ExpModule,
     ExpModVector,
+    NonDominantIndex,
     basis_vector,
     case_analysis,
     fiber_class,
@@ -207,3 +208,14 @@ def test_convolution_fiber_values(M):
                 if not F.is_zero():
                     # fiber classes count points of honest varieties
                     assert F.specialize(5) > 0
+
+
+def test_non_dominant_indices_are_rejected():
+    M = ExpModule(build_root_datum("SL2"))
+    for lam, mu in (((-1,), (1,)), ((0,), (-1,)), ((1, 0), (1,))):
+        with pytest.raises(NonDominantIndex):
+            M.spherical_action_basis(lam, mu)
+        with pytest.raises(NonDominantIndex):
+            M.convolution_fiber(lam, mu)
+    with pytest.raises(NonDominantIndex):
+        M.convolution_fiber((1,), (1,), source=(-1,))

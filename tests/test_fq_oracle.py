@@ -12,6 +12,9 @@ from expflag.fq_oracle import (
     OracleError,
     SupportEscapesWindow,
     WindowTooLarge,
+    _hnf_point,
+    _m_mul,
+    _triangular_point,
     act,
     coset_reps,
     depth_for,
@@ -23,6 +26,7 @@ from expflag.fq_oracle import (
     torus_matrix,
     torus_point,
     translate,
+    twisted_generators,
     window_size,
     x_minus,
     x_plus,
@@ -205,3 +209,48 @@ def test_checked_in_window_fixtures_are_current():
         want = [json.loads(line) for line in path.read_text().splitlines()]
         got = [p.to_json() for p in enumerate_gr_window("SL2", (bound,), 3)]
         assert got == want
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the class of the OracleError it raises."""
+    try:
+        return fn(*args)
+    except OracleError as e:
+        return type(e)
+
+
+_BOUND_AND_MU = {"SL2": ((2,), (1,)), "PGL2": ((2,), (1,)), "GL2": ((2, 0), (1, 0))}
+
+
+@pytest.mark.parametrize("preset", sorted(_BOUND_AND_MU))
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_closed_form_translates_match_general_hnf(preset, q):
+    """act/translate (closed form where it applies) equal the general HNF."""
+    import random
+
+    bound, mu = _BOUND_AND_MU[preset]
+    F = gf(q)
+    window = enumerate_gr_window(preset, bound, q)
+    pts = random.Random(7).sample(window, min(12, len(window)))
+    level_hi = 2 * max(abs(b) for b in bound) + 2
+    gens = [g for spec in ("Iwahori_twisted", "U_twisted", "U_exp_twisted",
+                           "U_rtimes_Gm_twisted")
+            for g, _e, _name in twisted_generators(preset, spec, q, level_hi)]
+    reps = coset_reps(preset, mu, q)
+    # coset representatives times diag(1, w t): a non-unit lower-right entry
+    # under a nonzero upper-right one
+    diag = (({0: 1}, {}), ({}, {1: q - 1}))
+    reps += [_m_mul(F, g, diag, 99) for g in reps]
+    # the small cut makes diagonal exponents reach it, so the general path raises
+    for cut in (depth_for(preset, bound), 2):
+        for p in pts:
+            for g in gens + reps:
+                for fast, prod in ((act, _m_mul(F, g, p.matrix(), cut)),
+                                   (translate, _m_mul(F, p.matrix(), g, cut))):
+                    want = _outcome(_hnf_point, preset, q, prod, cut)
+                    got = _outcome(fast, p, g, cut)
+                    assert got == want, (fast.__name__, p, g, cut)
+            # every coset representative takes the closed form
+            if cut > 2:
+                for g in reps:
+                    assert _triangular_point(p, g, cut, left=False) is not None
