@@ -349,6 +349,9 @@ def verify(group, fmt, out, seed, bound, q_text):
     rng = random.Random(seed)
     W = _weyl_context(group)
     rd = W.rd
+    if rd.rank != rd.char_lattice_rank:
+        raise click.UsageError(
+            f"verify needs a semisimple group; {group} is not semisimple")
     violations = []
     passed = {}
 
@@ -387,52 +390,51 @@ def verify(group, fmt, out, seed, bound, q_text):
 
     check("hecke_associativity", hecke_suite)
 
-    if rd.rank == rd.char_lattice_rank:
-        M = ExpModule(rd)
-        window = _height_window(rd, bound)
+    M = ExpModule(rd)
+    window = _height_window(rd, bound)
 
-        def commutativity():
+    def commutativity():
+        n = 0
+        for lam in window:
+            for mu in window:
+                a = M.spherical_action(M.spherical_action_basis(lam, mu), lam)
+                b = M.spherical_action(M.spherical_action_basis(lam, lam), mu)
+                if a != b:
+                    raise AssertionError(f"module action does not commute at {lam},{mu}")
+                n += 1
+        return n
+
+    check("expmod_commutativity", commutativity)
+    check("rank_one", lambda: (M.verify_rank_one(window), len(window))[1])
+
+    if group in ("SL2", "PGL2"):
+
+        def oracle_suite():
             n = 0
-            for lam in window:
-                for mu in window:
-                    a = M.spherical_action(M.spherical_action_basis(lam, mu), lam)
-                    b = M.spherical_action(M.spherical_action_basis(lam, lam), mu)
-                    if a != b:
-                        raise AssertionError(f"module action does not commute at {lam},{mu}")
-                    n += 1
+            for q in cfg.q_list:
+                for lam in window:
+                    for mu in window:
+                        gen = M.spherical_action_basis(lam, mu).support
+                        spec = {
+                            nu: c.specialize(q)
+                            for nu, c in gen.items()
+                            if c.specialize(q)
+                        }
+                        raw = fq_oracle.whittaker_action(group, lam, mu, q)
+                        got = {}
+                        for (l2, nu), v in raw.items():
+                            if l2 == lam:
+                                iv = fq_oracle.cyc_as_int(v)
+                                if iv:
+                                    got[nu] = iv
+                        if got != spec:
+                            raise AssertionError(
+                                f"oracle mismatch at q={q}, {lam},{mu}: {got} != {spec}"
+                            )
+                        n += 1
             return n
 
-        check("expmod_commutativity", commutativity)
-        check("rank_one", lambda: (M.verify_rank_one(window), len(window))[1])
-
-        if group in ("SL2", "PGL2"):
-
-            def oracle_suite():
-                n = 0
-                for q in cfg.q_list:
-                    for lam in window:
-                        for mu in window:
-                            gen = M.spherical_action_basis(lam, mu).support
-                            spec = {
-                                nu: c.specialize(q)
-                                for nu, c in gen.items()
-                                if c.specialize(q)
-                            }
-                            raw = fq_oracle.whittaker_action(group, lam, mu, q)
-                            got = {}
-                            for (l2, nu), v in raw.items():
-                                if l2 == lam:
-                                    iv = fq_oracle.cyc_as_int(v)
-                                    if iv:
-                                        got[nu] = iv
-                            if got != spec:
-                                raise AssertionError(
-                                    f"oracle mismatch at q={q}, {lam},{mu}: {got} != {spec}"
-                                )
-                            n += 1
-                return n
-
-            check("oracle_vs_generic", oracle_suite)
+        check("oracle_vs_generic", oracle_suite)
 
     if violations:
         _violation(violations)

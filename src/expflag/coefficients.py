@@ -363,17 +363,6 @@ class GF:
             return a
         return (a + self.pow(a, self.p)) % self.p if self.k == 2 else None
 
-    def generator_of_units(self):
-        for g in range(2, self.q):
-            seen = set()
-            x = 1
-            for _ in range(self.q - 1):
-                x = self.mul(x, g)
-                seen.add(x)
-            if len(seen) == self.q - 1:
-                return g
-        raise AssertionError("no multiplicative generator")
-
 
 @lru_cache(maxsize=None)
 def gf(q):

@@ -27,6 +27,11 @@ diagonal is not a monomial) and any product whose diagonal exponent reaches
 the cut go through the general Hermite normal form ``_hnf_point``.
 ``test_closed_form_translates_match_general_hnf`` checks that both give the
 same point, or the same error.
+
+One search, ``_orbit_bfs``, finds every orbit, inside a window or free,
+and transports the baby character along it: ``orbit_partition`` stores
+each orbit's character labels and consistency flag, which the baby basis
+and the averaging (linear per orbit: one sum of zeta^-c(y) f(y)) read.
 """
 
 from __future__ import annotations
@@ -487,6 +492,42 @@ def twisted_generators(preset, group_spec, q, level_hi):
 # orbits
 
 _partition_cache = {}
+_PARTITION_CACHE_SIZE = 4
+
+
+def _orbit_bfs(seeds, gens, cut, p, window=None):
+    """Orbit of the seeds, with the baby character transported along it.
+
+    Returns (labels, partial, consistent). labels maps each point reached
+    to the psi-exponent mod p of a group element moving a seed there (the
+    seeds read 0); consistent is False when two paths disagree, i.e. the
+    character is not trivial on the stabilizer. Inside a window, partial
+    records an image outside it: such a boundary orbit is truncated and
+    must carry no function values downstream. A free search raises
+    WindowTooLarge past _WINDOW_CAP points.
+    """
+    labels = dict.fromkeys(seeds, 0)
+    frontier = list(labels)
+    partial, consistent = False, True
+    while frontier:
+        nxt = []
+        for x in frontier:
+            ex = labels[x]
+            for mat, e, _name in gens:
+                im = act(x, mat, cut)
+                val = (e + ex) % p
+                old = labels.get(im)
+                if old is not None:
+                    consistent = consistent and old == val
+                elif window is not None and im not in window:
+                    partial = True
+                else:
+                    labels[im] = val
+                    nxt.append(im)
+                    if window is None and len(labels) > _WINDOW_CAP:
+                        raise WindowTooLarge(len(labels))
+        frontier = nxt
+    return labels, partial, consistent
 
 
 def orbit_partition(points, group_spec, q, depth=None):
@@ -496,7 +537,10 @@ def orbit_partition(points, group_spec, q, depth=None):
     index, orbits is a list of dicts with keys ``label`` (coweight of the
     torus basepoint of the ambient U-rtimes-Gm orbit), ``tag`` (``single``
     for an unsplit orbit, ``closed``/``open`` for the two exponential
-    pieces of a split one), and ``points``.
+    pieces of a split one), ``points``, ``partial`` (the orbit leaves the
+    window), and ``labels``/``consistent``, the character transport of
+    _orbit_bfs from the orbit's first point. The last few partitions are
+    cached.
     """
     if not points:
         return {}, []
@@ -504,8 +548,9 @@ def orbit_partition(points, group_spec, q, depth=None):
     if q != q0:
         raise OracleError("q mismatch")
     key = (preset, q, group_spec, depth, frozenset(points))
-    cached = _partition_cache.get(key)
+    cached = _partition_cache.pop(key, None)
     if cached is not None:
+        _partition_cache[key] = cached
         return cached
     bound = _window_bound(points)
     cut = depth if depth is not None else depth_for(preset, bound)
@@ -519,7 +564,8 @@ def orbit_partition(points, group_spec, q, depth=None):
     for seed in seeds:
         if seed in assignment:
             continue
-        orbit, partial = _bfs(seed, gens, index, cut)
+        labels, partial, consistent = _orbit_bfs([seed], gens, cut, gf(q).p, index)
+        orbit = frozenset(labels)
         torus = sorted(p.torus_coweight() for p in orbit if p.is_torus_point())
         idx = len(orbits)
         for p in orbit:
@@ -530,11 +576,15 @@ def orbit_partition(points, group_spec, q, depth=None):
                 "tag": "single",
                 "points": orbit,
                 "partial": partial,
+                "labels": labels,
+                "consistent": consistent,
             }
         )
     if group_spec == "U_exp_twisted":
         _tag_exponential(preset, q, orbits, assignment, cut)
     _partition_cache[key] = (assignment, orbits)
+    if len(_partition_cache) > _PARTITION_CACHE_SIZE:
+        del _partition_cache[next(iter(_partition_cache))]
     return assignment, orbits
 
 
@@ -550,20 +600,8 @@ def orbit_closure(preset, q, seeds, group_spec, bound, depth=None):
     cut = depth if depth is not None else depth_for(preset, bound)
     level_hi = 2 * _val_bound(preset, bound) + 2
     gens = twisted_generators(preset, group_spec, q, level_hi)
-    seen = set(seeds)
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for mat, _e, _name in gens:
-                im = act(p, mat, cut)
-                if im not in seen:
-                    seen.add(im)
-                    if len(seen) > _WINDOW_CAP:
-                        raise WindowTooLarge(len(seen))
-                    nxt.append(im)
-        frontier = nxt
-    return sorted(seen, key=lambda p: (p.a, p.c, p.b))
+    labels, _partial, _consistent = _orbit_bfs(seeds, gens, cut, gf(q).p)
+    return sorted(labels, key=lambda p: (p.a, p.c, p.b))
 
 
 def _window_bound(points):
@@ -573,30 +611,6 @@ def _window_bound(points):
         lo = min(p.gl_type()[1] for p in points)
         return (hi, lo)
     return (max(p.coweight()[0] for p in points),)
-
-
-def _bfs(seed, gens, index, cut):
-    """Orbit of a seed inside the enumerated set.
-
-    Boundary orbits can leave the set; they are returned truncated with
-    partial = True and must not carry any function values downstream.
-    """
-    seen = {seed}
-    frontier = [seed]
-    partial = False
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for mat, _e, _name in gens:
-                im = act(p, mat, cut)
-                if im not in index:
-                    partial = True
-                    continue
-                if im not in seen:
-                    seen.add(im)
-                    nxt.append(im)
-        frontier = nxt
-    return frozenset(seen), partial
 
 
 def _tag_exponential(preset, q, orbits, assignment, cut):
@@ -792,28 +806,11 @@ def character_labeling(orbit_points, preset, q, group_spec, level_hi, seed, cut)
     Returns (labels, consistent): labels maps each orbit point to the
     zeta-exponent of the character of any group element moving the seed
     there. Inconsistency means the stabilizer is not inside the kernel,
-    so no equivariant function lives on this orbit.
+    so no equivariant function lives on this orbit. orbit_partition keeps
+    the same transport for each of its orbits.
     """
-    F = gf(q)
     gens = twisted_generators(preset, group_spec, q, level_hi)
-    labels = {seed: 0}
-    frontier = [seed]
-    consistent = True
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for mat, e, _name in gens:
-                im = act(p, mat, cut)
-                if im not in orbit_points:
-                    continue
-                val = (e + labels[p]) % F.p
-                if im in labels:
-                    if labels[im] != val:
-                        consistent = False
-                else:
-                    labels[im] = val
-                    nxt.append(im)
-        frontier = nxt
+    labels, _partial, consistent = _orbit_bfs([seed], gens, cut, gf(q).p, orbit_points)
     return labels, consistent
 
 
@@ -827,21 +824,21 @@ def baby_basis(preset, bound, q, points, depth=None):
     rd = _rd(preset)
     window_bound = _window_bound(points)
     cut = depth if depth is not None else depth_for(preset, window_bound)
-    level_hi = 2 * _val_bound(preset, window_bound) + 2
     assignment, orbits = orbit_partition(points, "U_twisted", q, cut)
     F = gf(q)
     basis = {}
     for lam in dominant_window(rd, tuple(bound)):
         seed = torus_point(preset, q, lam)
-        if orbits[assignment[seed]]["partial"]:
+        orbit = orbits[assignment[seed]]
+        if orbit["partial"]:
             raise OracleError(f"window too small for the orbit of {lam}")
-        orbit = orbits[assignment[seed]]["points"]
-        labels, consistent = character_labeling(
-            orbit, preset, q, "U_twisted", level_hi, seed, cut
-        )
-        if not consistent:
+        if not orbit["consistent"]:
             raise OracleError(f"character inconsistent on the orbit of {lam}")
-        vals = {p: CycNum.zeta_power(e, F.p, q) for p, e in labels.items()}
+        # the stored transport starts at the orbit's first point; the basis
+        # function reads 1 at t^lam
+        shift = orbit["labels"][seed]
+        vals = {p: CycNum.zeta_power(e - shift, F.p, q)
+                for p, e in orbit["labels"].items()}
         basis[lam] = FqFunction(preset, q, tuple(bound), vals)
     return basis
 
@@ -851,14 +848,14 @@ def baby_averaging(f: FqFunction, points, depth=None):
 
     av(f)(g) = |U|^-1 sum over u of Psi^-1(u) f(ug), realized per orbit:
     with character transport c and orbit size q^l, this is
-    q^-l sum over y in the orbit of zeta^(c(g) - c(y)) f(y), and zero on
-    orbits whose stabilizer is not in the kernel of the character.
+    q^-l zeta^c(g) S with S = sum over y in the orbit of zeta^-c(y) f(y),
+    and zero on orbits whose stabilizer is not in the kernel of the
+    character.
     """
     preset, q = f.preset, f.q
     F = gf(q)
     window_bound = _window_bound(points)
     cut = depth if depth is not None else depth_for(preset, window_bound)
-    level_hi = 2 * _val_bound(preset, window_bound) + 2
     assignment, orbits = orbit_partition(points, "U_twisted", q, cut)
     out = {}
     for orbit in orbits:
@@ -867,11 +864,7 @@ def baby_averaging(f: FqFunction, points, depth=None):
             if any(not _is_cyc_zero(f.values.get(p, 0)) for p in pts):
                 raise OracleError("nonzero value on a boundary orbit")
             continue
-        seed = next(iter(pts))
-        labels, consistent = character_labeling(
-            pts, preset, q, "U_twisted", level_hi, seed, cut
-        )
-        if not consistent:
+        if not orbit["consistent"]:
             continue
         size = len(pts)
         ell = 0
@@ -879,15 +872,16 @@ def baby_averaging(f: FqFunction, points, depth=None):
             ell += 1
         if q**ell != size:
             raise OracleError("orbit size is not a power of q")
-        for g in pts:
-            acc = CycNum.integer(0, F.p, q)
-            for y in pts:
-                v = f.values.get(y)
-                if v is None:
-                    continue
-                acc = acc + CycNum.zeta_power(labels[g] - labels[y], F.p, q) * v
-            if not acc.is_zero():
-                out[g] = acc.div_by_q_power(ell)
+        labels = orbit["labels"]
+        total = CycNum.integer(0, F.p, q)
+        for y, c in labels.items():
+            v = f.values.get(y)
+            if v is not None:
+                total = total + CycNum.zeta_power(-c, F.p, q) * v
+        if total.is_zero():
+            continue
+        for g, c in labels.items():
+            out[g] = (CycNum.zeta_power(c, F.p, q) * total).div_by_q_power(ell)
     return FqFunction(preset, q, f.window, out)
 
 

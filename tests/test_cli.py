@@ -1,6 +1,9 @@
 """Command-line surface: exit codes, formats, and the verification suites."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -180,3 +183,25 @@ def test_out_file(runner, tmp_path):
     assert res.exit_code == 0
     doc = json.loads(target.read_text())
     assert doc["rows"]
+
+
+def test_verify_rejects_non_semisimple_group(runner):
+    res = runner.invoke(main, ["verify", "--group", "GL2", "--bound", "1"])
+    assert res.exit_code == 2, res.output
+    assert "GL2" in res.output and "semisimple" in res.output
+
+
+def _readme_commands():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("expflag ")]
+
+
+def test_readme_examples_run(runner):
+    commands = _readme_commands()
+    assert len(commands) >= 9
+    for args in commands:
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, (args, res.output)

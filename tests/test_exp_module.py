@@ -1,10 +1,13 @@
 """The generic exponential module and its spherical action over Z[q]."""
 
+import itertools
+
 import pytest
 
 from expflag.root_datum import build_root_datum
 from expflag.affine_weyl import AffineWeyl, ExpLabel
 from expflag.coefficients import QPoly
+from expflag.spherical import spherical_mul, unit_indicator
 from expflag.strata import dominant_coweights_below, orbit_shape
 from expflag.exp_module import (
     BigExpVector,
@@ -125,6 +128,27 @@ def test_action_is_linear_and_commutative(M):
             a = M.spherical_action(M.spherical_action_basis(lam, mu), nu)
             b = M.spherical_action(M.spherical_action_basis(lam, nu), mu)
             assert a == b
+
+
+@pytest.mark.parametrize("name,bound", [("SL2", (2,)), ("PGL2", (2,)), ("SL3", (1, 1))])
+def test_module_associativity(name, bound):
+    """(m_0 . 1_a) . 1_b = m_0 . (1_a * 1_b), the product taken in the
+    spherical algebra."""
+    rd = build_root_datum(name)
+    M = ExpModule(rd)
+    W = AffineWeyl(rd)
+    zero = tuple(0 for _ in range(rd.char_lattice_rank))
+    window = [mu for mu in itertools.product(*(range(b + 1) for b in bound))
+              if rd.is_dominant(mu)]
+    assert len(window) >= 2
+    for a in window:
+        for b in window:
+            lhs = M.spherical_action(M.spherical_action_basis(zero, a), b)
+            ab = spherical_mul(unit_indicator(W, a), unit_indicator(W, b))
+            rhs = ExpModVector(rd, {})
+            for nu, c in ab.support.items():
+                rhs = rhs + M.spherical_action_basis(zero, nu).scale(c)
+            assert lhs == rhs, (a, b)
 
 
 def test_sl2_fundamental_action():

@@ -4,7 +4,7 @@ import pytest
 
 from expflag.root_datum import build_root_datum
 from expflag.affine_weyl import AffineWeyl
-from expflag.coefficients import QPoly, gf
+from expflag.coefficients import CycNum, QPoly, gf
 from expflag.strata import dominant_coweights_below, gr_cell_class
 from expflag.fq_oracle import (
     FqFunction,
@@ -16,6 +16,8 @@ from expflag.fq_oracle import (
     _m_mul,
     _triangular_point,
     act,
+    baby_averaging,
+    character_labeling,
     coset_reps,
     depth_for,
     dominant_window,
@@ -254,3 +256,177 @@ def test_closed_form_translates_match_general_hnf(preset, q):
             if cut > 2:
                 for g in reps:
                     assert _triangular_point(p, g, cut, left=False) is not None
+
+
+def _point_key(p):
+    return (p.a, p.c, p.b)
+
+
+def _chain_window(q, top=1):
+    """The U-rtimes-Gm orbit window of the SL2 averaging chain."""
+    amb = (top + 2,)
+    cut = depth_for("SL2", amb)
+    seeds = [torus_point("SL2", q, (v,)) for v in range(-top - 1, top + 1)]
+    seeds += [act(torus_point("SL2", q, (l,)), x_plus(q, 1, -1), cut)
+              for l in range(top + 1)]
+    return orbit_closure("SL2", q, seeds, "U_rtimes_Gm_twisted", amb)
+
+
+def _window_cut_and_level(points):
+    """The cut and generator level orbit_partition uses for an SL2/PGL2 window."""
+    m = max(p.coweight()[0] for p in points)
+    return depth_for(points[0].preset, (m,)), 2 * m + 2
+
+
+def _pairwise_baby_averaging(f, points):
+    """Reference baby averaging: the orbit sum of zeta^(c(g)-c(y)) f(y) over
+    every pair (g, y), with the character transported from the last point of
+    each orbit rather than from the partition's seed."""
+    q = f.q
+    p = gf(q).p
+    cut, level_hi = _window_cut_and_level(points)
+    _, orbits = orbit_partition(points, "U_twisted", q, cut)
+    out = {}
+    for orbit in orbits:
+        pts = orbit["points"]
+        if orbit["partial"]:
+            if any(not f.values[x].is_zero() for x in pts if x in f.values):
+                raise OracleError("nonzero value on a boundary orbit")
+            continue
+        seed = max(pts, key=_point_key)
+        labels, consistent = character_labeling(
+            pts, f.preset, q, "U_twisted", level_hi, seed, cut)
+        if not consistent:
+            continue
+        ell = 0
+        while q**ell < len(pts):
+            ell += 1
+        assert q**ell == len(pts)
+        for g in pts:
+            acc = CycNum.integer(0, p, q)
+            for y in pts:
+                if y in f.values:
+                    acc = acc + CycNum.zeta_power(labels[g] - labels[y], p, q) * f.values[y]
+            if not acc.is_zero():
+                out[g] = acc.div_by_q_power(ell)
+    return out
+
+
+_AVERAGING_WINDOWS = [("SL2", q) for q in (2, 3, 4)] + [("PGL2", q) for q in (2, 3)]
+
+
+def _averaging_window(preset, q):
+    if preset == "SL2":
+        return _chain_window(q)
+    return enumerate_gr_window("PGL2", (2,), q)
+
+
+@pytest.mark.parametrize("preset,q", _AVERAGING_WINDOWS)
+def test_linear_baby_averaging_matches_pairwise_sum(preset, q):
+    import random
+
+    rng = random.Random(1000 * q + len(preset))
+    p = gf(q).p
+    pts = _averaging_window(preset, q)
+    _, orbits = orbit_partition(pts, "U_twisted", q)
+    full = [o for o in orbits if not o["partial"]]
+    # the window has orbits the averaging must kill or skip
+    assert any(not o["consistent"] for o in full)
+    assert any(o["partial"] for o in orbits) == (preset == "PGL2")
+
+    def random_value():
+        poly = [rng.randint(-3, 3) for _ in range(p - 1)]
+        return CycNum.make(p, q, poly, rng.randint(0, 2))
+
+    nonzero = 0
+    for _ in range(6):
+        support = [x for o in full for x in sorted(o["points"], key=_point_key)
+                   if rng.random() < 0.6]
+        f = FqFunction(preset, q, (2,), {x: random_value() for x in support})
+        got = baby_averaging(f, pts).values
+        assert got == _pairwise_baby_averaging(f, pts)
+        nonzero += bool(got)
+    assert nonzero
+    # a zero value on a boundary orbit is allowed, a nonzero one is not
+    for o in orbits:
+        if o["partial"]:
+            x = min(o["points"], key=_point_key)
+            zero = FqFunction(preset, q, (2,), {x: CycNum.integer(0, p, q)})
+            assert baby_averaging(zero, pts).values == {}
+            bad = FqFunction(preset, q, (2,), {x: CycNum.integer(1, p, q)})
+            with pytest.raises(OracleError):
+                baby_averaging(bad, pts)
+            with pytest.raises(OracleError):
+                _pairwise_baby_averaging(bad, pts)
+
+
+@pytest.mark.parametrize("preset,bound,q", [
+    ("SL2", (2,), 2), ("SL2", (2,), 3), ("PGL2", (2,), 2), ("PGL2", (3,), 3),
+])
+def test_stored_labels_match_character_labeling(preset, bound, q):
+    import random
+
+    rng = random.Random(q)
+    p = gf(q).p
+    pts = enumerate_gr_window(preset, bound, q)
+    cut, level_hi = _window_cut_and_level(pts)
+    _, orbits = orbit_partition(pts, "U_twisted", q)
+    assert {o["consistent"] for o in orbits if not o["partial"]} == {True, False}
+    for o in orbits:
+        if o["partial"]:
+            continue
+        stored = o["labels"]
+        assert set(stored) == o["points"]
+        ordered = sorted(o["points"], key=_point_key)
+        for seed in {ordered[0], ordered[-1], rng.choice(ordered)}:
+            labels, consistent = character_labeling(
+                o["points"], preset, q, "U_twisted", level_hi, seed, cut)
+            assert consistent == o["consistent"]
+            assert set(labels) == o["points"]
+            # on an inconsistent orbit the transport depends on the path
+            if consistent:
+                shift = (stored[seed] - labels[seed]) % p
+                assert all((stored[x] - labels[x]) % p == shift for x in labels)
+
+
+@pytest.mark.parametrize("group_spec", ["U_twisted", "U_rtimes_Gm_twisted"])
+@pytest.mark.parametrize("preset,q", [("SL2", 2), ("SL2", 3), ("PGL2", 3)])
+def test_orbit_closure_matches_free_bfs(preset, q, group_spec):
+    bound = (3,)
+    cut = depth_for(preset, bound)
+    gens = twisted_generators(preset, group_spec, q, 2 * bound[0] + 2)
+    seeds = [torus_point(preset, q, (nu,)) for nu in (-1, 0, 1)]
+    seen = set(seeds)
+    frontier = list(seeds)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g, _e, _name in gens:
+                im = act(x, g, cut)
+                if im not in seen:
+                    seen.add(im)
+                    nxt.append(im)
+        frontier = nxt
+    got = orbit_closure(preset, q, seeds, group_spec, bound)
+    assert got == sorted(seen, key=_point_key)
+
+
+def test_partition_cache_keeps_the_most_recently_used_windows():
+    from expflag import fq_oracle
+
+    # the depth is part of the key: one small window, size + 1 entries
+    window = enumerate_gr_window("SL2", (1,), 2)
+    size = fq_oracle._PARTITION_CACHE_SIZE
+    depths = [depth_for("SL2", (1,)) + k for k in range(size + 1)]
+
+    def orbits(i):
+        return orbit_partition(window, "U_twisted", 2, depths[i])[1]
+
+    first = [orbits(i) for i in range(size)]
+    assert all(orbits(i) is first[i] for i in range(size))
+    # a hit makes entry 0 the most recent, so entry 1 is the one evicted
+    assert orbits(0) is first[0]
+    orbits(size)
+    assert len(fq_oracle._partition_cache) == size
+    assert orbits(0) is first[0]
+    assert orbits(1) is not first[1]
