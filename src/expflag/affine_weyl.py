@@ -305,9 +305,6 @@ class AffineWeyl:
         self._omega = out
         return out
 
-    def is_omega(self, w: AffineWeylElement) -> bool:
-        return self.length(w) == 0
-
     # ---- cosets, maximality, exponential labels
 
     def facet_f0(self):
@@ -360,17 +357,6 @@ class AffineWeyl:
         if not self.is_right_minimal(w, f):
             raise AffineWeylError("element is not minimal in its right coset")
         return self.is_left_w0_maximal(w)
-
-    def orbit_projection(self, label: ExpLabel, f) -> ExpLabel:
-        w_min = self.right_minimal(label.elt, f)
-        if label.tag == "coset":
-            return ExpLabel("coset", w_min)
-        if self.is_left_w0_maximal(w_min):
-            return ExpLabel("zero", w_min)
-        return ExpLabel("coset", w_min)
-
-    def canonical_lift(self, label: ExpLabel) -> ExpLabel:
-        return ExpLabel(label.tag, label.elt)
 
     def enumerate_elements(self, length_bound: int):
         """All w with l(w) <= bound, BFS by length from Omega."""
@@ -434,11 +420,3 @@ class AffineWeyl:
 
     def label_from_json(self, doc) -> ExpLabel:
         return ExpLabel(doc["tag"], self.from_json(doc))
-
-
-def act_on_affine_root(W: AffineWeyl, w, ar):
-    return W.act_on_affine_root(w, ar)
-
-
-def length(W: AffineWeyl, w):
-    return W.length(w)

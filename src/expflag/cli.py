@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import click
 
@@ -31,7 +31,6 @@ class RunConfig:
     fmt: str = "json"
     out: str = "-"
     seed: int = 0
-    extras: dict = field(default_factory=dict)
 
     def validate(self):
         if self.bound <= 0:
@@ -109,11 +108,16 @@ def _height_window(rd, bound):
     return sorted(out)
 
 
-def _weyl_context(group):
+def _weyl_context(group, needs_semisimple=None):
+    """The affine Weyl group of a preset; ``needs_semisimple`` names the
+    command when it cannot run on a group with a central torus."""
     try:
         rd = build_root_datum(group)
     except Exception as e:
         raise click.UsageError(f"unknown group {group!r}: {e}")
+    if needs_semisimple and rd.rank != rd.char_lattice_rank:
+        raise click.UsageError(
+            f"{needs_semisimple} needs a semisimple group; {group} is not semisimple")
     return AffineWeyl(rd)
 
 
@@ -149,7 +153,7 @@ def weyl(group, fmt, out, seed, facet, bound, what):
     """Lengths, reduced words, and 0W membership tables."""
     cfg = RunConfig(group, facet, bound, fmt=fmt, out=out, seed=seed)
     cfg.validate()
-    W = _weyl_context(group)
+    W = _weyl_context(group, "weyl")
     f = W.facet_f0() if facet == "f0" else W.facet_a0()
     rows = []
     for w in W.enumerate_elements(bound):
@@ -243,7 +247,7 @@ def fiber(group, fmt, out, seed, source, word, targets):
     """Fiber classes of a one-step (or word) convolution over orbit points."""
     cfg = RunConfig(group, fmt=fmt, out=out, seed=seed)
     cfg.validate()
-    W = _weyl_context(group)
+    W = _weyl_context(group, "fiber")
     src_text = {"z": "zero:0", "e": "coset:"}.get(source, source)
     if ":" not in src_text:
         src_text = "coset:" + src_text
@@ -347,11 +351,8 @@ def verify(group, fmt, out, seed, bound, q_text):
                     fmt=fmt, out=out, seed=seed)
     cfg.validate()
     rng = random.Random(seed)
-    W = _weyl_context(group)
+    W = _weyl_context(group, "verify")
     rd = W.rd
-    if rd.rank != rd.char_lattice_rank:
-        raise click.UsageError(
-            f"verify needs a semisimple group; {group} is not semisimple")
     violations = []
     passed = {}
 

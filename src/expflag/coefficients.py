@@ -10,7 +10,10 @@ Three coefficient domains are implemented here:
 * ``CycNum``: elements of Z[zeta_p, 1/q], the coefficient ring of the
   psi-twisted (Whittaker) oracle computations.
 
-Everything is immutable and hashable; no floating point anywhere.
+All three are immutable and hashable; no floating point anywhere.
+
+``QVector`` holds the arithmetic shared by the sparse ``Z[q]`` vectors of
+the Hecke, spherical and exponential-module bases.
 """
 
 from __future__ import annotations
@@ -260,6 +263,75 @@ def qpoly_interpolate(samples, degree_bound: int) -> QPoly:
         if poly.specialize(q) != v:
             raise Inconsistent(f"sample ({q}, {v}) off the interpolant {poly}")
     return poly
+
+
+class QVector:
+    """Finitely supported map from a basis to Z[q]; zero coefficients are
+    never stored.
+
+    ``ctx`` is what the basis indices live in (an ``AffineWeyl`` or a
+    ``RootDatum``). A subclass fixes the basis: ``_key`` checks an index and
+    returns its stored form, ``_sort_key`` orders the indices for output,
+    ``_key_json`` writes one index under ``json_field``, and ``letter``
+    names the basis vectors in ``repr``. Vectors of different bases are
+    never equal.
+    """
+
+    __slots__ = ("ctx", "support")
+
+    def __init__(self, ctx, support=None):
+        self.ctx = ctx
+        self.support = {}
+        if support:
+            for key, c in support.items():
+                key = self._key(key)
+                if not c.is_zero():
+                    self.support[key] = c
+
+    def _key(self, key):
+        return key
+
+    def _sort_key(self, key):
+        return key
+
+    def _key_json(self, key):
+        return key
+
+    def _new(self, support):
+        """A vector of the same basis on keys that are already checked."""
+        out = object.__new__(type(self))
+        out.ctx = self.ctx
+        out.support = {key: c for key, c in support.items() if not c.is_zero()}
+        return out
+
+    def __add__(self, other):
+        out = dict(self.support)
+        for key, c in other.support.items():
+            out[key] = out[key] + c if key in out else c
+        return self._new(out)
+
+    def scale(self, c: QPoly):
+        return self._new({key: a * c for key, a in self.support.items()})
+
+    def coefficient(self, key) -> QPoly:
+        return self.support.get(key, Q_ZERO)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.support == other.support
+
+    def _items(self):
+        return sorted(self.support.items(), key=lambda kv: self._sort_key(kv[0]))
+
+    def __repr__(self):
+        return " + ".join(
+            f"({c}){self.letter}[{self._key_json(key)}]" for key, c in self._items()
+        ) or "0"
+
+    def to_json(self):
+        return [
+            {self.json_field: self._key_json(key), "qpoly": c.to_json()}
+            for key, c in self._items()
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ from fractions import Fraction
 from importlib import resources
 
 from .affine_weyl import AffineWeyl, AffineWeylElement, ExpLabel
-from .coefficients import DivisionNotExact, QPoly, Q_ONE, Q_ZERO, qpoly_exact_div
+from .coefficients import DivisionNotExact, QPoly, QVector, Q_ONE, Q_ZERO, qpoly_exact_div
 from .root_datum import RootDatum
-from .spherical import NormalizationFailure, SphericalElement, poincare_poly
+from .spherical import NormalizationFailure, poincare_poly
 from .strata import CellShape, dominance_leq, double_coset_elements
 
 
@@ -129,54 +129,17 @@ def key_lemma_class(W: AffineWeyl, target: ExpLabel, w: ExpLabel, s: int) -> QPo
     return case_analysis(W, target, w, s)[1]
 
 
-class BigExpVector:
+class BigExpVector(QVector):
     """Z[q]-linear combination of exponential-orbit labels on Fl."""
 
-    __slots__ = ("W", "support")
+    __slots__ = ()
+    letter, json_field = "b", "label"
 
-    def __init__(self, W: AffineWeyl, support=None):
-        self.W = W
-        self.support = {}
-        if support:
-            for lab, c in support.items():
-                if not c.is_zero():
-                    self.support[lab] = c
+    def _sort_key(self, lab):
+        return self.ctx.sort_key(lab.elt) + (lab.tag,)
 
-    def __add__(self, other):
-        out = dict(self.support)
-        for lab, c in other.support.items():
-            s = out.get(lab, Q_ZERO) + c
-            if s.is_zero():
-                out.pop(lab, None)
-            else:
-                out[lab] = s
-        return BigExpVector(self.W, out)
-
-    def scale(self, c: QPoly):
-        return BigExpVector(self.W, {lab: a * c for lab, a in self.support.items()})
-
-    def coefficient(self, lab: ExpLabel) -> QPoly:
-        return self.support.get(lab, Q_ZERO)
-
-    def __eq__(self, other):
-        return isinstance(other, BigExpVector) and self.support == other.support
-
-    def __repr__(self):
-        items = sorted(
-            self.support.items(), key=lambda kv: self.W.sort_key(kv[0].elt) + (kv[0].tag,)
-        )
-        return " + ".join(
-            f"({c})b[{lab.tag}:{self.W.to_json(lab.elt)}]" for lab, c in items
-        ) or "0"
-
-    def to_json(self):
-        items = sorted(
-            self.support.items(), key=lambda kv: self.W.sort_key(kv[0].elt) + (kv[0].tag,)
-        )
-        return [
-            {"label": self.W.label_to_json(lab), "qpoly": c.to_json()}
-            for lab, c in items
-        ]
+    def _key_json(self, lab):
+        return self.ctx.label_to_json(lab)
 
 
 def basis_vector(W: AffineWeyl, lab: ExpLabel) -> BigExpVector:
@@ -192,7 +155,7 @@ def _adjacent_labels(W: AffineWeyl, elt: AffineWeylElement):
 
 def ts_action(v: BigExpVector, s: int) -> BigExpVector:
     """phi(T_s): sum a function over the s-line through each chamber."""
-    W = v.W
+    W = v.ctx
     out = {}
     for lab, c in v.support.items():
         targets = []
@@ -214,7 +177,7 @@ def ts_action(v: BigExpVector, s: int) -> BigExpVector:
 
 def omega_action(v: BigExpVector, tau: AffineWeylElement) -> BigExpVector:
     """Right translation b_w -> b_{w tau}; tags preserved."""
-    W = v.W
+    W = v.ctx
     if W.length(tau) != 0:
         raise ExpModuleError("omega element must have length zero")
     out = {}
@@ -225,7 +188,7 @@ def omega_action(v: BigExpVector, tau: AffineWeylElement) -> BigExpVector:
 
 def phi_element(v: BigExpVector, y: AffineWeylElement) -> BigExpVector:
     """phi(T_y): f -> (x -> sum_{g in IyI/I} f(xg)), via the reversed word."""
-    W = v.W
+    W = v.ctx
     tau, word = W.reduced_word(y)
     out = v
     for i in reversed(word):
@@ -257,49 +220,21 @@ def fiber_class(v0: ExpLabel, word_spec, target: ExpLabel, W: AffineWeyl) -> QPo
     return vec.coefficient(target)
 
 
-class ExpModVector:
+class ExpModVector(QVector):
     """Finitely supported map from dominant coweights to Z[q]: the m-basis."""
 
-    __slots__ = ("rd", "support")
+    __slots__ = ()
+    letter, json_field = "m", "mu"
 
-    def __init__(self, rd: RootDatum, support=None):
-        self.rd = rd
-        self.support = {}
-        if support:
-            for mu, c in support.items():
-                if not rd.is_dominant(mu):
-                    raise ExpModuleError(f"non-dominant index {mu}")
-                if not c.is_zero():
-                    self.support[tuple(mu)] = c
+    def _key(self, mu):
+        if not self.ctx.is_dominant(mu):
+            raise ExpModuleError(f"non-dominant index {mu}")
+        return tuple(mu)
 
-    def __add__(self, other):
-        out = dict(self.support)
-        for mu, c in other.support.items():
-            s = out.get(mu, Q_ZERO) + c
-            if s.is_zero():
-                out.pop(mu, None)
-            else:
-                out[mu] = s
-        return ExpModVector(self.rd, out)
-
-    def scale(self, c: QPoly):
-        return ExpModVector(self.rd, {mu: a * c for mu, a in self.support.items()})
+    _key_json = staticmethod(list)
 
     def coefficient(self, mu) -> QPoly:
-        return self.support.get(tuple(mu), Q_ZERO)
-
-    def __eq__(self, other):
-        return isinstance(other, ExpModVector) and self.support == other.support
-
-    def __repr__(self):
-        items = sorted(self.support.items())
-        return " + ".join(f"({c})m[{list(mu)}]" for mu, c in items) or "0"
-
-    def to_json(self):
-        return [
-            {"mu": list(mu), "qpoly": c.to_json()}
-            for mu, c in sorted(self.support.items())
-        ]
+        return super().coefficient(tuple(mu))
 
 
 class ExpModule:
@@ -567,8 +502,8 @@ class ExpModule:
 
 
 def _is_unit_times_q_power(p: QPoly) -> bool:
-    terms = [t for t in p.coeffs.items()] if hasattr(p, "coeffs") else []
-    return len(terms) == 1 and terms[0][1] in (1, -1)
+    terms = list(p.coeffs.values())
+    return len(terms) == 1 and terms[0] in (1, -1)
 
 
 def _laurent_unit_div(c: QPoly, diag: QPoly) -> QPoly:

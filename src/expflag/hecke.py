@@ -9,53 +9,20 @@ is literal convolution of Iwahori double cosets with vol(I) = 1.
 from __future__ import annotations
 
 from .affine_weyl import AffineWeyl, AffineWeylElement
-from .coefficients import QPoly, Q_ONE
+from .coefficients import QPoly, QVector, Q_ONE
 
 
-class HeckeElement:
+class HeckeElement(QVector):
     """Finitely supported map from W to Z[q], in the T-basis."""
 
-    __slots__ = ("W", "support")
+    __slots__ = ()
+    letter, json_field = "T", "element"
 
-    def __init__(self, W: AffineWeyl, support=None):
-        self.W = W
-        self.support = {}
-        if support:
-            for w, c in support.items():
-                if not c.is_zero():
-                    self.support[w] = c
+    def _sort_key(self, w):
+        return self.ctx.sort_key(w)
 
-    def __eq__(self, other):
-        return isinstance(other, HeckeElement) and self.support == other.support
-
-    def __repr__(self):
-        items = sorted(self.support.items(), key=lambda kv: self.W.sort_key(kv[0]))
-        return " + ".join(f"({c})T[{self.W.to_json(w)}]" for w, c in items) or "0"
-
-    def __add__(self, other):
-        out = dict(self.support)
-        for w, c in other.support.items():
-            s = out.get(w, QPoly({})) + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return HeckeElement(self.W, out)
-
-    def __sub__(self, other):
-        return self + other.scale(QPoly({0: -1}))
-
-    def scale(self, c: QPoly):
-        return HeckeElement(self.W, {w: a * c for w, a in self.support.items()})
-
-    def coefficient(self, w: AffineWeylElement) -> QPoly:
-        return self.support.get(w, QPoly({}))
-
-    def to_json(self):
-        items = sorted(self.support.items(), key=lambda kv: self.W.sort_key(kv[0]))
-        return [
-            {"element": self.W.to_json(w), "qpoly": c.to_json()} for w, c in items
-        ]
+    def _key_json(self, w):
+        return self.ctx.to_json(w)
 
     @staticmethod
     def from_json(W: AffineWeyl, docs):
@@ -109,12 +76,12 @@ def omega_mul(W: AffineWeyl, tau: AffineWeylElement, x: HeckeElement, side: str)
 
 def hecke_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     """Product in the Hecke algebra; b is decomposed into reduced words."""
-    W = a.W
+    W = a.ctx
     out = HeckeElement(W, {})
     for w, c in b.support.items():
         tau, word = W.reduced_word(w)
         term = a.scale(c)
-        if W.length(tau) != 0 or tau != W.identity:
+        if tau != W.identity:
             term = omega_mul(W, tau, term, "right")
         for i in word:
             term = t_simple_mul(W, i, term, "right")
@@ -123,7 +90,7 @@ def hecke_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
 
 
 def specialize_hecke(a: HeckeElement, q: int):
-    """Coefficientwise specialization; map W-element json key -> integer."""
+    """Coefficientwise specialization: map AffineWeylElement -> nonzero integer."""
     out = {}
     for w, c in a.support.items():
         v = c.specialize(q)

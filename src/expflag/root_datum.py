@@ -167,15 +167,8 @@ class RootDatum:
         return sols
 
     def height(self, r):
-        """Sum of simple-root coefficients; for coroots use coheight."""
+        """Sum of the coefficients of the root r in the basis of simple roots."""
         return sum(self.root_in_simple_basis(r))
-
-    def coheight(self, cv):
-        """Height of a coroot, i.e. <rho-ish..>: sum of simple-coroot coefficients."""
-        mat = [[self.pair(self.simple_roots[i], self.simple_coroots[j])
-                for j in range(self.rank)] for i in range(self.rank)]
-        rhs = [self.pair(self.simple_roots[i], cv) for i in range(self.rank)]
-        return sum(_solve_in_basis(mat, rhs))
 
     def _build_weyl(self):
         n = self.char_lattice_rank
@@ -232,14 +225,6 @@ class RootDatum:
                     return e
             raise RootDatumError("inverse not found")
         return out
-
-    def finite_length(self, x: FiniteWeylElement) -> int:
-        """Number of positive roots sent to negative roots."""
-        return sum(
-            1
-            for r in self.positive_roots
-            if x.apply_weight(r) in set(self.negative_roots)
-        )
 
     def weyl_elements(self):
         """All of W0, each with one reduced word, BFS by length."""
@@ -551,7 +536,3 @@ def build_root_datum(spec) -> RootDatum:
 
 def positive_roots(rd: RootDatum):
     return list(rd.positive_roots)
-
-
-def finite_weyl_elements(rd: RootDatum):
-    return rd.weyl_elements()

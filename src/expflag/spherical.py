@@ -8,7 +8,7 @@ spherical_mul divides it out and re-expands in the 1-basis.
 from __future__ import annotations
 
 from .affine_weyl import AffineWeyl
-from .coefficients import DivisionNotExact, QPoly, Q_ONE, qpoly_exact_div
+from .coefficients import DivisionNotExact, QPoly, QVector, Q_ONE, qpoly_exact_div
 from .hecke import HeckeElement, hecke_mul
 from .strata import double_coset_elements
 
@@ -17,56 +17,21 @@ class NormalizationFailure(ArithmeticError):
     pass
 
 
-class SphericalElement:
+class SphericalElement(QVector):
     """Finitely supported map from dominant coweights to Z[q]."""
 
-    __slots__ = ("W", "support")
+    __slots__ = ()
+    letter, json_field = "1", "mu"
 
-    def __init__(self, W: AffineWeyl, support=None):
-        self.W = W
-        self.support = {}
-        if support:
-            for mu, c in support.items():
-                if not self.W.rd.is_dominant(mu):
-                    raise ValueError(f"non-dominant index {mu}")
-                if not c.is_zero():
-                    self.support[tuple(mu)] = c
+    def _key(self, mu):
+        if not self.ctx.rd.is_dominant(mu):
+            raise ValueError(f"non-dominant index {mu}")
+        return tuple(mu)
 
-    def __eq__(self, other):
-        return isinstance(other, SphericalElement) and self.support == other.support
-
-    def __add__(self, other):
-        out = dict(self.support)
-        for mu, c in other.support.items():
-            s = out.get(mu, QPoly({})) + c
-            if s.is_zero():
-                out.pop(mu, None)
-            else:
-                out[mu] = s
-        return SphericalElement(self.W, out)
-
-    def scale(self, c: QPoly):
-        return SphericalElement(self.W, {mu: a * c for mu, a in self.support.items()})
+    _key_json = staticmethod(list)
 
     def coefficient(self, mu) -> QPoly:
-        return self.support.get(tuple(mu), QPoly({}))
-
-    def __repr__(self):
-        items = sorted(self.support.items())
-        return " + ".join(f"({c})1[{list(mu)}]" for mu, c in items) or "0"
-
-    def to_json(self):
-        return [
-            {"mu": list(mu), "qpoly": c.to_json()}
-            for mu, c in sorted(self.support.items())
-        ]
-
-    @staticmethod
-    def from_json(W: AffineWeyl, docs):
-        return SphericalElement(
-            W,
-            {tuple(d["mu"]): QPoly.from_json(d["qpoly"]) for d in docs},
-        )
+        return super().coefficient(tuple(mu))
 
 
 def unit_indicator(W: AffineWeyl, mu) -> SphericalElement:
@@ -88,7 +53,7 @@ def poincare_poly(W: AffineWeyl) -> QPoly:
 
 
 def lift(a: SphericalElement) -> HeckeElement:
-    W = a.W
+    W = a.ctx
     out = HeckeElement(W, {})
     for mu, c in a.support.items():
         out = out + double_coset_lift(W, mu).scale(c)
@@ -98,13 +63,13 @@ def lift(a: SphericalElement) -> HeckeElement:
 def hecke_to_spherical(W: AffineWeyl, h: HeckeElement) -> SphericalElement:
     """Express a W0-bi-invariant Hecke element in the 1-basis.
 
-    The coefficient on 1_mu is read off the translation element t_{mu} of
-    maximal length in its double coset being... the minimal coset element
-    determines mu; constancy over each double coset is verified.
+    Each element w of the support lies in the double coset W0 t_mu W0 of
+    exactly one dominant mu; the coefficient on 1_mu is h's coefficient on
+    any element of that double coset. Raises NormalizationFailure unless h
+    is constant on every double coset it meets.
     """
     remaining = dict(h.support)
     support = {}
-    f0 = W.facet_f0()
     while remaining:
         w = next(iter(remaining))
         mu = _dominant_of(W, w)
@@ -133,7 +98,7 @@ def _dominant_of(W: AffineWeyl, w):
 
 
 def spherical_mul(a: SphericalElement, b: SphericalElement) -> SphericalElement:
-    W = a.W
+    W = a.ctx
     prod = hecke_mul(lift(a), lift(b))
     P = poincare_poly(W)
     divided = {}

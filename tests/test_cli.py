@@ -186,9 +186,14 @@ def test_out_file(runner, tmp_path):
 
 
 def test_verify_rejects_non_semisimple_group(runner):
-    res = runner.invoke(main, ["verify", "--group", "GL2", "--bound", "1"])
-    assert res.exit_code == 2, res.output
-    assert "GL2" in res.output and "semisimple" in res.output
+    # weyl and fiber enumerate the length-zero subgroup, which needs a
+    # semisimple group just as verify does
+    for args in (["verify", "--group", "GL2", "--bound", "1"],
+                 ["weyl", "--group", "GL2"],
+                 ["fiber", "--group", "GL2", "--source", "z", "--word", "0"]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, (args, res.output)
+        assert "GL2" in res.output and "semisimple" in res.output
 
 
 def _readme_commands():

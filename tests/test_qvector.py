@@ -1,0 +1,87 @@
+"""The sparse Z[q] vectors of the four bases share one implementation."""
+
+import json
+
+import pytest
+
+from expflag.affine_weyl import AffineWeyl, ExpLabel
+from expflag.coefficients import QPoly, Q_ZERO
+from expflag.exp_module import BigExpVector, ExpModuleError, ExpModVector
+from expflag.hecke import HeckeElement
+from expflag.root_datum import build_root_datum
+from expflag.spherical import SphericalElement
+
+RD = build_root_datum("SL2")
+W = AffineWeyl(RD)
+A = QPoly({0: 2, 1: -1})
+B = QPoly({2: 1})
+S0 = W.word_to_element([0])
+S1 = W.word_to_element([1])
+
+# (class, context, two basis indices, to_json of A*first + B*second as
+# written before the classes were merged)
+BASES = {
+    "hecke": (HeckeElement, W, S0, S1, [
+        {"element": {"lambda": [-1], "v_word": [0]},
+         "qpoly": {"laurent": False, "terms": [[2, "1"]]}},
+        {"element": {"lambda": [0], "v_word": [0]},
+         "qpoly": {"laurent": False, "terms": [[0, "2"], [1, "-1"]]}},
+    ]),
+    "spherical": (SphericalElement, W, (2,), (0,), [
+        {"mu": [0], "qpoly": {"laurent": False, "terms": [[2, "1"]]}},
+        {"mu": [2], "qpoly": {"laurent": False, "terms": [[0, "2"], [1, "-1"]]}},
+    ]),
+    "big": (BigExpVector, W, ExpLabel("zero", S0), ExpLabel("coset", S0), [
+        {"label": {"lambda": [0], "tag": "coset", "v_word": [0]},
+         "qpoly": {"laurent": False, "terms": [[2, "1"]]}},
+        {"label": {"lambda": [0], "tag": "zero", "v_word": [0]},
+         "qpoly": {"laurent": False, "terms": [[0, "2"], [1, "-1"]]}},
+    ]),
+    "m": (ExpModVector, RD, (1,), (0,), [
+        {"mu": [0], "qpoly": {"laurent": False, "terms": [[2, "1"]]}},
+        {"mu": [1], "qpoly": {"laurent": False, "terms": [[0, "2"], [1, "-1"]]}},
+    ]),
+}
+
+
+@pytest.mark.parametrize("basis", sorted(BASES))
+def test_shared_vector_semantics(basis):
+    cls, ctx, k1, k2, doc = BASES[basis]
+    v = cls(ctx, {k1: A, k2: B})
+    assert json.dumps(v.to_json(), sort_keys=True) == json.dumps(doc, sort_keys=True)
+    assert repr(v).count(f"){cls.letter}[") == 2
+    # zero coefficients are dropped, on construction and in sums
+    assert cls(ctx, {k1: A, k2: Q_ZERO}).support == {k1: A}
+    assert (v + v.scale(QPoly({0: -1}))).support == {}
+    assert (v + cls(ctx, {k2: -B})).support == {k1: A}
+    assert repr(cls(ctx)) == "0"
+    # scaling by zero gives the zero vector of the same basis
+    zero = v.scale(Q_ZERO)
+    assert zero == cls(ctx) and zero.support == {} and zero.to_json() == []
+    assert v.scale(QPoly({1: 1})).coefficient(k2) == B * QPoly({1: 1})
+    assert v.coefficient(k1) == A and v.coefficient(k2) == B
+    assert cls(ctx, {k2: B}).coefficient(k1) == Q_ZERO
+    # sums and scalings stay in the basis and keep the context
+    assert type(v + v) is cls and (v + v).ctx is ctx
+    assert v + v == v.scale(QPoly({0: 2}))
+
+
+def test_vectors_of_different_bases_are_never_equal():
+    sph = SphericalElement(W, {(0,): A})
+    m = ExpModVector(RD, {(0,): A})
+    assert sph.support == m.support
+    assert sph != m and m != sph
+    assert HeckeElement(W) != BigExpVector(W)
+
+
+def test_dominant_bases_reject_non_dominant_indices():
+    with pytest.raises(ValueError, match="non-dominant index"):
+        SphericalElement(W, {(-1,): A})
+    with pytest.raises(ExpModuleError, match="non-dominant index"):
+        ExpModVector(RD, {(-1,): A})
+    # the check runs even when the coefficient is zero
+    with pytest.raises(ExpModuleError):
+        ExpModVector(RD, {(-1,): Q_ZERO})
+    # indices are stored as tuples and may be looked up as lists
+    assert SphericalElement(W, {(1,): A}).coefficient([1]) == A
+    assert ExpModVector(RD, {(1,): A}).coefficient([1]) == A
