@@ -150,6 +150,9 @@ class AffineWeyl:
     def word_to_element(self, word, omega=None) -> AffineWeylElement:
         w = omega if omega is not None else self.identity
         for i in word:
+            if not 0 <= i < self.num_simples:
+                raise AffineWeylError(
+                    f"no simple reflection s{i}: indices run over 0..{self.num_simples - 1}")
             w = self.mul(w, self.simples[i])
         return w
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import click
 
 from .root_datum import build_root_datum
-from .affine_weyl import AffineWeyl, ExpLabel
+from .affine_weyl import AffineWeyl, AffineWeylError, ExpLabel
 from .coefficients import FIELD_SIZES, QPoly
 from .hecke import HeckeElement, hecke_mul, t_basis
 from .spherical import spherical_mul, unit_indicator
@@ -24,7 +24,7 @@ from . import fq_oracle
 
 @dataclass
 class RunConfig:
-    group: str = "SL2"
+    group: str
     facet: str = "f0"
     bound: int = 2
     q_list: tuple = (2, 3, 5)
@@ -77,11 +77,10 @@ def _coords(text):
         raise click.UsageError(f"bad coordinate list {text!r}")
 
 
-def _word(text):
-    if not text:
-        return []
+def _word(W, text):
+    """The word of simple reflections in ``text`` and its product in W."""
     out = []
-    for part in text.split(","):
+    for part in text.split(",") if text else []:
         part = part.strip()
         if part.startswith("s"):
             part = part[1:] or "0"
@@ -89,7 +88,10 @@ def _word(text):
             out.append(int(part))
         except ValueError:
             raise click.UsageError(f"bad word entry {part!r}")
-    return out
+    try:
+        return out, W.word_to_element(out)
+    except AffineWeylError as e:
+        raise click.UsageError(str(e))
 
 
 def _height_window(rd, bound):
@@ -182,8 +184,8 @@ def hecke(group, fmt, out, seed, left, right):
     cfg = RunConfig(group, fmt=fmt, out=out, seed=seed)
     cfg.validate()
     W = _weyl_context(group)
-    a = t_basis(W, W.word_to_element(_word(left)))
-    b = t_basis(W, W.word_to_element(_word(right)))
+    a = t_basis(W, _word(W, left)[1])
+    b = t_basis(W, _word(W, right)[1])
     _emit(cfg, {"group": group, "product": hecke_mul(a, b).to_json()})
 
 
@@ -254,8 +256,8 @@ def fiber(group, fmt, out, seed, source, word, targets):
     tag, word_text = src_text.split(":", 1)
     if tag not in ("coset", "zero"):
         raise click.UsageError(f"bad source tag {tag!r}")
-    src = ExpLabel(tag, W.word_to_element(_word(word_text)))
-    conv = _word(word)
+    src = ExpLabel(tag, _word(W, word_text)[1])
+    conv, _ = _word(W, word)
     length_cap = W.length(src.elt) + len(conv) + 1
     rows = []
     for lab in W.enumerate_exp_labels(W.facet_a0(), length_cap):
@@ -287,17 +289,17 @@ def oracle(group, fmt, out, seed, q_text, bound, mode, lam, mu):
     cfg = RunConfig(group, bound=bound, q_list=_coords(q_text),
                     fmt=fmt, out=out, seed=seed)
     cfg.validate()
-    if group not in ("SL2", "PGL2", "GL2"):
-        raise click.UsageError("oracle presets: SL2, PGL2, GL2")
-    b = (bound, 0) if group == "GL2" else (bound,)
+    if group not in fq_oracle.PRESETS:
+        raise click.UsageError("oracle presets: " + ", ".join(fq_oracle.PRESETS))
+    # the coweight of the lattice diag(t^bound, 1)
+    b = fq_oracle.PRESETS[group].coords(bound, 0)
     doc = {"group": group, "bound": list(b)}
+    q = cfg.q_list[0]
     try:
         if mode == "window":
-            q = cfg.q_list[0]
             pts = fq_oracle.enumerate_gr_window(group, b, q)
             doc.update(q=q, size=len(pts), points=[p.to_json() for p in pts])
         elif mode == "orbits":
-            q = cfg.q_list[0]
             pts = fq_oracle.enumerate_gr_window(group, b, q)
             _, orbits = fq_oracle.orbit_partition(pts, "U_exp_twisted", q)
             doc.update(
@@ -313,7 +315,6 @@ def oracle(group, fmt, out, seed, q_text, bound, mode, lam, mu):
                 ],
             )
         elif mode == "action":
-            q = cfg.q_list[0]
             mat = fq_oracle.whittaker_action(group, _coords(lam), _coords(mu), q)
             doc.update(
                 q=q,
@@ -334,7 +335,7 @@ def oracle(group, fmt, out, seed, q_text, bound, mode, lam, mu):
                     for n, p in sorted(consts.items())
                 ],
             )
-    except fq_oracle.WindowTooLarge as e:
+    except (fq_oracle.WindowTooLarge, fq_oracle.InvalidCoweight) as e:
         raise click.UsageError(str(e))
     except fq_oracle.OracleError as e:
         _violation([{"check": f"oracle:{mode}", "error": str(e)}])
@@ -408,7 +409,7 @@ def verify(group, fmt, out, seed, bound, q_text):
     check("expmod_commutativity", commutativity)
     check("rank_one", lambda: (M.verify_rank_one(window), len(window))[1])
 
-    if group in ("SL2", "PGL2"):
+    if group in fq_oracle.PRESETS:
 
         def oracle_suite():
             n = 0

@@ -14,9 +14,12 @@ windows this computes, by direct enumeration and coset sums:
 Everything here is ground truth at a literal prime power q, used to
 validate the generic q-polynomial computations by specialization.
 
-Presets use the standard 2-dimensional representation; PGL2 is modelled as
-lattices modulo global t-scaling (the canonical form fixes the lower-right
-elementary exponent to 0).
+Presets use the standard 2-dimensional representation and differ only in
+their ``PRESETS`` entry: ``coords`` maps the Hermite diagonal exponents
+(a, c) to coweight coordinates (SL2 (a,), PGL2 (a - c,), GL2 (a, c)),
+``diagonal`` is its inverse, and ``det_one`` marks the SL2 torus. PGL2
+lattices are classes modulo global t-scaling; diagonal(coords(a, c))
+normalizes them to c = 0.
 
 Left (``act``) and right (``translate``) translates by an upper-triangular
 element with monomial diagonal [[d0 t^e0, g01], [0, d1 t^e1]] leave the
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .coefficients import CycNum, QPoly, gf, psi_value, qpoly_interpolate
 from .root_datum import build_root_datum
@@ -57,7 +61,29 @@ class SupportEscapesWindow(OracleError):
     pass
 
 
-_PRESETS = ("SL2", "PGL2", "GL2")
+class InvalidCoweight(OracleError):
+    """A coweight of the wrong rank, or not dominant where it must be."""
+
+
+class Preset(NamedTuple):
+    """How a 2x2 preset reads the Hermite diagonal [[t^a, *], [0, t^c]]."""
+
+    coords: Callable  # (a, c) -> coweight in preset coordinates
+    diagonal: Callable  # the inverse, on the unpacked coordinates
+    det_one: bool  # the torus has determinant one
+
+
+PRESETS = {
+    "SL2": Preset(lambda a, c: (a,), lambda l: (l, -l), True),
+    "PGL2": Preset(lambda a, c: (a - c,), lambda l: (l, 0), False),
+    "GL2": Preset(lambda a, c: (a, c), lambda l0, l1: (l0, l1), False),
+}
+
+# presets whose coordinates do not see a global power of t: their points are
+# lattice classes modulo t-scaling; on the points of the other presets
+# diagonal(coords(a, c)) is the identity
+_PROJECTIVE = frozenset(
+    name for name, P in PRESETS.items() if P.coords(1, 1) == P.coords(0, 0))
 
 _WINDOW_CAP = 10**6
 
@@ -94,12 +120,6 @@ def _s_mul(F, s1, s2, cut):
             else:
                 out.pop(e, None)
     return out
-
-
-def _s_scale(F, s, c):
-    if c == 0:
-        return {}
-    return {e: F.mul(a, c) for e, a in s.items()}
 
 
 def _s_shift(s, k):
@@ -183,12 +203,7 @@ class GrPoint:
 
     def coweight(self):
         """Dominant coweight indexing Gr^type, in preset coordinates."""
-        m1, m2 = self.gl_type()
-        if self.preset == "SL2":
-            return (m1,)
-        if self.preset == "PGL2":
-            return (m1 - m2,)
-        return (m1, m2)
+        return PRESETS[self.preset].coords(*self.gl_type())
 
     def is_torus_point(self):
         return not self.b
@@ -197,11 +212,7 @@ class GrPoint:
         """Coweight of a diagonal basepoint, not dominant in general."""
         if self.b:
             raise OracleError("not a torus point")
-        if self.preset == "SL2":
-            return (self.a,)
-        if self.preset == "PGL2":
-            return (self.a - self.c,)
-        return (self.a, self.c)
+        return PRESETS[self.preset].coords(self.a, self.c)
 
     def to_json(self):
         return {
@@ -217,35 +228,37 @@ class GrPoint:
 def _hnf_point(preset, q, mat, cut):
     """Canonical form of the lattice spanned by the columns of mat."""
     F = gf(q)
-    (m00, m01), (m10, m11) = (dict(mat[0][0]), dict(mat[0][1])), (
-        dict(mat[1][0]),
-        dict(mat[1][1]),
-    )
+    (m00, m01), (m10, m11) = mat
     v0, v1 = _s_val(m10), _s_val(m11)
     if v1 is None or (v0 is not None and v0 < v1):
-        m00, m01 = m01, m00
-        m10, m11 = m11, m10
-        v1 = v0
+        (m00, m01), (m10, m11) = (m01, m00), (m11, m10)
     if not m11:
         raise OracleError("singular lattice basis")
     c = _s_val(m11)
     # scale the pivot column so its bottom entry is exactly t^c
     inv = _s_inv(F, m11, cut)
     m01 = _s_trunc(_s_mul(F, m01, _s_mul(F, inv, {c: 1}, cut), cut), cut)
-    m11 = {c: 1}
     if m10:
         # val(m10) >= c by the pivot choice, so this is an O-column operation
-        factor = _s_shift(m10, -c)
-        m00 = _s_add(F, m00, _s_scale(F, _s_mul(F, factor, m01, cut), F.neg(1)))
-        m10 = {}
+        factor = {e - c: F.neg(co) for e, co in m10.items()}
+        m00 = _s_add(F, m00, _s_mul(F, factor, m01, cut))
     if not m00:
         raise OracleError("singular lattice basis")
     a = _s_val(m00)
-    m00 = {a: 1}
     # reduce the off-diagonal entry modulo t^a
     b = {e: co for e, co in m01.items() if e < a}
-    if preset == "PGL2":
-        a, b, c = a - c, _s_shift(b, -c), 0
+    return _canonical_point(preset, q, a, c, b)
+
+
+def _canonical_point(preset, q, a, c, b):
+    """The point [[t^a, b], [0, t^c]], rescaled by a global power of t to
+    the diagonal diagonal(coords(a, c)) of its preset."""
+    if preset in _PROJECTIVE:
+        P = PRESETS[preset]
+        a, c0 = P.diagonal(*P.coords(a, c))
+        if c0 != c:
+            b = {e + c0 - c: co for e, co in b.items()}
+            c = c0
     return GrPoint(preset, q, a, c, tuple(sorted(b.items())))
 
 
@@ -293,9 +306,7 @@ def _triangular_point(point: GrPoint, mat, cut, left):
                 b[e] = co
             else:
                 b.pop(e, None)
-    if point.preset == "PGL2":
-        a, b, c = a - c, {e - c: co for e, co in b.items()}, 0
-    return GrPoint(point.preset, point.q, a, c, tuple(sorted(b.items())))
+    return _canonical_point(point.preset, point.q, a, c, b)
 
 
 def act(point: GrPoint, mat, cut):
@@ -320,48 +331,56 @@ def translate(point: GrPoint, mat, cut):
 # preset data
 
 
-def _rd(preset):
-    if preset not in _PRESETS:
+def _preset(preset):
+    if preset not in PRESETS:
         raise OracleError(f"unsupported preset {preset}")
+    return PRESETS[preset]
+
+
+def _rd(preset):
+    _preset(preset)
     return build_root_datum(preset)
 
 
-def _pair_alpha(preset, mu):
-    if preset == "SL2":
-        return 2 * mu[0]
-    if preset == "PGL2":
-        return mu[0]
-    return mu[0] - mu[1]
+def _diagonal(preset, lam):
+    """Hermite diagonal exponents (a, c) of the torus point t^lam."""
+    P, lam = _preset(preset), tuple(lam)
+    rank = len(P.coords(0, 0))
+    if len(lam) != rank:
+        raise InvalidCoweight(f"{preset} coweights have {rank} coordinate(s), got {lam}")
+    return P.diagonal(*lam)
+
+
+def _dominant(rd, preset, lam, name):
+    """lam as a tuple, checked to be a dominant coweight of the preset."""
+    lam = tuple(lam)
+    _diagonal(preset, lam)  # checks the rank
+    if not rd.is_dominant(lam):
+        raise InvalidCoweight(f"{name} must be dominant, got {lam}")
+    return lam
 
 
 def depth_for(preset, bound):
     """t-adic depth sufficient for a window: 2 * <alpha, bound + rho-hat> + 2."""
-    return 2 * (_pair_alpha(preset, bound) + 1) + 2
+    a, c = _diagonal(preset, bound)
+    return 2 * (a - c + 1) + 2
 
 
-def _val_bound(preset, bound):
-    """All window lattices satisfy t^V O^2 <= L <= t^-V O^2."""
-    if preset == "GL2":
-        return max(abs(bound[0]), abs(bound[1]))
-    return abs(bound[0])
+def _window_generators(preset, group_spec, q, bound):
+    """Twisted generators up to the level a window needs: its lattices
+    satisfy t^V O^2 <= L <= t^-V O^2, V = max(|a|, |c|) of the bound."""
+    a, c = _diagonal(preset, bound)
+    return twisted_generators(preset, group_spec, q, 2 * max(abs(a), abs(c)) + 2)
 
 
 def torus_point(preset, q, lam):
-    if preset == "SL2":
-        a, c = lam[0], -lam[0]
-    elif preset == "PGL2":
-        a, c = lam[0], 0
-    else:
-        a, c = lam
+    a, c = _diagonal(preset, lam)
     return GrPoint(preset, q, a, c, ())
 
 
 def torus_matrix(preset, lam):
-    if preset == "SL2":
-        return (({lam[0]: 1}, {}), ({}, {-lam[0]: 1}))
-    if preset == "PGL2":
-        return (({lam[0]: 1}, {}), ({}, {0: 1}))
-    return (({lam[0]: 1}, {}), ({}, {lam[1]: 1}))
+    a, c = _diagonal(preset, lam)
+    return (({a: 1}, {}), ({}, {c: 1}))
 
 
 def x_plus(q, a, n):
@@ -383,20 +402,14 @@ def d_torus(preset, q, c):
 
 
 def _window_shapes(preset, bound):
-    """Yield (a, c, low) with off-diagonal exponents ranging over [low, a)."""
-    if preset == "SL2":
-        m = bound[0]
-        for a in range(-m, m + 1):
-            yield a, -a, -m
-    elif preset == "PGL2":
-        m = bound[0]
-        for a in range(-m, m + 1):
-            if (a - m) % 2 == 0:
-                yield a, 0, (a - m) // 2
-    else:
-        b1, b2 = bound
-        for a in range(b2, b1 + 1):
-            yield a, b1 + b2 - a, b2
+    """Yield (a, c, low) with off-diagonal exponents ranging over [low, a):
+    the GL2 shapes below the bound's diagonal, rescaled as in _canonical_point."""
+    P = _preset(preset)
+    A, C = _diagonal(preset, bound)
+    for a in range(C, A + 1):
+        c = A + C - a
+        a0, c0 = P.diagonal(*P.coords(a, c))
+        yield a0, c0, C + c0 - c
 
 
 def window_size(preset, bound, q):
@@ -408,10 +421,7 @@ def window_size(preset, bound, q):
 
 def enumerate_gr_window(preset, bound, q, depth=None):
     """All F_q-points of Gr with elementary type <= bound (dominance order)."""
-    rd = _rd(preset)
-    bound = tuple(bound)
-    if not rd.is_dominant(bound):
-        raise OracleError("bound must be dominant")
+    bound = _dominant(_rd(preset), preset, bound, "bound")
     estimate = window_size(preset, bound, q)
     if estimate > _WINDOW_CAP:
         raise WindowTooLarge(estimate)
@@ -428,10 +438,7 @@ def enumerate_gr_window(preset, bound, q, depth=None):
 
 def coset_reps(preset, mu, q, depth=None):
     """Matrices of the lattices in relative position exactly mu: K mu K / K."""
-    rd = _rd(preset)
-    mu = tuple(mu)
-    if not rd.is_dominant(mu):
-        raise OracleError("mu must be dominant")
+    mu = _dominant(_rd(preset), preset, mu, "mu")
     return [p.matrix() for p in enumerate_gr_window(preset, mu, q) if p.coweight() == mu]
 
 
@@ -469,7 +476,7 @@ def twisted_generators(preset, group_spec, q, level_hi):
     for j in range(1, level_hi + 1):
         for cc in add_gens:
             u = {0: 1, j: cc}
-            if preset == "SL2":
+            if _preset(preset).det_one:
                 mat = ((u, {}), ({}, _s_trunc(_s_inv(F, u, level_hi + 2), level_hi + 2)))
                 gens.append((mat, 0, f"t>{j}"))
             else:
@@ -554,8 +561,7 @@ def orbit_partition(points, group_spec, q, depth=None):
         return cached
     bound = _window_bound(points)
     cut = depth if depth is not None else depth_for(preset, bound)
-    level_hi = 2 * _val_bound(preset, bound) + 2
-    gens = twisted_generators(preset, group_spec, q, level_hi)
+    gens = _window_generators(preset, group_spec, q, bound)
     index = set(points)
     assignment = {}
     orbits = []
@@ -598,19 +604,18 @@ def orbit_closure(preset, q, seeds, group_spec, bound, depth=None):
     """
     bound = tuple(bound)
     cut = depth if depth is not None else depth_for(preset, bound)
-    level_hi = 2 * _val_bound(preset, bound) + 2
-    gens = twisted_generators(preset, group_spec, q, level_hi)
+    gens = _window_generators(preset, group_spec, q, bound)
     labels, _partial, _consistent = _orbit_bfs(seeds, gens, cut, gf(q).p)
     return sorted(labels, key=lambda p: (p.a, p.c, p.b))
 
 
 def _window_bound(points):
-    preset = points[0].preset
-    if preset == "GL2":
-        hi = max(p.gl_type()[0] for p in points)
-        lo = min(p.gl_type()[1] for p in points)
-        return (hi, lo)
-    return (max(p.coweight()[0] for p in points),)
+    """Least bound of the window's types; (max m1, min m2) in rank two."""
+    if len(points[0].coweight()) == 1:
+        return (max(p.coweight()[0] for p in points),)
+    hi = max(p.gl_type()[0] for p in points)
+    lo = min(p.gl_type()[1] for p in points)
+    return (hi, lo)
 
 
 def _tag_exponential(preset, q, orbits, assignment, cut):
@@ -647,9 +652,6 @@ class FqFunction:
     window: tuple
     values: dict
 
-    def value(self, point):
-        return self.values.get(point, 0)
-
 
 def hecke_operator(f: FqFunction, mu, domain_points, depth=None):
     """Right convolution with the K-double-coset indicator of mu.
@@ -683,9 +685,11 @@ def hecke_operator(f: FqFunction, mu, domain_points, depth=None):
 
 
 def _hecke_window(preset, window, mu):
-    if preset == "GL2":
-        return (window[0] + max(mu), window[1] + min(mu))
-    return (window[0] + mu[0],)
+    """Support bound of f * 1_mu for f below window: right convolution by
+    K mu K moves support by -w0 mu, on diagonals (A_w - C_mu, C_w - A_mu)."""
+    aw, cw = _diagonal(preset, window)
+    am, cm = _diagonal(preset, mu)
+    return PRESETS[preset].coords(aw - cm, cw - am)
 
 
 def _is_cyc_zero(v):
@@ -704,15 +708,8 @@ def iwasawa_data(point: GrPoint):
     is the t^(-1) coefficient of a(t). That coefficient is well defined
     modulo the stabilizer exactly when lam is dominant.
     """
-    a, c = point.a, point.c
-    b = dict(point.b)
-    if point.preset == "SL2":
-        lam = (a,)
-    elif point.preset == "PGL2":
-        lam = (a - c,)
-    else:
-        lam = (a, c)
-    return lam, b.get(c - 1, 0)
+    lam = PRESETS[point.preset].coords(point.a, point.c)
+    return lam, dict(point.b).get(point.c - 1, 0)
 
 
 def dominant_window(rd, bound):
@@ -768,11 +765,12 @@ def whittaker_action(preset, bound, mu, q, depth=None):
     arbitrary points come from the Iwasawa decomposition.
     """
     rd = _rd(preset)
-    mu = tuple(mu)
-    out_bound = _hecke_window(preset, tuple(bound), mu)
+    bound = _dominant(rd, preset, bound, "lam")
+    mu = _dominant(rd, preset, mu, "mu")
+    out_bound = _hecke_window(preset, bound, mu)
     cut = depth if depth is not None else depth_for(preset, out_bound)
     reps = coset_reps(preset, mu, q, cut)
-    sources = dominant_window(rd, tuple(bound))
+    sources = dominant_window(rd, bound)
     targets = dominant_window(rd, out_bound)
     matrix = {}
     for nu in targets:
@@ -949,28 +947,20 @@ def exp_action_matrix(preset, bound, mu, q, points, depth=None):
     window_bound = _window_bound(points)
     cut = depth if depth is not None else depth_for(preset, window_bound)
     _assignment, orbits = orbit_partition(points, "U_exp_twisted", q, cut)
-    closed_labels = {
-        tuple(o["label"]) for o in orbits if o["tag"] == "closed"
-    }
+    closed = {tuple(o["label"]): o for o in orbits if o["tag"] == "closed"}
     out = {}
     for lam in dominant_window(rd, tuple(bound)):
-        # every dominant target in the result window must be properly split,
-        # otherwise the ambient enumeration is too small and coefficients
-        # would be dropped silently
-        for nu in dominant_window(rd, _hecke_window(preset, tuple(lam), tuple(mu))):
-            if tuple(nu) not in closed_labels:
+        window = _hecke_window(preset, lam, mu)
+        # lam and every dominant target in the result window must be properly
+        # split, otherwise the ambient enumeration is too small and
+        # coefficients would be dropped silently
+        for nu in dominant_window(rd, window) + [lam]:
+            if nu not in closed:
                 raise OracleError(f"window too small for the closed orbit of {nu}")
-        matches = [
-            o for o in orbits if o["tag"] == "closed" and tuple(o["label"]) == tuple(lam)
-        ]
-        if not matches:
-            raise OracleError(f"window too small for the closed orbit of {lam}")
-        closed = matches[0]
-        f = FqFunction(preset, q, _hecke_window(preset, tuple(lam), tuple(mu)),
-                       {p: 1 for p in closed["points"]})
-        h = hecke_operator(f, tuple(mu), points, cut)
+        f = FqFunction(preset, q, window, {p: 1 for p in closed[lam]["points"]})
+        h = hecke_operator(f, mu, points, cut)
         for nu, v in exponential_class(h, points, cut).items():
-            out[(tuple(lam), nu)] = v
+            out[(lam, nu)] = v
     return out
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from expflag.root_datum import build_root_datum
-from expflag.affine_weyl import AffineWeyl
+from expflag.affine_weyl import AffineWeyl, AffineWeylError
 
 PRESETS = ["SL2", "PGL2", "GL2", "SL3", "PGL3", "Sp4"]
 
@@ -119,3 +119,11 @@ def test_element_json_round_trip(W):
     for _ in range(40):
         w = _random_element(W, rng)
         assert W.from_json(W.to_json(w)) == w
+
+
+@pytest.mark.parametrize("index", [-1, 2, 7])
+def test_word_with_an_out_of_range_index_is_rejected(index):
+    # a negative index used to wrap around to the last simple reflection
+    W = AffineWeyl(build_root_datum("SL2"))
+    with pytest.raises(AffineWeylError, match="no simple reflection"):
+        W.word_to_element([0, index])

@@ -158,6 +158,40 @@ def test_non_dominant_expmod_index_is_config_error(runner, lam, mu):
     assert "not a dominant coweight" in res.output
 
 
+@pytest.mark.parametrize("args", [
+    # coweights with the wrong number of coordinates
+    ["oracle", "--group", "SL2", "--mode", "action", "--lam", "0,0", "--mu", "1"],
+    ["oracle", "--group", "SL2", "--mode", "action", "--lam", "1", "--mu", "1,7"],
+    ["oracle", "--group", "GL2", "--mode", "action", "--lam", "1", "--mu", "1"],
+    ["oracle", "--group", "SL2", "--mode", "interpolate", "--lam", "0,0", "--mu", "1"],
+    ["oracle", "--group", "SL2", "--mode", "interpolate", "--lam", "1", "--mu", "1,7"],
+    ["oracle", "--group", "GL2", "--mode", "interpolate", "--lam", "1", "--mu", "1"],
+    # non-dominant coweights
+    ["oracle", "--group", "SL2", "--mode", "action", "--lam", "-1", "--mu", "1"],
+    ["oracle", "--group", "GL2", "--mode", "action", "--lam", "0,1", "--mu", "1,0"],
+    ["oracle", "--group", "SL2", "--mode", "action", "--lam", "1", "--mu", "-1"],
+    ["oracle", "--group", "SL2", "--mode", "interpolate", "--lam", "1", "--mu", "-1"],
+])
+def test_malformed_oracle_coweight_is_config_error(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "coordinate" in res.output or "must be dominant" in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["hecke", "--group", "SL2", "--left", "5", "--right", "0"],
+    ["hecke", "--group", "SL2", "--left", "-1", "--right", "0"],
+    ["hecke", "--group", "SL3", "--left", "1", "--right", "0,3"],
+    ["fiber", "--group", "SL2", "--source", "coset:7", "--word", "0"],
+    ["fiber", "--group", "SL2", "--source", "z", "--word", "0,-1"],
+])
+def test_out_of_range_simple_reflection_is_config_error(runner, args):
+    # -1 used to pick the last simple reflection silently
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "no simple reflection" in res.output
+
+
 def test_bad_bound_is_config_error(runner):
     res = runner.invoke(main, ["weyl", "--group", "SL2", "--bound", "-1"])
     assert res.exit_code == 2

@@ -7,11 +7,13 @@ from expflag.affine_weyl import AffineWeyl
 from expflag.coefficients import CycNum, QPoly, gf
 from expflag.strata import dominant_coweights_below, gr_cell_class
 from expflag.fq_oracle import (
+    PRESETS,
     FqFunction,
     GrPoint,
     OracleError,
     SupportEscapesWindow,
     WindowTooLarge,
+    _canonical_point,
     _hnf_point,
     _m_mul,
     _triangular_point,
@@ -19,16 +21,19 @@ from expflag.fq_oracle import (
     baby_averaging,
     character_labeling,
     coset_reps,
+    cyc_as_int,
     depth_for,
     dominant_window,
     enumerate_gr_window,
     hecke_operator,
+    interpolate_structure_constants,
     orbit_closure,
     orbit_partition,
     torus_matrix,
     torus_point,
     translate,
     twisted_generators,
+    whittaker_action,
     window_size,
     x_minus,
     x_plus,
@@ -202,6 +207,9 @@ def test_invalid_inputs_rejected():
 
 
 def test_checked_in_window_fixtures_are_current():
+    """Each line of ``tests/fixtures/sl2_q3_window_boundN.jsonl`` is one
+    entry of ``points`` from ``expflag oracle --group SL2 --q 3 --bound N
+    --mode window``, written as ``json.dumps(entry, sort_keys=True)``."""
     import json
     from pathlib import Path
 
@@ -430,3 +438,66 @@ def test_partition_cache_keeps_the_most_recently_used_windows():
     assert len(fq_oracle._partition_cache) == size
     assert orbits(0) is first[0]
     assert orbits(1) is not first[1]
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_preset_maps_are_inverse(preset):
+    # coords reads back the coweight that diagonal lifts
+    P = PRESETS[preset]
+    rank = len(P.coords(0, 0))
+    for lam in [(0,) * rank, (1,) * rank, (3, -2)[:rank], (-1, 4)[:rank]]:
+        assert P.coords(*P.diagonal(*lam)) == lam
+        assert torus_point(preset, 3, lam).torus_coweight() == lam
+    if preset == "PGL2":
+        # lattice classes modulo global t-scaling: [[t^3, t], [0, t^2]] is
+        # t^2 [[t, t^-1], [0, 1]]
+        p = _canonical_point(preset, 3, 3, 2, {1: 1})
+        assert (p.a, p.c, p.b) == (1, 0, ((-1, 1),))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: whittaker_action("SL2", (0, 0), (1,), 3),
+    lambda: whittaker_action("SL2", (1,), (1, 7), 3),
+    lambda: whittaker_action("GL2", (1,), (1,), 3),
+    lambda: whittaker_action("GL2", (1, 0), (1,), 3),
+    lambda: interpolate_structure_constants("SL2", (0, 0), (1,), [2, 3]),
+    lambda: interpolate_structure_constants("GL2", (1,), (1,), [2, 3]),
+    lambda: torus_point("PGL2", 3, (1, 0)),
+    lambda: depth_for("GL2", (2,)),
+    lambda: coset_reps("SL2", (1, 1), 3),
+    lambda: enumerate_gr_window("GL2", (1,), 3),
+])
+def test_wrong_rank_coweight_is_oracle_error(call):
+    # a coweight of the wrong rank used to end in an IndexError
+    with pytest.raises(OracleError, match="coordinate"):
+        call()
+
+
+@pytest.mark.parametrize("preset,lam,mu", [
+    ("SL2", (-1,), (1,)),
+    ("PGL2", (-2,), (1,)),
+    ("GL2", (0, 1), (1, 0)),
+    ("SL2", (1,), (-1,)),
+    ("GL2", (1, 0), (0, 1)),
+])
+def test_non_dominant_whittaker_input_is_oracle_error(preset, lam, mu):
+    with pytest.raises(OracleError, match="must be dominant"):
+        whittaker_action(preset, lam, mu, 3)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("lam", [(0, 0), (1, 0), (2, -1)])
+def test_gl2_central_coweight_acts_as_a_shift(q, lam):
+    # (W_lam * 1_mu)(t^nu) = W_lam(t^(nu + mu)) for central mu = (1, 1), so
+    # every source line moves down by (1, 1) with coefficient 1
+    got = {k: cyc_as_int(v) for k, v in whittaker_action("GL2", lam, (1, 1), q).items()}
+    assert (lam, (lam[0] - 1, lam[1] - 1)) in got
+    assert got == {(src, (src[0] - 1, src[1] - 1)): 1 for src, _nu in got}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_gl2_non_central_hecke_window_is_not_empty(q):
+    # right convolution by 1_(1,0) lowers support by -w0 (1,0) = (0,-1): the
+    # window must hold (1,-1) and (0,0), not (2,0)
+    got = {k: cyc_as_int(v) for k, v in whittaker_action("GL2", (1, 0), (1, 0), q).items()}
+    assert got == {((1, 0), (1, -1)): 1, ((1, 0), (0, 0)): q}
