@@ -8,7 +8,16 @@ Conventions pinned here and used everywhere else:
   - s_{alpha+n} = t_{n alpha-check} s_alpha, so the extra simple reflection of
     an irreducible component is s_{-theta+1} = t_{-theta-check} s_theta.
 
-Sign tests on a0 are evaluated exactly at a rational barycenter.
+For w = t_lam v, w^-1(alpha + n) = v^-1(alpha) + n - <alpha, lam>. Both
+the length and left-W0-maximality read this with integers and the W0 tables:
+  - l(w) = sum over alpha > 0 of |<alpha, lam> + d|, with d = 1 if
+    v^-1(alpha) < 0 and d = 0 otherwise;
+  - w is maximal in W0 w iff w^-1(alpha_i) < 0 for every simple alpha_i,
+    i.e. iff <alpha_i, lam> >= 1, or <alpha_i, lam> = 0 and i is a left
+    descent of v (v^-1(alpha_i) < 0).
+``sign_on_alcove`` evaluates an affine root exactly at a rational
+barycenter of a0; ``length_brute`` and ``is_left_w0_maximal_by_descents``
+are independent cross-checks of the closed forms.
 """
 
 from __future__ import annotations
@@ -16,11 +25,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
+from typing import NamedTuple
 
 from .root_datum import (
     FiniteWeylElement,
     RootDatum,
-    RootDatumError,
     _solve_integer,
 )
 
@@ -34,26 +44,16 @@ class AffineRoot:
     finite_part: tuple
     level: int
 
-    def negated(self):
-        return AffineRoot(tuple(-a for a in self.finite_part), -self.level)
 
+class AffineWeylElement(NamedTuple):
+    """w = t_lam v with lam in X_*(T) and v in W0.
 
-@dataclass(frozen=True)
-class AffineWeylElement:
-    """w = t_lam v with lam in X_*(T) and v in W0."""
+    Equality and hashing are those of the pair (lam, v), and v hashes by
+    its index.
+    """
 
     lam: tuple
     v: FiniteWeylElement
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AffineWeylElement)
-            and self.lam == other.lam
-            and self.v.mat == other.v.mat
-        )
-
-    def __hash__(self):
-        return hash((self.lam, self.v.mat))
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,13 @@ class AffineWeyl:
         self._build_barycenter()
         self._omega = None
         self._len_cache = {}
+        # indexed like rd.roots: 1 at each negative root, else 0
+        self._root_negative = tuple(
+            int(r not in rd.positive_root_set) for r in rd.roots
+        )
+        self._positive = [
+            (k, a) for k, a in enumerate(rd.roots) if a in rd.positive_root_set
+        ]
         self._bruhat_cache = {}
 
     # ---- generators
@@ -92,32 +99,13 @@ class AffineWeyl:
         for i in range(rd.rank):
             self.simples.append(AffineWeylElement(zero, rd.simple_reflections[i]))
             self.simple_affine_roots.append(AffineRoot(rd.simple_roots[i], 0))
-        rd.weyl_elements()
         for theta in rd.highest_roots():
-            theta_ck = rd.coroot_of[theta]
-            s_theta = self._finite_reflection(theta, theta_ck)
-            lam = tuple(-c for c in theta_ck)
-            self.simples.append(AffineWeylElement(lam, s_theta))
+            lam = tuple(-c for c in rd.coroot_of[theta])
+            self.simples.append(AffineWeylElement(lam, rd.reflection(theta)))
             self.simple_affine_roots.append(
                 AffineRoot(tuple(-a for a in theta), 1)
             )
         self.num_simples = len(self.simples)
-
-    def _finite_reflection(self, root, coroot):
-        rd = self.rd
-        n = rd.char_lattice_rank
-        mat = tuple(
-            tuple(
-                (1 if r == c else 0)
-                - coroot[r] * rd.pair(root, tuple(1 if k == c else 0 for k in range(n)))
-                for c in range(n)
-            )
-            for r in range(n)
-        )
-        elt = rd._elements_by_mat.get(mat)
-        if elt is None:
-            raise AffineWeylError("reflection not found in the finite Weyl group")
-        return elt
 
     def _build_barycenter(self):
         rd = self.rd
@@ -136,7 +124,7 @@ class AffineWeyl:
 
     def mul(self, x: AffineWeylElement, y: AffineWeylElement) -> AffineWeylElement:
         # (t_lam v)(t_mu u) = t_{lam + v mu} (v u)
-        lam = tuple(a + b for a, b in zip(x.lam, x.v.apply_coweight(y.lam)))
+        lam = tuple(map(add, x.lam, x.v.apply_coweight(y.lam)))
         return AffineWeylElement(lam, self.rd.w_mul(x.v, y.v))
 
     def inverse(self, x: AffineWeylElement) -> AffineWeylElement:
@@ -167,7 +155,7 @@ class AffineWeyl:
             return True
         if ar.level <= -1:
             return False
-        return ar.finite_part in set(self.rd.positive_roots)
+        return ar.finite_part in self.rd.positive_root_set
 
     def sign_on_alcove(self, ar: AffineRoot) -> int:
         """Sign of the affine functional on the open base alcove."""
@@ -181,20 +169,21 @@ class AffineWeyl:
     # ---- length, words, Bruhat order
 
     def length(self, w: AffineWeylElement) -> int:
-        key = (w.lam, w.v.mat)
-        if key in self._len_cache:
-            return self._len_cache[key]
+        """Number of positive affine roots that w^-1 makes negative.
+
+        w^-1(a + n) = v^-1 a + n - <a, lam> for w = t_lam v. For a > 0 with
+        p = <a, lam> and d = 1 if v^-1 a < 0 (else 0), the levels n of a and
+        of -a that count number |p + d| together, so l(w) = sum of |p + d|.
+        """
+        if w in self._len_cache:
+            return self._len_cache[w]
         rd = self.rd
-        vinv = rd.w_inverse(w.v)
-        neg = set(rd.negative_roots)
-        total = 0
-        for a in rd.roots:
-            k = rd.pair(a, w.lam)
-            n0 = 0 if a in set(rd.positive_roots) else 1
-            total += max(0, k - n0)
-            if k >= n0 and vinv.apply_weight(a) in neg:
-                total += 1
-        self._len_cache[key] = total
+        vinv_perm = rd.root_perm[rd.inv_table[w.v.index]]
+        neg = self._root_negative
+        total = sum(
+            abs(rd.pair(a, w.lam) + neg[vinv_perm[k]]) for k, a in self._positive
+        )
+        self._len_cache[w] = total
         return total
 
     def length_brute(self, w: AffineWeylElement) -> int:
@@ -213,14 +202,6 @@ class AffineWeyl:
                 if self.sign_on_alcove(self.act_on_affine_root(winv, ar)) < 0:
                     count += 1
         return count
-
-    def right_descents(self, w: AffineWeylElement):
-        lw = self.length(w)
-        return [
-            i
-            for i in range(self.num_simples)
-            if self.length(self.right_mul_simple(w, i)) < lw
-        ]
 
     def is_right_descent(self, w: AffineWeylElement, i: int) -> bool:
         return self.length(self.right_mul_simple(w, i)) < self.length(w)
@@ -246,7 +227,7 @@ class AffineWeyl:
         return cur, tuple(word)
 
     def bruhat_leq(self, x: AffineWeylElement, y: AffineWeylElement) -> bool:
-        key = (x.lam, x.v.mat, y.lam, y.v.mat)
+        key = (x, y)
         if key in self._bruhat_cache:
             return self._bruhat_cache[key]
         lx, ly = self.length(x), self.length(y)
@@ -340,11 +321,17 @@ class AffineWeyl:
         )
 
     def is_left_w0_maximal(self, w: AffineWeylElement) -> bool:
-        """w of maximal length in W0 w, tested by sign of w^{-1}(alpha) on a0."""
-        winv = self.inverse(w)
-        for i in range(self.rd.rank):
-            image = self.act_on_affine_root(winv, self.simple_affine_roots[i])
-            if self.sign_on_alcove(image) > 0:
+        """w = t_lam v of maximal length in W0 w.
+
+        That holds iff w^-1(alpha_i) < 0 for every simple alpha_i, and
+        w^-1(alpha_i + 0) = v^-1 alpha_i - <alpha_i, lam>: so iff each
+        <alpha_i, lam> >= 1, or = 0 with i a left descent of v.
+        """
+        rd = self.rd
+        desc = rd.left_descents[w.v.index]
+        for i, a in enumerate(rd.simple_roots):
+            p = rd.pair(a, w.lam)
+            if p < 0 or (p == 0 and i not in desc):
                 return False
         return True
 
@@ -367,7 +354,7 @@ class AffineWeyl:
         out = []
         frontier = list(self.omega_elements())
         for w in frontier:
-            seen.add((w.lam, w.v.mat))
+            seen.add(w)
             out.append(w)
         depth = 0
         while frontier and depth < length_bound:
@@ -375,9 +362,8 @@ class AffineWeyl:
             for w in frontier:
                 for i in range(self.num_simples):
                     y = self.right_mul_simple(w, i)
-                    key = (y.lam, y.v.mat)
-                    if key not in seen and self.length(y) == depth + 1:
-                        seen.add(key)
+                    if y not in seen and self.length(y) == depth + 1:
+                        seen.add(y)
                         new.append(y)
                         out.append(y)
             frontier = new
@@ -420,6 +406,3 @@ class AffineWeyl:
         doc = self.to_json(label.elt)
         doc["tag"] = label.tag
         return doc
-
-    def label_from_json(self, doc) -> ExpLabel:
-        return ExpLabel(doc["tag"], self.from_json(doc))

@@ -51,7 +51,7 @@ def _load_case_table():
         parsed = {}
         for part in ("closed", "open", "single"):
             if entry.get(part) is not None:
-                parsed[part] = CellShape.from_json(entry[part])
+                parsed[part] = CellShape.from_json(entry[part]).class_in_q()
         parsed["unreachable"] = bool(entry.get("unreachable", False))
         table[key] = parsed
     return table
@@ -61,9 +61,7 @@ CASE_TABLE = _load_case_table()
 
 
 def _table_class(case_id, part) -> QPoly:
-    entry = CASE_TABLE[case_id]
-    shape = entry.get(part)
-    return shape.class_in_q() if shape is not None else Q_ZERO
+    return CASE_TABLE[case_id].get(part, Q_ZERO)
 
 
 def case_analysis(W: AffineWeyl, target: ExpLabel, w: ExpLabel, s: int):
@@ -93,7 +91,7 @@ def case_analysis(W: AffineWeyl, target: ExpLabel, w: ExpLabel, s: int):
             return "I-nosplit", _table_class("I-nosplit", "single")
         part = "closed" if target.tag == "coset" else "open"
         image = W.act_on_affine_root(wbar, W.simple_affine_roots[s])
-        simple0 = image.level == 0 and image.finite_part in set(W.rd.simple_roots)
+        simple0 = image.level == 0 and image.finite_part in W.rd.simple_root_set
         if w.tag == "coset":
             case = "I-iso" if simple0 else "I-triv"
         else:
@@ -111,7 +109,7 @@ def case_analysis(W: AffineWeyl, target: ExpLabel, w: ExpLabel, s: int):
 
     image = W.act_on_affine_root(wbar, W.simple_affine_roots[s])
     neg_simple0 = image.level == 0 and (
-        tuple(-a for a in image.finite_part) in set(W.rd.simple_roots)
+        tuple(-a for a in image.finite_part) in W.rd.simple_root_set
     )
     if w.tag == "coset":
         if not W.is_left_w0_maximal(wbar):
@@ -161,10 +159,9 @@ def ts_action(v: BigExpVector, s: int) -> BigExpVector:
         targets = []
         seen = set()
         for elt in (lab.elt, W.right_mul_simple(lab.elt, s)):
-            key = (elt.lam, elt.v.mat)
-            if key in seen:
+            if elt in seen:
                 continue
-            seen.add(key)
+            seen.add(elt)
             targets.extend(_adjacent_labels(W, elt))
         for t in targets:
             coeff = key_lemma_class(W, lab, t, s)
@@ -285,9 +282,6 @@ class ExpModule:
         )
         return ExpLabel("coset", elt)
 
-    def open_label(self, mu) -> ExpLabel:
-        return ExpLabel("zero", self.closed_label(mu).elt)
-
     def _label_coweight(self, elt: AffineWeylElement):
         """Inverse of closed_label on strictly dominant translations."""
         if elt.v != self.adj.identity:
@@ -306,51 +300,6 @@ class ExpModule:
             w = self.W.mul(base, self.W.from_finite(v))
             out[ExpLabel("coset", w)] = Q_ONE
         return BigExpVector(self.W, out)
-
-    # ---- quotient to the exponential module
-
-    def quotient_to_exp(self, vec: BigExpVector) -> ExpModVector:
-        """Proper push to Gr followed by the split-localization relations.
-
-        Push factors per label (w = w_min v): powers of q and one (q-1),
-        matching the relative cell structure of the projection; then
-        non-splitting orbits die, and open classes become minus closed ones.
-        """
-        W = self.W
-        f0 = W.facet_f0()
-        q = QPoly({1: 1})
-        qm1 = QPoly({1: 1, 0: -1})
-        acc = {}
-
-        def add(mu, c):
-            if mu in acc:
-                acc[mu] = acc[mu] + c
-            else:
-                acc[mu] = c
-
-        for lab, c in vec.support.items():
-            w = lab.elt
-            w_min = W.right_minimal(w, f0)
-            lv = W.length(w) - W.length(w_min)
-            min_max = W.is_left_w0_maximal(w_min)
-            if lab.tag == "coset":
-                if W.is_left_w0_maximal(w) and not min_max:
-                    factor, target_tag = QPoly({lv - 1: 1}), "coset"
-                else:
-                    factor, target_tag = QPoly({lv: 1}), "coset"
-            else:
-                if min_max:
-                    factor, target_tag = QPoly({lv: 1}), "zero"
-                else:
-                    factor, target_tag = QPoly({lv - 1: 1}) * qm1, "coset"
-            if not min_max:
-                continue  # non-splitting orbit: class dies in the quotient
-            mu = self._label_coweight(w_min)
-            if mu is None:
-                raise ExpModuleError("maximal minimal rep is not a dominant shift")
-            sign = Q_ONE if target_tag == "coset" else QPoly({0: -1})
-            add(mu, c * factor * sign)
-        return ExpModVector(self.rd, acc)
 
     # ---- the spherical action
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .coefficients import CycNum, QPoly, gf, psi_value, qpoly_interpolate
@@ -337,7 +338,9 @@ def _preset(preset):
     return PRESETS[preset]
 
 
+@lru_cache(maxsize=None)
 def _rd(preset):
+    """The preset's root datum, built once (it is never mutated)."""
     _preset(preset)
     return build_root_datum(preset)
 

@@ -4,24 +4,23 @@ A root datum is given by two lattices X*(T) and X_*(T) of the same rank,
 simple roots in the first, simple coroots in the second, and an integer
 pairing between them. The isogeny type is encoded entirely by the lattices:
 SL2 and PGL2 share a Cartan matrix but differ in where the (co)roots sit.
+
+The finite Weyl group W0 is built once, at construction, by a BFS over words
+(x s_i for each x in turn, i ascending). Each element is known by its BFS
+position ``index`` and keeps the reduced word BFS reached it by, so words,
+sort keys and output never depend on how an element was computed. Integer
+tables indexed by position hold products, inverses, the action on the list
+of roots and the left descents; multiplication and inversion are lookups.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 
 class RootDatumError(ValueError):
     pass
-
-
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
-def _vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def _vec_sub(u, v):
@@ -32,32 +31,50 @@ def _vec_scale(c, u):
     return tuple(c * a for a in u)
 
 
-@dataclass(frozen=True)
-class FiniteWeylElement:
-    """Element of W0, acting on both lattices.
+def _mat_mul(x, y):
+    n = len(x)
+    return tuple(
+        tuple(sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
 
-    ``mat`` is the matrix on X_*(T) (columns are images of basis vectors),
-    ``cmat`` the matrix on X*(T). Equality and hashing use ``mat`` only;
-    the stored word is one reduced word, not a canonical form.
+
+class FiniteWeylElement:
+    """Element of W0, built once per root datum and known by its index.
+
+    ``index`` is the element's position in ``RootDatum.weyl_elements()``
+    (BFS by length), ``word`` the reduced word that BFS reached it by,
+    ``mat`` its matrix on X_*(T) (columns are images of basis vectors) and
+    ``root_image`` its action on the roots. Equality and hashing use
+    ``index``.
     """
 
-    mat: tuple
-    cmat: tuple
-    word: tuple
+    __slots__ = ("index", "word", "mat", "root_image")
+
+    def __init__(self, index, word, mat, root_image):
+        self.index = index
+        self.word = word
+        self.mat = mat
+        self.root_image = root_image
 
     def __eq__(self, other):
-        return isinstance(other, FiniteWeylElement) and self.mat == other.mat
+        return isinstance(other, FiniteWeylElement) and self.index == other.index
 
     def __hash__(self):
-        return hash(self.mat)
+        return self.index
+
+    def __repr__(self):
+        return f"FiniteWeylElement(index={self.index}, word={self.word})"
 
     def apply_coweight(self, v):
-        n = len(self.mat)
-        return tuple(sum(self.mat[i][j] * v[j] for j in range(n)) for i in range(n))
+        return tuple(sum(map(mul, row, v)) for row in self.mat)
 
-    def apply_weight(self, v):
-        n = len(self.cmat)
-        return tuple(sum(self.cmat[i][j] * v[j] for j in range(n)) for i in range(n))
+    def apply_weight(self, root):
+        """Image of a root; W0 acts on X*(T) here only through the roots."""
+        try:
+            return self.root_image[root]
+        except KeyError:
+            raise RootDatumError(f"{root} is not a root") from None
 
     @property
     def length(self):
@@ -89,6 +106,10 @@ class RootDatum:
                 for i in range(self.char_lattice_rank)
             ]
         self.pairing_matrix = [tuple(row) for row in pairing]
+        self._standard_pairing = all(
+            row == tuple(int(i == j) for j in range(len(row)))
+            for i, row in enumerate(self.pairing_matrix)
+        )
 
         self.cartan = [
             [self.pair(a, b) for b in self.simple_coroots] for a in self.simple_roots
@@ -103,13 +124,9 @@ class RootDatum:
 
     def pair(self, chi, lam):
         """<chi, lambda> for chi in X*(T) (or Q-span), lambda in X_*(T)."""
-        total = 0
-        for i, ci in enumerate(chi):
-            if not ci:
-                continue
-            row = self.pairing_matrix[i]
-            total += ci * sum(row[j] * lam[j] for j in range(len(lam)))
-        return total
+        if self._standard_pairing:
+            return sum(map(mul, chi, lam))
+        return sum(c * sum(map(mul, row, lam)) for c, row in zip(chi, self.pairing_matrix))
 
     def is_dominant(self, lam):
         return all(self.pair(a, lam) >= 0 for a in self.simple_roots)
@@ -146,6 +163,8 @@ class RootDatum:
         self.coroot_of = dict(roots)
         self.positive_roots = [r for r in self.roots if self._is_positive(r)]
         self.negative_roots = [r for r in self.roots if not self._is_positive(r)]
+        self.positive_root_set = frozenset(self.positive_roots)
+        self.simple_root_set = frozenset(self.simple_roots)
         if len(self.positive_roots) != len(self.roots) // 2:
             raise RootDatumError("root system not balanced")
 
@@ -171,88 +190,99 @@ class RootDatum:
         return sum(self.root_in_simple_basis(r))
 
     def _build_weyl(self):
+        """W0 by BFS on words, with its tables.
+
+        Elements are numbered in BFS order (x s_i for each x in turn, i
+        ascending), so index 0 is the identity and each element keeps the
+        first word that reached it. The tables, by index:
+          - ``mul_table[x][y]``: the product xy;
+          - ``inv_table[x]``: the inverse;
+          - ``root_perm[x][k]``: the index in ``roots`` of x(roots[k]);
+          - ``left_descents[x]``: the simple i with x^-1(alpha_i) < 0,
+            i.e. l(s_i x) < l(x).
+        """
         n = self.char_lattice_rank
-        ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        self._w0_cache = None
-        self.simple_reflections = []
-        for i in range(self.rank):
-            a, av = self.simple_roots[i], self.simple_coroots[i]
-            mat = tuple(
+        roots, rindex = self.roots, {r: k for k, r in enumerate(self.roots)}
+        s_mats, s_perms = [], []
+        for a, av in zip(self.simple_roots, self.simple_coroots):
+            s_mats.append(tuple(
                 tuple(
                     (1 if r == c else 0)
                     - av[r] * self.pair(a, tuple(1 if k == c else 0 for k in range(n)))
                     for c in range(n)
                 )
                 for r in range(n)
+            ))
+            s_perms.append(tuple(
+                rindex[_vec_sub(r, _vec_scale(self.pair(r, av), a))] for r in roots
+            ))
+        ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        mats, words, perms, parent = [ident], [()], [tuple(range(len(roots)))], [0]
+        by_mat = {ident: 0}
+        right = []  # right[x][i]: the index of x s_i
+        x = 0
+        while x < len(mats):
+            row = []
+            for i in range(self.rank):
+                m = _mat_mul(mats[x], s_mats[i])
+                if m not in by_mat:
+                    by_mat[m] = len(mats)
+                    mats.append(m)
+                    words.append(words[x] + (i,))
+                    # (x s_i)(r) = x(s_i r)
+                    perms.append(tuple(perms[x][k] for k in s_perms[i]))
+                    parent.append(x)
+                    if len(mats) > 100000:
+                        raise RootDatumError("Weyl group too large")
+                row.append(by_mat[m])
+            right.append(row)
+            x += 1
+        # x y = (x y') s_i when y = y' s_i is y's BFS word
+        self.mul_table = []
+        for x in range(len(mats)):
+            row = [x]
+            for y in range(1, len(mats)):
+                row.append(right[row[parent[y]]][words[y][-1]])
+            self.mul_table.append(row)
+        self.inv_table = [row.index(0) for row in self.mul_table]
+        self.root_perm = perms
+        simple_idx = [rindex[a] for a in self.simple_roots]
+        self.left_descents = [
+            frozenset(
+                i for i, k in enumerate(simple_idx)
+                if roots[perms[self.inv_table[x]][k]] not in self.positive_root_set
             )
-            cmat = tuple(
-                tuple(
-                    (1 if r == c else 0)
-                    - a[r] * self.pair(tuple(1 if k == c else 0 for k in range(n)), av)
-                    for c in range(n)
-                )
-                for r in range(n)
+            for x in range(len(mats))
+        ]
+        self._w0 = [
+            FiniteWeylElement(
+                x, words[x], mats[x], {r: roots[p] for r, p in zip(roots, perms[x])}
             )
-            self.simple_reflections.append(FiniteWeylElement(mat, cmat, (i,)))
-        self.identity = FiniteWeylElement(ident, ident, ())
+            for x in range(len(mats))
+        ]
+        self.identity = self._w0[0]
+        self.simple_reflections = [self._w0[j] for j in right[0]]
 
     def w_mul(self, x: FiniteWeylElement, y: FiniteWeylElement) -> FiniteWeylElement:
-        n = self.char_lattice_rank
-        mat = tuple(
-            tuple(sum(x.mat[i][k] * y.mat[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
-        cmat = tuple(
-            tuple(sum(x.cmat[i][k] * y.cmat[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
-        word = x.word + y.word
-        elt = FiniteWeylElement(mat, cmat, word)
-        known = getattr(self, "_elements_by_mat", None)
-        if known is not None and mat in known:
-            return known[mat]
-        return elt
+        return self._w0[self.mul_table[x.index][y.index]]
 
     def w_inverse(self, x: FiniteWeylElement) -> FiniteWeylElement:
-        out = self.identity
-        for i in reversed(x.word):
-            out = self.w_mul(out, self.simple_reflections[i])
-        if self.w_mul(out, x) != self.identity:
-            # the stored word might not be reduced for ad-hoc products;
-            # fall back to the element table
-            for e in self.weyl_elements():
-                if self.w_mul(e, x) == self.identity:
-                    return e
-            raise RootDatumError("inverse not found")
-        return out
+        return self._w0[self.inv_table[x.index]]
 
     def weyl_elements(self):
         """All of W0, each with one reduced word, BFS by length."""
-        if self._w0_cache is not None:
-            return self._w0_cache
-        seen = {self.identity.mat: self.identity}
-        frontier = [self.identity]
-        out = [self.identity]
-        while frontier:
-            new = []
-            for x in frontier:
-                for i, s in enumerate(self.simple_reflections):
-                    y = self.w_mul(x, s)
-                    if y.mat not in seen:
-                        y = FiniteWeylElement(y.mat, y.cmat, x.word + (i,))
-                        seen[y.mat] = y
-                        new.append(y)
-                        out.append(y)
-            frontier = new
-            if len(out) > 100000:
-                raise RootDatumError("Weyl group too large")
-        self._w0_cache = out
-        self._elements_by_mat = {e.mat: e for e in out}
-        return out
+        return self._w0
 
     def longest_element(self):
-        elts = self.weyl_elements()
-        return max(elts, key=lambda e: len(e.word))
+        return self._w0[-1]
+
+    def reflection(self, root) -> FiniteWeylElement:
+        """s_root, found as u s_i u^-1 for any u with u(alpha_i) = root."""
+        for u in self._w0:
+            for a, s in zip(self.simple_roots, self.simple_reflections):
+                if u.root_image[a] == root:
+                    return self.w_mul(self.w_mul(u, s), self.w_inverse(u))
+        raise RootDatumError(f"{root} is not a root")
 
     def _build_rho(self):
         # rho = half sum of positive roots, in Q tensor X*(T)

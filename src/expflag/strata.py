@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .affine_weyl import AffineWeyl, AffineWeylElement, ExpLabel
+from .affine_weyl import AffineWeyl, ExpLabel
 from .coefficients import QPoly
 
 
@@ -109,9 +109,8 @@ def iwahori_orbits_in_spherical(W: AffineWeyl, mu):
         for u in rd.weyl_elements():
             w = W.mul(W.translation(kappa), W.from_finite(u))
             m = W.right_minimal(w, f0)
-            key = (m.lam, m.v.mat)
-            if key not in reps:
-                reps.add(key)
+            if m not in reps:
+                reps.add(m)
                 out.append(m)
     out.sort(key=W.sort_key)
     return out
@@ -126,9 +125,8 @@ def double_coset_elements(W: AffineWeyl, mu):
         kappa = v.apply_coweight(mu)
         for u in rd.weyl_elements():
             w = W.mul(W.translation(kappa), W.from_finite(u))
-            key = (w.lam, w.v.mat)
-            if key not in seen:
-                seen.add(key)
+            if w not in seen:
+                seen.add(w)
                 out.append(w)
     out.sort(key=W.sort_key)
     return out

@@ -84,6 +84,19 @@ def test_adjoint_embedding_respects_pairings(name):
         )
 
 
+def test_explicit_pairing_matches_the_standard_one():
+    # <x, y> = 2xy with alpha = alpha-check = 1 is SL2 with X*(T) rescaled by 2
+    rd = build_root_datum(
+        {"name": "SL2'", "simple_roots": [(1,)], "simple_coroots": [(1,)], "pairing": [[2]]}
+    )
+    sl2 = build_root_datum("SL2")
+    assert rd.cartan == sl2.cartan
+    for chi, lam in [((1,), (3,)), ((-2,), (5,)), ((0,), (7,))]:
+        assert rd.pair(chi, lam) == sl2.pair((2 * chi[0],), lam) == 2 * chi[0] * lam[0]
+    assert [v.mat for v in rd.weyl_elements()] == [v.mat for v in sl2.weyl_elements()]
+    assert rd.mul_table == sl2.mul_table and rd.left_descents == sl2.left_descents
+
+
 def test_unknown_preset_rejected():
     with pytest.raises(Exception):
         build_root_datum("E9")
