@@ -147,7 +147,7 @@ class AffineWeyl:
     # ---- affine roots
 
     def act_on_affine_root(self, w: AffineWeylElement, ar: AffineRoot) -> AffineRoot:
-        va = w.v.apply_weight(ar.finite_part)
+        va = self.rd.apply_weight(w.v, ar.finite_part)
         return AffineRoot(va, ar.level + self.rd.pair(va, w.lam))
 
     def is_positive_affine_root(self, ar: AffineRoot) -> bool:

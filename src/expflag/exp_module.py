@@ -224,8 +224,8 @@ class ExpModVector(QVector):
     letter, json_field = "m", "mu"
 
     def _key(self, mu):
-        if not self.ctx.is_dominant(mu):
-            raise ExpModuleError(f"non-dominant index {mu}")
+        if len(mu) != self.ctx.char_lattice_rank or not self.ctx.is_dominant(mu):
+            raise ExpModuleError(f"non-dominant index {tuple(mu)}")
         return tuple(mu)
 
     _key_json = staticmethod(list)

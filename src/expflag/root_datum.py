@@ -43,19 +43,18 @@ class FiniteWeylElement:
     """Element of W0, built once per root datum and known by its index.
 
     ``index`` is the element's position in ``RootDatum.weyl_elements()``
-    (BFS by length), ``word`` the reduced word that BFS reached it by,
-    ``mat`` its matrix on X_*(T) (columns are images of basis vectors) and
-    ``root_image`` its action on the roots. Equality and hashing use
-    ``index``.
+    (BFS by length), ``word`` the reduced word that BFS reached it by and
+    ``mat`` its matrix on X_*(T) (columns are images of basis vectors); its
+    action on the roots is ``RootDatum.apply_weight``. Equality and hashing
+    use ``index``.
     """
 
-    __slots__ = ("index", "word", "mat", "root_image")
+    __slots__ = ("index", "word", "mat")
 
-    def __init__(self, index, word, mat, root_image):
+    def __init__(self, index, word, mat):
         self.index = index
         self.word = word
         self.mat = mat
-        self.root_image = root_image
 
     def __eq__(self, other):
         return isinstance(other, FiniteWeylElement) and self.index == other.index
@@ -68,13 +67,6 @@ class FiniteWeylElement:
 
     def apply_coweight(self, v):
         return tuple(sum(map(mul, row, v)) for row in self.mat)
-
-    def apply_weight(self, root):
-        """Image of a root; W0 acts on X*(T) here only through the roots."""
-        try:
-            return self.root_image[root]
-        except KeyError:
-            raise RootDatumError(f"{root} is not a root") from None
 
     @property
     def length(self):
@@ -106,10 +98,6 @@ class RootDatum:
                 for i in range(self.char_lattice_rank)
             ]
         self.pairing_matrix = [tuple(row) for row in pairing]
-        self._standard_pairing = all(
-            row == tuple(int(i == j) for j in range(len(row)))
-            for i, row in enumerate(self.pairing_matrix)
-        )
 
         self.cartan = [
             [self.pair(a, b) for b in self.simple_coroots] for a in self.simple_roots
@@ -124,8 +112,6 @@ class RootDatum:
 
     def pair(self, chi, lam):
         """<chi, lambda> for chi in X*(T) (or Q-span), lambda in X_*(T)."""
-        if self._standard_pairing:
-            return sum(map(mul, chi, lam))
         return sum(c * sum(map(mul, row, lam)) for c, row in zip(chi, self.pairing_matrix))
 
     def is_dominant(self, lam):
@@ -162,7 +148,6 @@ class RootDatum:
         self.roots = sorted(roots)
         self.coroot_of = dict(roots)
         self.positive_roots = [r for r in self.roots if self._is_positive(r)]
-        self.negative_roots = [r for r in self.roots if not self._is_positive(r)]
         self.positive_root_set = frozenset(self.positive_roots)
         self.simple_root_set = frozenset(self.simple_roots)
         if len(self.positive_roots) != len(self.roots) // 2:
@@ -197,12 +182,14 @@ class RootDatum:
         first word that reached it. The tables, by index:
           - ``mul_table[x][y]``: the product xy;
           - ``inv_table[x]``: the inverse;
-          - ``root_perm[x][k]``: the index in ``roots`` of x(roots[k]);
+          - ``root_perm[x][k]``: the index in ``roots`` of x(roots[k]),
+            read through ``root_index`` (root -> its index in ``roots``);
           - ``left_descents[x]``: the simple i with x^-1(alpha_i) < 0,
             i.e. l(s_i x) < l(x).
         """
         n = self.char_lattice_rank
-        roots, rindex = self.roots, {r: k for k, r in enumerate(self.roots)}
+        roots = self.roots
+        rindex = self.root_index = {r: k for k, r in enumerate(roots)}
         s_mats, s_perms = [], []
         for a, av in zip(self.simple_roots, self.simple_coroots):
             s_mats.append(tuple(
@@ -254,12 +241,7 @@ class RootDatum:
             )
             for x in range(len(mats))
         ]
-        self._w0 = [
-            FiniteWeylElement(
-                x, words[x], mats[x], {r: roots[p] for r, p in zip(roots, perms[x])}
-            )
-            for x in range(len(mats))
-        ]
+        self._w0 = [FiniteWeylElement(x, words[x], mats[x]) for x in range(len(mats))]
         self.identity = self._w0[0]
         self.simple_reflections = [self._w0[j] for j in right[0]]
 
@@ -276,11 +258,19 @@ class RootDatum:
     def longest_element(self):
         return self._w0[-1]
 
+    def apply_weight(self, x: FiniteWeylElement, root):
+        """x(root); W0 acts on X*(T) here only through the roots."""
+        try:
+            return self.roots[self.root_perm[x.index][self.root_index[root]]]
+        except KeyError:
+            raise RootDatumError(f"{root} is not a root") from None
+
     def reflection(self, root) -> FiniteWeylElement:
         """s_root, found as u s_i u^-1 for any u with u(alpha_i) = root."""
+        k = self.root_index.get(root)
         for u in self._w0:
             for a, s in zip(self.simple_roots, self.simple_reflections):
-                if u.root_image[a] == root:
+                if self.root_perm[u.index][self.root_index[a]] == k:
                     return self.w_mul(self.w_mul(u, s), self.w_inverse(u))
         raise RootDatumError(f"{root} is not a root")
 

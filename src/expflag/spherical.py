@@ -24,9 +24,7 @@ class SphericalElement(QVector):
     letter, json_field = "1", "mu"
 
     def _key(self, mu):
-        if not self.ctx.rd.is_dominant(mu):
-            raise ValueError(f"non-dominant index {mu}")
-        return tuple(mu)
+        return _dominant_index(self.ctx.rd, mu)
 
     _key_json = staticmethod(list)
 
@@ -34,13 +32,23 @@ class SphericalElement(QVector):
         return super().coefficient(tuple(mu))
 
 
+def _dominant_index(rd, mu):
+    """mu as a tuple; ValueError unless it is a dominant coweight of rd."""
+    if len(mu) != rd.char_lattice_rank:
+        raise ValueError(
+            f"index {tuple(mu)} is not a coweight of {rd.name}: "
+            f"expected {rd.char_lattice_rank} coordinates")
+    if not rd.is_dominant(mu):
+        raise ValueError(f"non-dominant index {tuple(mu)}")
+    return tuple(mu)
+
+
 def unit_indicator(W: AffineWeyl, mu) -> SphericalElement:
     return SphericalElement(W, {tuple(mu): Q_ONE})
 
 
 def double_coset_lift(W: AffineWeyl, mu) -> HeckeElement:
-    if not W.rd.is_dominant(mu):
-        raise ValueError("mu must be dominant")
+    mu = _dominant_index(W.rd, mu)
     return HeckeElement(W, {w: Q_ONE for w in double_coset_elements(W, mu)})
 
 

@@ -55,6 +55,17 @@ def test_spherical_product(runner):
     assert doc["product"]
 
 
+@pytest.mark.parametrize("args", [
+    ["spherical", "--group", "SL2", "--lam", "1,5", "--mu", "0"],
+    ["spherical", "--group", "SL3", "--lam", "0", "--mu", "0,0"],
+])
+def test_spherical_wrong_rank_coweight_is_config_error(runner, args):
+    # the pairing zips coordinates, so a wrong-rank index must be caught at the input
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "is not a coweight of" in res.output
+
+
 def test_expmod_action(runner):
     res = runner.invoke(
         main, ["expmod", "--group", "SL2", "--lam", "1", "--mu", "1"]

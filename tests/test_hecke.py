@@ -94,6 +94,13 @@ def test_double_coset_lift_is_bi_invariant(W):
         assert back == unit_indicator(W, mu)
 
 
+def test_double_coset_lift_rejects_wrong_rank(W):
+    n = W.rd.char_lattice_rank
+    for mu in ((0,) * (n + 1), (0,) * (n - 1)):
+        with pytest.raises(ValueError, match="not a coweight"):
+            double_coset_lift(W, mu)
+
+
 def test_spherical_unit(W):
     rd = W.rd
     zero = tuple(0 for _ in range(rd.char_lattice_rank))

@@ -79,6 +79,11 @@ def test_dominant_bases_reject_non_dominant_indices():
         SphericalElement(W, {(-1,): A})
     with pytest.raises(ExpModuleError, match="non-dominant index"):
         ExpModVector(RD, {(-1,): A})
+    # a wrong-rank index is rejected, not truncated or padded by the pairing
+    with pytest.raises(ValueError, match="not a coweight of SL2"):
+        SphericalElement(W, {(1, 5): A})
+    with pytest.raises(ExpModuleError, match="non-dominant index"):
+        ExpModVector(RD, {(1, 5): A})
     # the check runs even when the coefficient is zero
     with pytest.raises(ExpModuleError):
         ExpModVector(RD, {(-1,): Q_ZERO})

@@ -56,7 +56,7 @@ def test_longest_element_negates_positives(name):
     rd = build_root_datum(name)
     w0 = rd.longest_element()
     for root in positive_roots(rd):
-        img = w0.apply_weight(root)
+        img = rd.apply_weight(w0, root)
         assert tuple(-x for x in img) in positive_roots(rd)
 
 

@@ -96,7 +96,7 @@ def test_root_permutation_matches_weight_matrices(name):
         for k, r in enumerate(rd.roots):
             image = _apply(cmat, r)
             assert rd.roots[rd.root_perm[x.index][k]] == image
-            assert x.apply_weight(r) == image
+            assert rd.apply_weight(x, r) == image
 
 
 @pytest.mark.parametrize("name", PRESETS)
@@ -104,7 +104,7 @@ def test_word_length_counts_inversions_and_left_descents(name):
     rd = build_root_datum(name)
     pos = rd.positive_root_set
     for x in rd.weyl_elements():
-        assert len(x.word) == sum(x.apply_weight(a) not in pos for a in rd.positive_roots)
+        assert len(x.word) == sum(rd.apply_weight(x, a) not in pos for a in rd.positive_roots)
         shorter = {
             i for i, s in enumerate(rd.simple_reflections)
             if len(rd.w_mul(s, x).word) < len(x.word)
