@@ -244,7 +244,9 @@ def expmod(group, fmt, out, seed, lam, mu, rank_one, bound):
 @click.option("--source", required=True,
               help="orbit label TAG:WORD (tags coset|zero); z is zero:0")
 @click.option("--word", required=True, help="convolution word, e.g. s or 0,1")
-@click.option("--targets", default="all", show_default=True)
+@click.option("--targets", type=click.Choice(["all", "with-zero"]), default="all",
+              show_default=True,
+              help="all: every target with a nonzero class; with-zero: the zero classes too")
 def fiber(group, fmt, out, seed, source, word, targets):
     """Fiber classes of a one-step (or word) convolution over orbit points."""
     cfg = RunConfig(group, fmt=fmt, out=out, seed=seed)

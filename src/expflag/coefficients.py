@@ -83,19 +83,11 @@ class QPoly:
         """Degree in q; None for the zero polynomial."""
         return max(self.coeffs) if self.coeffs else None
 
-    def low_degree(self):
-        return min(self.coeffs) if self.coeffs else None
-
     def leading_coeff(self):
         return self.coeffs[max(self.coeffs)] if self.coeffs else 0
 
     def as_laurent(self):
         return QPoly(self.coeffs, True)
-
-    def as_polynomial(self):
-        if any(e < 0 for e in self.coeffs):
-            raise ValueError("has negative exponents")
-        return QPoly(self.coeffs, False)
 
     # ---- ring operations
 
@@ -393,9 +385,6 @@ class GF:
         if self.k == 1:
             return (-a) % p
         return (-a) % p + ((-(a // p)) % p) * p
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
 
     def mul(self, a, b):
         p = self.p

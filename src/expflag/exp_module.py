@@ -52,7 +52,6 @@ def _load_case_table():
         for part in ("closed", "open", "single"):
             if entry.get(part) is not None:
                 parsed[part] = CellShape.from_json(entry[part]).class_in_q()
-        parsed["unreachable"] = bool(entry.get("unreachable", False))
         table[key] = parsed
     return table
 
@@ -64,16 +63,18 @@ def _table_class(case_id, part) -> QPoly:
     return CASE_TABLE[case_id].get(part, Q_ZERO)
 
 
-def case_analysis(W: AffineWeyl, target: ExpLabel, w: ExpLabel, s: int):
+def case_analysis(W: AffineWeyl, target: ExpLabel, w: ExpLabel, s: int, ws=None):
     """(case_id, class) of the line through w's basepoint in target's orbit.
 
     The line is the set of chambers s-adjacent to the basepoint of w; the
     class records how many of its q points lie in the orbit of target.
     case_id is None when the answer is forced (empty by support, a single
-    lower point, or a non-splitting descent target).
+    lower point, or a non-splitting descent target). ws is w.elt s, for a
+    caller that has it already.
     """
     wbar = w.elt
-    ws = W.right_mul_simple(wbar, s)
+    if ws is None:
+        ws = W.right_mul_simple(wbar, s)
     tbar = target.elt
     if tbar != wbar and tbar != ws:
         return None, Q_ZERO
@@ -156,19 +157,16 @@ def ts_action(v: BigExpVector, s: int) -> BigExpVector:
     W = v.ctx
     out = {}
     for lab, c in v.support.items():
-        targets = []
-        seen = set()
-        for elt in (lab.elt, W.right_mul_simple(lab.elt, s)):
-            if elt in seen:
-                continue
-            seen.add(elt)
-            targets.extend(_adjacent_labels(W, elt))
-        for t in targets:
-            coeff = key_lemma_class(W, lab, t, s)
-            if coeff.is_zero():
-                continue
-            prev = out.get(t, Q_ZERO) + coeff * c
-            out[t] = prev
+        # the two cells of the s-line through lab's chamber, each with its
+        # s-neighbor (w s != w, so they differ)
+        ls = W.right_mul_simple(lab.elt, s)
+        for elt, elt_s in ((lab.elt, ls), (ls, lab.elt)):
+            for t in _adjacent_labels(W, elt):
+                coeff = case_analysis(W, lab, t, s, elt_s)[1]
+                if coeff.is_zero():
+                    continue
+                prev = out.get(t, Q_ZERO) + coeff * c
+                out[t] = prev
     return BigExpVector(W, out)
 
 

@@ -21,15 +21,30 @@ their ``PRESETS`` entry: ``coords`` maps the Hermite diagonal exponents
 lattices are classes modulo global t-scaling; diagonal(coords(a, c))
 normalizes them to c = 0.
 
-Left (``act``) and right (``translate``) translates by an upper-triangular
-element with monomial diagonal [[d0 t^e0, g01], [0, d1 t^e1]] leave the
-Hermite form triangular, so they are computed in closed form: every coset
-representative, ``x_plus``, ``d_torus`` and the torus of the twisted
-Iwahori take this path. ``x_minus``, the SL2 ``t>j`` generators (their
-diagonal is not a monomial) and any product whose diagonal exponent reaches
-the cut go through the general Hermite normal form ``_hnf_point``.
-``test_closed_form_translates_match_general_hnf`` checks that both give the
-same point, or the same error.
+Left (``act``) and right (``translate``) translates take one of three
+paths:
+
+* An upper-triangular element with monomial diagonal
+  [[d0 t^e0, g01], [0, d1 t^e1]] leaves the Hermite form triangular, so the
+  translate is computed in closed form (``_triangular_point``): every coset
+  representative, ``x_plus``, ``d_torus`` and the torus of the twisted
+  Iwahori take this path.
+* ``x_minus``, the SL2 ``t>j`` generators and any other non-monomial
+  diagonal go through ``_hnf_point`` with the determinant valuation
+  v = a + c + val det g of the product, which ``_point_product`` builds
+  from the point's entries (only g b or b g is a series product). The
+  pivot gives c, so a = v - c, and the pivot unit is inverted only to the
+  terms that the off-diagonal entry b (mod t^a) needs.
+* The full-precision Hermite form, which expands the pivot inverse to the
+  cut, runs wherever the cut could reach a kept exponent: the exact product
+  has an exponent at the cut, a, c or that number of inverse terms reaches
+  the cut, det g = 0, or a diagonal exponent of the closed form reaches
+  the cut. It raises the same errors as ever.
+
+``test_closed_form_translates_match_general_hnf`` and the
+``test_bounded_hnf_*`` tests check each fast path against
+``_hnf_point(preset, q, mat, cut)`` with four arguments, the full-precision
+form of the full product: same point, or the same error.
 
 One search, ``_orbit_bfs``, finds every orbit, inside a window or free,
 and transports the baby character along it: ``orbit_partition`` stores
@@ -40,6 +55,7 @@ and the averaging (linear per orbit: one sum of zeta^-c(y) f(y)) read.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -127,28 +143,28 @@ def _s_shift(s, k):
     return {e + k: c for e, c in s.items()}
 
 
-def _s_trunc(s, cut):
-    return {e: c for e, c in s.items() if e < cut}
+def _s_inv(F, s, n):
+    """The n lowest terms of 1/s: exponents -v, ..., n - 1 - v for v = val s.
 
-
-def _s_inv(F, s, cut):
-    """Inverse of a series with nonzero lowest term, to exponents < cut."""
+    Term k solves s * (1/s) = 1 at its own exponent: it is -1/s_v times the
+    sum over j >= 1 of s_(v+j) times term k - j, so a two-term s costs one
+    product per term.
+    """
     v = _s_val(s)
     if v is None:
         raise ZeroDivisionError("inverting the zero series")
-    u = _s_shift(s, -v)  # unit, constant term nonzero
-    c0 = F.inv(u[0])
-    n = max(cut + abs(v) + 1, 1)
-    inv = {0: c0}
+    c0 = F.inv(s[v])
+    tail = sorted((e - v, co) for e, co in s.items() if 0 < e - v < n)
+    inv = [c0] if n > 0 else []  # inv[k] is the coefficient of t^(k - v)
     for k in range(1, n):
         acc = 0
-        for j, uc in u.items():
-            if 1 <= j <= k:
-                acc = F.add(acc, F.mul(uc, inv.get(k - j, 0)))
-        val = F.neg(F.mul(c0, acc))
-        if val:
-            inv[k] = val
-    return _s_shift(inv, -v)
+        for j, co in tail:
+            if j > k:
+                break
+            if inv[k - j]:
+                acc = F.add(acc, F.mul(co, inv[k - j]))
+        inv.append(F.neg(F.mul(c0, acc)) if acc else 0)
+    return {k - v: co for k, co in enumerate(inv) if co}
 
 
 def _m_mul(F, m1, m2, cut):
@@ -226,8 +242,22 @@ class GrPoint:
         }
 
 
-def _hnf_point(preset, q, mat, cut):
-    """Canonical form of the lattice spanned by the columns of mat."""
+def _hnf_point(preset, q, mat, cut, v=None):
+    """Canonical form of the lattice spanned by the columns of mat.
+
+    The full-precision path truncates every series at cut: it scales the
+    pivot column by the inverse of its bottom entry to exponents < cut,
+    clears the other bottom entry by a column operation and reads a off the
+    result.
+
+    v, when given, is the valuation of det mat, from a caller that built mat
+    with nothing dropped at cut. Then a = v - c is known once the pivot
+    gives c, and b = m01 u^-1 mod t^a (u the pivot unit) needs only the
+    n = a - val(m01) lowest terms of u^-1. The full path's truncations move
+    only exponents >= min(cut, val(m01) + cut), so while a, c and n are all
+    below cut both paths give the same point; otherwise the full path runs.
+    (At n = cut the column operation can change the coefficient of t^a.)
+    """
     F = gf(q)
     (m00, m01), (m10, m11) = mat
     v0, v1 = _s_val(m10), _s_val(m11)
@@ -236,9 +266,14 @@ def _hnf_point(preset, q, mat, cut):
     if not m11:
         raise OracleError("singular lattice basis")
     c = _s_val(m11)
+    unit = _s_shift(m11, -c)
+    if v is not None:
+        a = v - c
+        n = a - _s_val(m01) if m01 else 0
+        if max(a, c, n) < cut:
+            return _canonical_point(preset, q, a, c, _s_mul(F, m01, _s_inv(F, unit, n), a))
     # scale the pivot column so its bottom entry is exactly t^c
-    inv = _s_inv(F, m11, cut)
-    m01 = _s_trunc(_s_mul(F, m01, _s_mul(F, inv, {c: 1}, cut), cut), cut)
+    m01 = _s_mul(F, m01, _s_inv(F, unit, cut), cut)
     if m10:
         # val(m10) >= c by the pivot choice, so this is an O-column operation
         factor = {e - c: F.neg(co) for e, co in m10.items()}
@@ -310,13 +345,52 @@ def _triangular_point(point: GrPoint, mat, cut, left):
     return _canonical_point(point.preset, point.q, a, c, b)
 
 
+def _det_val(F, g):
+    """Valuation of det g, or None when det g = 0."""
+    (g00, g01), (g10, g11) = g
+    if g01 and g10:
+        minus = {e: F.neg(co) for e, co in g01.items()}
+        return _s_val(_s_add(F, _s_mul(F, g00, g11, math.inf), _s_mul(F, minus, g10, math.inf)))
+    return _s_val(g00) + _s_val(g11) if g00 and g11 else None
+
+
+def _point_product(point: GrPoint, g, cut, left):
+    """g L (left) or L g for L = [[t^a, b], [0, t^c]], truncated at cut.
+
+    The t^a and t^c entries of L are shifts, so only g b or b g is a series
+    product; the result equals _m_mul with point.matrix(). Also returns the
+    valuation a + c + val det g of its determinant when no exponent of the
+    exact product reaches cut, and None otherwise.
+    """
+    F = gf(point.q)
+    a, c, b = point.a, point.c, dict(point.b)
+    (g00, g01), (g10, g11) = g
+
+    def shift(s, k):
+        return {e + k: co for e, co in s.items() if e + k < cut}
+
+    if left:
+        prod = ((shift(g00, a), _s_add(F, _s_mul(F, g00, b, cut), shift(g01, c))),
+                (shift(g10, a), _s_add(F, _s_mul(F, g10, b, cut), shift(g11, c))))
+    else:
+        prod = ((_s_add(F, shift(g00, a), _s_mul(F, b, g10, cut)),
+                 _s_add(F, shift(g01, a), _s_mul(F, b, g11, cut))),
+                (shift(g10, c), shift(g11, c)))
+    # b has exponents below a, so every entry of L has exponents <= max(a, c)
+    top = max((max(s) for s in (g00, g01, g10, g11) if s), default=None)
+    dv = None
+    if top is not None and top + max(a, c, 0) < cut:
+        dv = _det_val(F, g)
+    return prod, None if dv is None else a + c + dv
+
+
 def act(point: GrPoint, mat, cut):
     """Left translate of a point by a group element."""
     out = _triangular_point(point, mat, cut, left=True)
     if out is not None:
         return out
-    F = gf(point.q)
-    return _hnf_point(point.preset, point.q, _m_mul(F, mat, point.matrix(), cut), cut)
+    prod, v = _point_product(point, mat, cut, left=True)
+    return _hnf_point(point.preset, point.q, prod, cut, v)
 
 
 def translate(point: GrPoint, mat, cut):
@@ -324,8 +398,8 @@ def translate(point: GrPoint, mat, cut):
     out = _triangular_point(point, mat, cut, left=False)
     if out is not None:
         return out
-    F = gf(point.q)
-    return _hnf_point(point.preset, point.q, _m_mul(F, point.matrix(), mat, cut), cut)
+    prod, v = _point_product(point, mat, cut, left=False)
+    return _hnf_point(point.preset, point.q, prod, cut, v)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +554,7 @@ def twisted_generators(preset, group_spec, q, level_hi):
         for cc in add_gens:
             u = {0: 1, j: cc}
             if _preset(preset).det_one:
-                mat = ((u, {}), ({}, _s_trunc(_s_inv(F, u, level_hi + 2), level_hi + 2)))
+                mat = ((u, {}), ({}, _s_inv(F, u, level_hi + 2)))
                 gens.append((mat, 0, f"t>{j}"))
             else:
                 gens.append((((u, {}), ({}, {0: 1})), 0, f"t>{j}a"))
@@ -722,8 +796,6 @@ def dominant_window(rd, bound):
     coset of the coroot lattice, so it indexes every Whittaker line whose
     torus point can appear under convolution up to the bound.
     """
-    import math
-
     prims = []
     for cv in rd.simple_coroots:
         g = math.gcd(*[abs(x) for x in cv]) or 1

@@ -101,6 +101,21 @@ def test_fiber_table(runner):
     assert classes  # nonzero fibers exist over the zero stratum
 
 
+def test_fiber_targets_is_a_choice(runner):
+    args = ["fiber", "--group", "SL2", "--source", "coset:1", "--word", "0,1"]
+    rows = {}
+    for targets in ("all", "with-zero"):
+        res = runner.invoke(main, args + ["--targets", targets])
+        assert res.exit_code == 0, res.output
+        rows[targets] = json.loads(res.output)["rows"]
+    zero = [r for r in rows["with-zero"] if r["display"] == "QPoly(0)"]
+    assert zero and [r for r in rows["with-zero"] if r not in zero] == rows["all"]
+    # a typo used to list the zero classes silently
+    res = runner.invoke(main, args + ["--targets", "every"])
+    assert res.exit_code == 2
+    assert "'every' is not one of" in res.output
+
+
 def test_oracle_window(runner):
     res = runner.invoke(
         main,

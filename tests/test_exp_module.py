@@ -1,9 +1,11 @@
 """The generic exponential module and its spherical action over Z[q]."""
 
+import collections
 import itertools
 
 import pytest
 
+from expflag import exp_module
 from expflag.root_datum import build_root_datum
 from expflag.affine_weyl import AffineWeyl, ExpLabel
 from expflag.coefficients import QPoly
@@ -128,6 +130,25 @@ def test_action_is_linear_and_commutative(M):
             a = M.spherical_action(M.spherical_action_basis(lam, mu), nu)
             b = M.spherical_action(M.spherical_action_basis(lam, nu), mu)
             assert a == b
+
+
+@pytest.mark.parametrize("name,mu", [("SL3", (1, 1)), ("Sp4", (1, 1)), ("G2", (1, 2))])
+def test_iiia_iso_is_unreachable(name, mu, monkeypatch):
+    """An ascent from a left-maximal zero label never has a level-zero simple
+    image root, as case_table.json's comment says: over every (label,
+    target) pair of m_0 . 1_mu, case_analysis meets IIIa-triv, never IIIa-iso."""
+    seen = collections.Counter()
+
+    def recording(*args, **kwargs):
+        out = case_analysis(*args, **kwargs)
+        seen[out[0]] += 1
+        return out
+
+    monkeypatch.setattr(exp_module, "case_analysis", recording)
+    rd = build_root_datum(name)
+    ExpModule(rd).spherical_action_basis(tuple(0 for _ in range(rd.char_lattice_rank)), mu)
+    assert seen["IIIa-triv"] > 0
+    assert seen["IIIa-iso"] == 0
 
 
 @pytest.mark.parametrize("name,bound", [("SL2", (2,)), ("PGL2", (2,)), ("SL3", (1, 1))])

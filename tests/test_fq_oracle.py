@@ -2,6 +2,7 @@
 
 import pytest
 
+from expflag import fq_oracle
 from expflag.root_datum import build_root_datum
 from expflag.affine_weyl import AffineWeyl
 from expflag.coefficients import CycNum, QPoly, gf
@@ -284,6 +285,100 @@ def _window_cut_and_level(points):
     """The cut and generator level orbit_partition uses for an SL2/PGL2 window."""
     m = max(p.coweight()[0] for p in points)
     return depth_for(points[0].preset, (m,)), 2 * m + 2
+
+
+_SPECS = ("Iwahori_twisted", "U_twisted", "U_exp_twisted", "U_rtimes_Gm_twisted")
+
+
+def _twisted_elements(preset, q, level_hi):
+    return list({repr(g): g for spec in _SPECS
+                 for g, _e, _name in twisted_generators(preset, spec, q, level_hi)}.values())
+
+
+def _assert_translates_match_full_hnf(preset, q, pts, gens, cut):
+    F = gf(q)
+    for p in pts:
+        for g in gens:
+            for fast, prod in ((act, _m_mul(F, g, p.matrix(), cut)),
+                               (translate, _m_mul(F, p.matrix(), g, cut))):
+                want = _outcome(_hnf_point, preset, q, prod, cut)
+                assert _outcome(fast, p, g, cut) == want, (fast.__name__, p, g, cut)
+
+
+@pytest.mark.parametrize("preset,q", [("SL2", 2), ("SL2", 3), ("SL2", 4),
+                                      ("PGL2", 2), ("PGL2", 3)])
+def test_bounded_hnf_matches_full_precision(preset, q, monkeypatch):
+    """act/translate by every twisted generator equal the four-argument
+    _hnf_point of the full product, on the SL2 chain windows and the PGL2
+    bound-2 window, at the cut and level of orbit_partition and, for SL2,
+    of the chain's orbit_closure."""
+    if preset == "SL2":
+        pts = _chain_window(q)
+        settings = [_window_cut_and_level(pts), (depth_for("SL2", (3,)), 8)]
+    else:
+        pts = enumerate_gr_window(preset, (2,), q)
+        settings = [_window_cut_and_level(pts)]
+    requested = []
+    inverse = fq_oracle._s_inv
+
+    def recording_inverse(F, s, n):
+        requested.append(n)
+        return inverse(F, s, n)
+
+    monkeypatch.setattr(fq_oracle, "_s_inv", recording_inverse)
+    for cut, level_hi in settings:
+        _assert_translates_match_full_hnf(
+            preset, q, pts, _twisted_elements(preset, q, level_hi), cut)
+        # the full path inverts to cut terms; the bounded one to fewer
+        assert min(requested) < cut
+        requested.clear()
+
+
+# elements whose determinant is not a unit: t^2 under x_minus; t^6 with
+# both off-diagonal entries nonzero, so that a = v - c passes the cut while
+# the product stays exact; and 0
+_NON_UNIMODULAR = (
+    (({0: 1}, {}), ({1: 1}, {2: 1})),
+    (({0: 1}, {6: 1}), ({-6: 1}, {0: 1, 6: 1})),
+    (({0: 1}, {1: 1}), ({-1: 1}, {0: 1})),
+)
+
+
+@pytest.mark.parametrize("preset,q", [("SL2", 3), ("PGL2", 2)])
+def test_bounded_hnf_falls_back_where_the_cut_bites(preset, q):
+    """At every cut up to the default one, where the cut reaches a kept
+    exponent the full-precision path runs: act/translate by the level-2
+    twisted generators and by non-unimodular elements equal the
+    four-argument _hnf_point, errors included."""
+    pts = _chain_window(q) if preset == "SL2" else enumerate_gr_window(preset, (2,), q)
+    gens = _twisted_elements(preset, q, 2) + list(_NON_UNIMODULAR)
+    for cut in range(1, _window_cut_and_level(pts)[0] + 1):
+        _assert_translates_match_full_hnf(preset, q, pts, gens, cut)
+
+
+def test_bounded_hnf_needs_fewer_inverse_terms_than_the_cut():
+    """The full path's column operation can move a when a - val(m01), the
+    number of inverse terms b needs, equals the cut: here (GL2, q = 3,
+    cut 1) it gives a = -1 where v - c reads -2, so that case falls back."""
+    F, cut = gf(3), 1
+    p = GrPoint("GL2", 3, 0, 0, ())
+    g = (({0: 2, -3: 2}, {-1: 2, -3: 2}), ({-3: 1}, {-3: 1, -2: 1}))
+    want = _hnf_point("GL2", 3, _m_mul(F, g, p.matrix(), cut), cut)
+    assert (want.a, want.c) == (-1, -3)
+    assert act(p, g, cut) == want
+
+
+def test_bounded_hnf_pivot_cancellation():
+    """x_minus(1, 2) L for L = [[1, 2t^-2 + t^-1], [0, 1]] over F_3 has
+    lower-right entry t^2 b + 1 = t: the pivot is t, c = 1, and a = v - c
+    = -1 with v = 0 the valuation of the determinant."""
+    F, cut = gf(3), depth_for("SL2", (2,))
+    p = GrPoint("SL2", 3, 0, 0, ((-2, 2), (-1, 1)))
+    g = x_minus(3, 1, 2)
+    want = GrPoint("SL2", 3, -1, 1, ((-2, 2),))
+    assert _hnf_point("SL2", 3, _m_mul(F, g, p.matrix(), cut), cut) == want
+    assert _hnf_point("SL2", 3, _m_mul(F, g, p.matrix(), cut), cut, 0) == want
+    assert act(p, g, cut) == want
 
 
 def _pairwise_baby_averaging(f, points):
