@@ -8,13 +8,15 @@ Conventions pinned here and used everywhere else:
   - s_{alpha+n} = t_{n alpha-check} s_alpha, so the extra simple reflection of
     an irreducible component is s_{-theta+1} = t_{-theta-check} s_theta.
 
-For w = t_lam v, w^-1(alpha + n) = v^-1(alpha) + n - <alpha, lam>. Both
-the length and left-W0-maximality read this with integers and the W0 tables:
+For w = t_lam v, w^-1(alpha + n) = v^-1(alpha) + n - <alpha, lam>. The
+length and left-W0-maximality and minimality read this with integers and the
+W0 tables:
   - l(w) = sum over alpha > 0 of |<alpha, lam> + d|, with d = 1 if
     v^-1(alpha) < 0 and d = 0 otherwise;
   - w is maximal in W0 w iff w^-1(alpha_i) < 0 for every simple alpha_i,
     i.e. iff <alpha_i, lam> >= 1, or <alpha_i, lam> = 0 and i is a left
-    descent of v (v^-1(alpha_i) < 0).
+    descent of v (v^-1(alpha_i) < 0);
+  - w is minimal in W0 w iff every w^-1(alpha_i) > 0, the mirror condition.
 ``sign_on_alcove`` evaluates an affine root exactly at a rational
 barycenter of a0; ``length_brute`` and ``is_left_w0_maximal_by_descents``
 are independent cross-checks of the closed forms.
@@ -332,6 +334,20 @@ class AffineWeyl:
         for i, a in enumerate(rd.simple_roots):
             p = rd.pair(a, w.lam)
             if p < 0 or (p == 0 and i not in desc):
+                return False
+        return True
+
+    def is_left_w0_minimal(self, w: AffineWeylElement) -> bool:
+        """w = t_lam v of minimal length in W0 w.
+
+        That holds iff w^-1(alpha_i) > 0 for every simple alpha_i: so iff
+        each <alpha_i, lam> <= -1, or = 0 with i not a left descent of v.
+        """
+        rd = self.rd
+        desc = rd.left_descents[w.v.index]
+        for i, a in enumerate(rd.simple_roots):
+            p = rd.pair(a, w.lam)
+            if p > 0 or (p == 0 and i in desc):
                 return False
         return True
 

@@ -280,7 +280,8 @@ def fiber(group, fmt, out, seed, source, word, targets):
 @main.command()
 @_with_common
 @click.option("--q", "q_text", default="3", show_default=True)
-@click.option("--bound", default=1, show_default=True, type=int)
+@click.option("--bound", default=1, show_default=True, type=int,
+              help="window and orbits modes: the window diag(t^bound, 1)")
 @click.option("--mode", default="window",
               type=click.Choice(["window", "orbits", "action", "interpolate"]),
               show_default=True)
@@ -293,16 +294,17 @@ def oracle(group, fmt, out, seed, q_text, bound, mode, lam, mu):
     cfg.validate()
     if group not in fq_oracle.PRESETS:
         raise click.UsageError("oracle presets: " + ", ".join(fq_oracle.PRESETS))
-    # the coweight of the lattice diag(t^bound, 1)
-    b = fq_oracle.PRESETS[group].coords(bound, 0)
-    doc = {"group": group, "bound": list(b)}
+    doc = {"group": group}
     q = cfg.q_list[0]
     try:
-        if mode == "window":
+        if mode in ("window", "orbits"):
+            # --bound only sets the window: the coweight of diag(t^bound, 1)
+            b = fq_oracle.PRESETS[group].coords(bound, 0)
+            doc["bound"] = list(b)
             pts = fq_oracle.enumerate_gr_window(group, b, q)
+        if mode == "window":
             doc.update(q=q, size=len(pts), points=[p.to_json() for p in pts])
         elif mode == "orbits":
-            pts = fq_oracle.enumerate_gr_window(group, b, q)
             _, orbits = fq_oracle.orbit_partition(pts, "U_exp_twisted", q)
             doc.update(
                 q=q,

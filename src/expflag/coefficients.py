@@ -412,7 +412,7 @@ class GF:
         return range(self.q)
 
     def units(self):
-        return range(1, self.q) if self.k == 1 else [a for a in range(1, self.q) if a != 0]
+        return range(1, self.q)
 
     def from_int(self, n):
         """Image of an integer under Z -> F_p -> F_q."""

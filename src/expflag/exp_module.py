@@ -19,9 +19,9 @@ from fractions import Fraction
 from importlib import resources
 
 from .affine_weyl import AffineWeyl, AffineWeylElement, ExpLabel
-from .coefficients import DivisionNotExact, QPoly, QVector, Q_ONE, Q_ZERO, qpoly_exact_div
+from .coefficients import QPoly, QVector, Q_ONE, Q_ZERO
 from .root_datum import RootDatum
-from .spherical import NormalizationFailure, poincare_poly
+from .spherical import NormalizationFailure
 from .strata import CellShape, dominance_leq, double_coset_elements
 
 
@@ -249,7 +249,6 @@ class ExpModule:
         self.adj = rd.adjoint()
         self.W = AffineWeyl(self.adj)
         self.rho_hat_adj = tuple(1 for _ in range(rd.rank))
-        self.P = poincare_poly(self.W)
         self._action_cache = {}
 
     # ---- index conversion
@@ -302,16 +301,39 @@ class ExpModule:
     # ---- the spherical action
 
     def _apply_double_coset(self, vec: BigExpVector, mu_adj) -> BigExpVector:
-        out = BigExpVector(self.W, {})
-        for y in double_coset_elements(self.W, mu_adj):
-            out = out + phi_element(vec, y)
+        """Sum of phi(T_y) vec over the right-W0-minimal y of W0 t_mu W0.
+
+        vec must be right-W0-invariant: phi(T_s) vec = q vec for each finite
+        simple s. Each y of the double coset is y' x with x in W0, y'
+        right-W0-minimal and l(y) = l(y') + l(x), so phi(T_y) vec =
+        q^l(x) phi(T_y') vec, and the sum over the whole double coset is
+        P_W0(q) times this one.
+        """
+        W = self.W
+        f0 = W.facet_f0()
+        out = BigExpVector(W, {})
+        for y in double_coset_elements(W, mu_adj):
+            if W.is_right_minimal(y, f0):
+                out = out + phi_element(vec, y)
         return out
 
     def _raw_action(self, lam, mu) -> BigExpVector:
-        """P(q) times the pullback of m_lam . 1_mu, on the big module."""
+        """The pullback of m_lam . 1_mu to the big module.
+
+        Raises NormalizationFailure if the lift of m_lam is not
+        right-W0-invariant, the hypothesis of _apply_double_coset.
+        """
         key = (tuple(lam), tuple(mu))
         if key not in self._action_cache:
             big = self.lift_closed(lam)
+            q = QPoly({1: 1})
+            for i in range(self.adj.rank):
+                if ts_action(big, i) != big.scale(q):
+                    raise NormalizationFailure(
+                        f"exp-module action on {self.rd.name}: lift of "
+                        f"m_{tuple(lam)} is not right-W0-invariant under "
+                        f"T_s{i} (acting by 1_{tuple(mu)})"
+                    )
             mu_star_adj = self.to_adj(self.dual_involution(mu))
             self._action_cache[key] = self._apply_double_coset(big, mu_star_adj)
         return self._action_cache[key]
@@ -326,20 +348,8 @@ class ExpModule:
             nu = self._label_coweight(lab.elt)
             if nu is None:
                 continue
-            sign = 1 if lab.tag == "coset" else -1
-            prev = out.get(nu, Q_ZERO)
-            out[nu] = prev + (c if sign > 0 else -c)
-        final = {}
-        for nu, c in out.items():
-            if c.is_zero():
-                continue
-            try:
-                final[nu] = qpoly_exact_div(c, self.P)
-            except DivisionNotExact as e:
-                raise NormalizationFailure(
-                    f"exp-module coefficient not divisible by P_W0 at {nu}"
-                ) from e
-        return ExpModVector(self.rd, final)
+            out[nu] = out.get(nu, Q_ZERO) + (c if lab.tag == "coset" else -c)
+        return ExpModVector(self.rd, out)
 
     def spherical_action(self, v: ExpModVector, mu) -> ExpModVector:
         out = ExpModVector(self.rd, {})
@@ -360,11 +370,7 @@ class ExpModule:
         if source is None:
             source = tuple(0 for _ in range(self.rd.char_lattice_rank))
         self._check_dominant(lam, mu, source)
-        r = self._raw_action(source, mu)
-        c = r.coefficient(self.closed_label(lam))
-        if c.is_zero():
-            return Q_ZERO
-        return qpoly_exact_div(c, self.P)
+        return self._raw_action(source, mu).coefficient(self.closed_label(lam))
 
     def dimension_bound_check(self, lam, mu) -> bool:
         """Fiber dimension over t^(lam + rho-hat) is < <rho, mu - lam>."""

@@ -1,15 +1,19 @@
 """Generic spherical Hecke algebra on the basis of double-coset indicators.
 
 1_mu is the sum of T_w over W0 t_mu W0 inside the Iwahori-Hecke algebra.
-Products of lifts are divisible by the finite Poincare polynomial P_{W0}(q);
-spherical_mul divides it out and re-expands in the 1-basis.
+Products of lifts are P_{W0}(q) times the lift of the spherical product.
+That factor never has to be divided out: each element of W0 t_mu W0 is x w
+with x in W0, w left-W0-minimal and l(xw) = l(x) + l(w), and a
+right-W0-invariant element h has h T_x = q^l(x) h. So spherical_mul
+multiplies lift(a) by the sum of T_w over one left-W0-minimal w per coset
+W0 w, and re-expands the result in the 1-basis.
 """
 
 from __future__ import annotations
 
 from .affine_weyl import AffineWeyl
-from .coefficients import DivisionNotExact, QPoly, QVector, Q_ONE, qpoly_exact_div
-from .hecke import HeckeElement, hecke_mul
+from .coefficients import QPoly, QVector, Q_ONE
+from .hecke import HeckeElement, hecke_mul, t_simple_mul
 from .strata import double_coset_elements
 
 
@@ -106,15 +110,24 @@ def _dominant_of(W: AffineWeyl, w):
 
 
 def spherical_mul(a: SphericalElement, b: SphericalElement) -> SphericalElement:
+    """a * b in the 1-basis, from lift(a) times the left-W0-minimal part of
+    lift(b) (see the module docstring).
+
+    Raises NormalizationFailure if lift(a) is not right-W0-invariant, the
+    hypothesis under which P_W0(q) factors out.
+    """
     W = a.ctx
-    prod = hecke_mul(lift(a), lift(b))
-    P = poincare_poly(W)
-    divided = {}
-    for w, c in prod.support.items():
-        try:
-            divided[w] = qpoly_exact_div(c, P)
-        except DivisionNotExact as e:
+    la = lift(a)
+    q = QPoly({1: 1})
+    for i in range(W.rd.rank):
+        if t_simple_mul(W, i, la, "right") != la.scale(q):
             raise NormalizationFailure(
-                f"product coefficient not divisible by P_W0: {c} at {W.to_json(w)}"
-            ) from e
-    return hecke_to_spherical(W, HeckeElement(W, divided))
+                f"spherical_mul on {W.rd.name}: lift of {sorted(a.support)} "
+                f"is not right-W0-invariant under T_s{i}"
+            )
+    right = {}
+    for mu, c in b.support.items():
+        for w in double_coset_elements(W, mu):
+            if W.is_left_w0_minimal(w):
+                right[w] = c
+    return hecke_to_spherical(W, hecke_mul(la, HeckeElement(W, right)))

@@ -13,7 +13,7 @@ import pytest
 
 from expflag.root_datum import build_root_datum
 from expflag.affine_weyl import AffineWeyl, ExpLabel
-from expflag.coefficients import QPoly
+from expflag.coefficients import QPoly, qpoly_exact_div
 from expflag.exp_module import ExpModule, fiber_class, key_lemma_class
 from expflag.hecke import HeckeElement, hecke_mul, t_basis
 from expflag.spherical import (
@@ -125,6 +125,21 @@ def test_hecke_associativity_and_braid(name):
         assert checked > 0
 
 
+def _assert_full_product_factorises(W, a, b, ab):
+    """hecke_mul(lift(a), lift(b)) is P_W0(q) times lift(ab), coefficientwise.
+
+    The full double-coset product is the reference that spherical_mul, which
+    sums over one element per W0-coset, must agree with.
+    """
+    P = poincare_poly(W)
+    full = hecke_mul(lift(a), lift(b))
+    quotient = {}
+    for w, c in full.support.items():
+        # raises DivisionNotExact unless P divides the coefficient
+        quotient[w] = qpoly_exact_div(c, P)
+    assert HeckeElement(W, quotient) == lift(ab)
+
+
 @pytest.mark.parametrize("name", ["SL2", "SL3", "Sp4"])
 def test_spherical_divisibility_and_commutativity(name):
     W = _ctx(name)
@@ -133,10 +148,32 @@ def test_spherical_divisibility_and_commutativity(name):
     P = poincare_poly(W)
     for lam, mu in itertools.combinations_with_replacement(window, 2):
         a, b = unit_indicator(W, lam), unit_indicator(W, mu)
-        # spherical_mul raises if any coefficient is not divisible by P
         ab = spherical_mul(a, b)
+        _assert_full_product_factorises(W, a, b, ab)
         assert ab == spherical_mul(b, a)
         assert not P.is_zero()
+
+
+# small windows of dominant coweights, GL2 included: spherical_mul needs no
+# semisimple datum
+FACTORISATION_WINDOWS = {
+    "SL2": [(0,), (1,), (2,)],
+    "PGL2": [(0,), (1,), (2,)],
+    "GL2": [(0, 0), (1, 0), (1, -1), (2, 1)],
+    "SL3": [(0, 0), (1, 1), (1, 2)],
+    "Sp4": [(0, 0), (1, 1), (1, 2)],
+    "G2": [(0, 0), (1, 2)],
+}
+
+
+@pytest.mark.parametrize("name", list(FACTORISATION_WINDOWS))
+def test_spherical_mul_matches_full_double_coset_product(name):
+    W = _ctx(name)
+    window = FACTORISATION_WINDOWS[name]
+    assert all(W.rd.is_dominant(mu) for mu in window)
+    for lam, mu in itertools.combinations_with_replacement(window, 2):
+        a, b = unit_indicator(W, lam), unit_indicator(W, mu)
+        _assert_full_product_factorises(W, a, b, spherical_mul(a, b))
 
 
 # -- criterion 3: cell table ------------------------------------------------

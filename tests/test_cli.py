@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from expflag.cli import main
 
@@ -270,3 +272,52 @@ def test_readme_examples_run(runner):
     for args in commands:
         res = runner.invoke(main, args)
         assert res.exit_code == 0, (args, res.output)
+
+
+def test_oracle_action_ignores_bound(runner):
+    # --bound sets the window of the window and orbits modes only
+    args = ["oracle", "--group", "SL2", "--q", "3", "--mode", "action",
+            "--lam", "0", "--mu", "1"]
+    plain = runner.invoke(main, args)
+    bounded = runner.invoke(main, args + ["--bound", "5"])
+    assert plain.exit_code == bounded.exit_code == 0
+    assert bounded.stdout == plain.stdout
+    assert "bound" not in json.loads(plain.stdout)
+
+
+PRESETS = ["SL2", "PGL2", "GL2", "SL3", "PGL3", "Sp4", "G2"]
+
+
+def _invalid_coweight(rd, text):
+    """Whether the CLI must reject ``text`` as a coweight of rd."""
+    try:
+        mu = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        return True
+    return len(mu) != rd.char_lattice_rank or not rd.is_dominant(mu)
+
+
+_coweight_text = st.one_of(
+    st.text(max_size=8),
+    st.lists(st.integers(-3, 3), max_size=4).map(lambda xs: ",".join(map(str, xs))),
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=3).map(
+        lambda xs: ",".join(map(str, xs))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(["spherical", "expmod"]),
+       group=st.sampled_from(PRESETS), text=_coweight_text,
+       bad_first=st.booleans())
+def test_invalid_coweight_text_is_config_error(command, group, text, bad_first):
+    from expflag.root_datum import build_root_datum
+
+    rd = build_root_datum(group)
+    assume(_invalid_coweight(rd, text))
+    zero = ",".join("0" for _ in range(rd.char_lattice_rank))
+    lam, mu = (text, zero) if bad_first else (zero, text)
+    res = CliRunner().invoke(main, [command, "--group", group,
+                                    f"--lam={lam}", f"--mu={mu}"])
+    assert res.exit_code == 2, (res.output, res.exception)
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output

@@ -101,6 +101,14 @@ def test_gf_inverse_table(q):
         F.inv(0)
 
 
+@pytest.mark.parametrize("q", FIELD_SIZES)
+def test_gf_units_are_the_nonzero_elements(q):
+    F = gf(q)
+    units = list(F.units())
+    assert len(units) == q - 1
+    assert units == [a for a in F.elements() if a != 0]
+
+
 def test_gf_sizes_are_p_and_p_squared_for_p_at_most_7():
     assert FIELD_SIZES == (2, 3, 4, 5, 7, 9, 25, 49)
     for q in (0, 1, 6, 8, 11, 27):

@@ -9,8 +9,13 @@ from expflag import exp_module
 from expflag.root_datum import build_root_datum
 from expflag.affine_weyl import AffineWeyl, ExpLabel
 from expflag.coefficients import QPoly
-from expflag.spherical import spherical_mul, unit_indicator
-from expflag.strata import dominant_coweights_below, orbit_shape
+from expflag.spherical import (
+    NormalizationFailure,
+    poincare_poly,
+    spherical_mul,
+    unit_indicator,
+)
+from expflag.strata import dominant_coweights_below, double_coset_elements, orbit_shape
 from expflag.exp_module import (
     BigExpVector,
     ExpModule,
@@ -151,7 +156,9 @@ def test_iiia_iso_is_unreachable(name, mu, monkeypatch):
     assert seen["IIIa-iso"] == 0
 
 
-@pytest.mark.parametrize("name,bound", [("SL2", (2,)), ("PGL2", (2,)), ("SL3", (1, 1))])
+@pytest.mark.parametrize("name,bound", [
+    ("SL2", (2,)), ("PGL2", (2,)), ("SL3", (1, 1)), ("Sp4", (1, 1)), ("G2", (1, 2)),
+])
 def test_module_associativity(name, bound):
     """(m_0 . 1_a) . 1_b = m_0 . (1_a * 1_b), the product taken in the
     spherical algebra."""
@@ -170,6 +177,33 @@ def test_module_associativity(name, bound):
             for nu, c in ab.support.items():
                 rhs = rhs + M.spherical_action_basis(zero, nu).scale(c)
             assert lhs == rhs, (a, b)
+
+
+@pytest.mark.parametrize("name,pairs", [
+    ("SL2", [((0,), (1,)), ((1,), (2,))]),
+    ("PGL2", [((0,), (2,)), ((1,), (1,))]),
+    ("SL3", [((0, 0), (1, 1)), ((1, 1), (1, 2))]),
+    ("Sp4", [((0, 0), (1, 1)), ((1, 1), (1, 2))]),
+    ("G2", [((0, 0), (1, 2))]),
+])
+def test_raw_action_is_full_double_coset_sum_over_poincare(name, pairs):
+    """The sum of phi(T_y) over all of W0 t_mu* W0 is P_W0(q) times the raw
+    action, which sums over one element per W0-coset."""
+    M = ExpModule(build_root_datum(name))
+    P = poincare_poly(M.W)
+    for lam, mu in pairs:
+        big = M.lift_closed(lam)
+        full = BigExpVector(M.W, {})
+        for y in double_coset_elements(M.W, M.to_adj(M.dual_involution(mu))):
+            full = full + phi_element(big, y)
+        assert full == M._raw_action(lam, mu).scale(P), (lam, mu)
+
+
+def test_non_invariant_lift_is_reported(monkeypatch):
+    M = ExpModule(build_root_datum("SL3"))
+    monkeypatch.setattr(exp_module, "ts_action", lambda v, s: v)
+    with pytest.raises(NormalizationFailure, match=r"SL3.*m_\(0, 0\).*T_s0.*1_\(1, 1\)"):
+        M.spherical_action_basis((0, 0), (1, 1))
 
 
 def test_sl2_fundamental_action():

@@ -1,6 +1,7 @@
 """Generic Hecke algebra over Z[q] and its spherical subquotient."""
 
 import random
+import re
 
 import pytest
 
@@ -121,6 +122,15 @@ def test_spherical_associativity_small(W):
                 assert spherical_mul(spherical_mul(x, y), z) == spherical_mul(
                     x, spherical_mul(y, z)
                 )
+
+
+def test_non_invariant_lift_is_reported(W, monkeypatch):
+    from expflag import spherical
+
+    monkeypatch.setattr(spherical, "t_simple_mul", lambda W, i, x, side: x)
+    zero = tuple(0 for _ in range(W.rd.char_lattice_rank))
+    with pytest.raises(NormalizationFailure, match=rf"{W.rd.name}.*\[{re.escape(str(zero))}\].*T_s0"):
+        spherical_mul(unit_indicator(W, zero), unit_indicator(W, zero))
 
 
 def test_poincare_polynomial_values():

@@ -2,9 +2,9 @@
 
 The tables of ``RootDatum`` (products, inverses, the action on roots, left
 descents) are checked against the matrices that define them, and the
-closed forms of ``AffineWeyl`` (length, left-W0-maximality) against the
-brute-force inversion count and the sign of w^-1(alpha_i) on the base
-alcove.
+closed forms of ``AffineWeyl`` (length, left-W0-maximality and
+minimality) against the brute-force inversion count, left descents and the
+sign of w^-1(alpha_i) on the base alcove.
 """
 
 import itertools
@@ -144,6 +144,20 @@ def test_closed_form_maximality_matches_descents_and_alcove_sign(name):
         assert closed == _maximal_by_alcove_sign(W, w), w
         beyond_w0 += closed and W.length(w) > len(W.rd.longest_element().word)
     assert beyond_w0 > 0
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_closed_form_minimality_matches_left_ascents(name):
+    W = AffineWeyl(build_root_datum(name))
+    minimal = 0
+    for w in _sample(W, name):
+        lw = W.length(w)
+        closed = W.is_left_w0_minimal(w)
+        assert closed == all(
+            W.length(W.mul(W.simples[i], w)) > lw for i in range(W.rd.rank)
+        ), w
+        minimal += closed and lw > 0
+    assert minimal > 0
 
 
 @pytest.mark.parametrize("name", ["SL3", "PGL3", "Sp4", "G2"])
