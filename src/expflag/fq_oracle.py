@@ -838,6 +838,11 @@ def whittaker_action(preset, bound, mu, q, depth=None):
     nu in (W_lam * 1_mu), computed as sum over g in K mu K / K of
     W_lam(t^nu g). No window enumeration is needed: values of W_lam at
     arbitrary points come from the Iwasawa decomposition.
+
+    Every coset representative is translated and read off one at a time,
+    and the psi sums are kept as exponent counts: c_k points of trace k
+    give sum_k c_k zeta^k, which one CycNum per entry holds at the end
+    (zeta^(p-1) reduces to minus the lower powers).
     """
     rd = _rd(preset)
     bound = _dominant(rd, preset, bound, "lam")
@@ -845,19 +850,24 @@ def whittaker_action(preset, bound, mu, q, depth=None):
     out_bound = _hecke_window(preset, bound, mu)
     cut = depth if depth is not None else depth_for(preset, out_bound)
     reps = coset_reps(preset, mu, q, cut)
-    sources = dominant_window(rd, bound)
-    targets = dominant_window(rd, out_bound)
-    matrix = {}
-    for nu in targets:
+    sources = set(dominant_window(rd, bound))
+    F = gf(q)
+    counts = {}
+    for nu in dominant_window(rd, out_bound):
         base = torus_point(preset, q, nu)
         for g in reps:
-            y = translate(base, g, cut)
-            lab, elem = iwasawa_data(y)
-            if lab in sources and rd.is_dominant(lab):
-                key = (lab, nu)
-                val = psi_value(elem, q)
-                matrix[key] = matrix.get(key, CycNum.integer(0, val.p, q)) + val
-    return {k: v for k, v in matrix.items() if not v.is_zero()}
+            lab, elem = iwasawa_data(translate(base, g, cut))
+            if lab in sources:
+                hist = counts.get((lab, nu))
+                if hist is None:
+                    hist = counts[lab, nu] = [0] * F.p
+                hist[F.trace(elem)] += 1
+    matrix = {}
+    for key, hist in counts.items():
+        v = CycNum.make(F.p, q, [c - hist[-1] for c in hist[:-1]])
+        if not v.is_zero():
+            matrix[key] = v
+    return matrix
 
 
 def cyc_as_int(v):

@@ -321,3 +321,108 @@ def test_invalid_coweight_text_is_config_error(command, group, text, bad_first):
     assert res.exit_code == 2, (res.output, res.exception)
     assert isinstance(res.exception, SystemExit)
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("args,q", [
+    (["oracle", "--group", "SL2", "--mode", "interpolate", "--lam", "1",
+      "--mu", "1", "--q", "2,2"], 2),
+    (["verify", "--group", "SL2", "--q", "3,3", "--bound", "1"], 3),
+])
+def test_duplicate_field_size_is_config_error(runner, args, q):
+    # interpolation used to crash on the repeated sample, and verify ran
+    # the oracle suite twice
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert f"duplicate field size {q}" in res.output
+
+
+def _patched_verify(monkeypatch, change=None):
+    """Run PGL2 verify over q = 2, 3 with whittaker_action wrapped."""
+    from expflag import fq_oracle
+
+    calls = []
+    real = fq_oracle.whittaker_action
+
+    def wrapper(preset, bound, mu, q, depth=None):
+        calls.append((bound, mu, q))
+        out = real(preset, bound, mu, q, depth)
+        return change(out, mu, q) if change else out
+
+    monkeypatch.setattr(fq_oracle, "whittaker_action", wrapper)
+    res = CliRunner().invoke(
+        main, ["verify", "--group", "PGL2", "--bound", "2", "--q", "2,3"])
+    return res, calls
+
+
+def test_verify_builds_one_whittaker_matrix_per_q_and_mu(monkeypatch):
+    from expflag.cli import _height_window
+    from expflag.root_datum import build_root_datum
+
+    window = _height_window(build_root_datum("PGL2"), 2)
+    res, calls = _patched_verify(monkeypatch)
+    assert res.exit_code == 0, res.output
+    assert len(calls) == 2 * len(window)
+    assert {bound for bound, _mu, _q in calls} == {window[-1]}
+    assert json.loads(res.output)["passed"]["oracle_vs_generic"] == 2 * len(window) ** 2
+
+
+def test_verify_reports_a_corrupted_row(monkeypatch):
+    # one entry of row (0,) of the q = 3, mu = (1,) matrix is off by one
+    def corrupt(matrix, mu, q):
+        if (mu, q) != ((1,), 3):
+            return matrix
+        key = min(k for k in matrix if k[0] == (0,))
+        return {**matrix, key: matrix[key] + 1}
+
+    res, _calls = _patched_verify(monkeypatch, corrupt)
+    assert res.exit_code == 1, res.output
+    errors = [v["error"] for v in json.loads(res.output)["violations"]]
+    assert any("oracle mismatch at q=3, (0,),(1,)" in e for e in errors), errors
+
+
+_word_text = st.one_of(
+    st.text(max_size=6),
+    st.lists(st.integers(-2, 3).map(str) | st.integers(-2, 3).map("s{}".format),
+             max_size=3).map(",".join),
+)
+_small_coweight_text = st.one_of(
+    st.text(max_size=6),
+    *(st.lists(st.integers(lo, 3), min_size=1, max_size=2).map(
+        lambda xs: ",".join(map(str, xs))) for lo in (-3, 0)),
+)
+# supported fields only in the last list, so repeats come up often
+_q_text = st.one_of(
+    st.text(max_size=6),
+    *(st.lists(st.sampled_from(fields), min_size=1, max_size=4).map(
+        lambda xs: ",".join(map(str, xs)))
+      for fields in ([0, 1, 2, 3, 4, 6, 8, 9], [2, 3, 4, 5, 9])),
+)
+_group = st.sampled_from(PRESETS)
+# one strategy per remaining free-text or integer input
+_CLI_ARGS = st.one_of(
+    st.tuples(_group, _word_text, _word_text).map(
+        lambda t: ["hecke", "--group", t[0], f"--left={t[1]}", f"--right={t[2]}"]),
+    st.tuples(_group, st.sampled_from(["coset", "zero", ""]), _word_text,
+              _word_text).map(
+        lambda t: ["fiber", "--group", t[0],
+                   f"--source={t[1]}:{t[2]}" if t[1] else f"--source={t[2]}",
+                   f"--word={t[3]}"]),
+    st.tuples(st.sampled_from(["SL2", "PGL2", "GL2", "SL3"]),
+              st.sampled_from(["action", "interpolate"]),
+              _small_coweight_text, _small_coweight_text).map(
+        lambda t: ["oracle", "--group", t[0], "--mode", t[1], "--q", "2,3",
+                   f"--lam={t[2]}", f"--mu={t[3]}"]),
+    st.tuples(_group, st.integers(-3, 3)).map(
+        lambda t: ["weyl", "--group", t[0], "--bound", str(t[1])]),
+    st.tuples(st.sampled_from(["action", "interpolate"]), _q_text).map(
+        lambda t: ["oracle", "--group", "SL2", "--mode", t[0], "--lam", "1",
+                   "--mu", "1", f"--q={t[1]}"]),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(args=_CLI_ARGS)
+def test_cli_text_inputs_exit_zero_or_two(args):
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code in (0, 2), (args, res.output, res.exception)
+    assert "Traceback" not in res.output

@@ -5,7 +5,7 @@ import pytest
 from expflag import fq_oracle
 from expflag.root_datum import build_root_datum
 from expflag.affine_weyl import AffineWeyl
-from expflag.coefficients import CycNum, QPoly, gf
+from expflag.coefficients import CycNum, QPoly, gf, psi_value
 from expflag.strata import dominant_coweights_below, gr_cell_class
 from expflag.fq_oracle import (
     PRESETS,
@@ -596,3 +596,63 @@ def test_gl2_non_central_hecke_window_is_not_empty(q):
     # window must hold (1,-1) and (0,0), not (2,0)
     got = {k: cyc_as_int(v) for k, v in whittaker_action("GL2", (1, 0), (1, 0), q).items()}
     assert got == {((1, 0), (1, -1)): 1, ((1, 0), (0, 0)): q}
+
+
+# top coweight of the window and a few small mu per preset
+_ROW_WINDOWS = {
+    "SL2": ((3,), [(0,), (1,), (2,)]),
+    "PGL2": ((3,), [(0,), (1,), (2,)]),
+    "GL2": ((2, 0), [(0, 0), (1, 0), (1, 1), (1, -1)]),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(_ROW_WINDOWS))
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_whittaker_row_does_not_depend_on_the_bound(preset, q):
+    # verify reads every row lam of one matrix built on the window's top:
+    # that row must be the one a matrix built on lam itself holds, and it
+    # must stay inside the Hecke window of (lam, mu)
+    top, mus = _ROW_WINDOWS[preset]
+    rd = build_root_datum(preset)
+    for mu in mus:
+        shared = whittaker_action(preset, top, mu, q)
+        for lam in dominant_window(rd, top):
+            row = {nu: v for (l, nu), v in shared.items() if l == lam}
+            own = {nu: v for (l, nu), v in whittaker_action(preset, lam, mu, q).items()
+                   if l == lam}
+            assert row == own, (lam, mu)
+            inside = dominant_window(rd, fq_oracle._hecke_window(preset, lam, mu))
+            assert set(row) <= set(inside), (lam, mu)
+
+
+def _pointwise_whittaker_action(preset, bound, mu, q):
+    """whittaker_action with one psi_value CycNum added per coset point."""
+    rd = build_root_datum(preset)
+    out_bound = fq_oracle._hecke_window(preset, bound, mu)
+    cut = depth_for(preset, out_bound)
+    sources = dominant_window(rd, bound)
+    zero = CycNum.integer(0, gf(q).p, q)
+    matrix = {}
+    for nu in dominant_window(rd, out_bound):
+        base = torus_point(preset, q, nu)
+        for g in coset_reps(preset, mu, q, cut):
+            lab, elem = fq_oracle.iwasawa_data(translate(base, g, cut))
+            if lab in sources:
+                matrix[lab, nu] = matrix.get((lab, nu), zero) + psi_value(elem, q)
+    return {k: v for k, v in matrix.items() if not v.is_zero()}
+
+
+@pytest.mark.parametrize("preset,bound,mu", [
+    ("SL2", (2,), (1,)),
+    ("SL2", (1,), (2,)),
+    ("PGL2", (2,), (1,)),
+    ("PGL2", (1,), (2,)),
+    ("GL2", (2, 0), (1, 0)),
+    ("GL2", (1, 0), (1, -1)),
+])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_whittaker_counts_match_pointwise_psi_sum(preset, bound, mu, q):
+    # q = 4 and 9 read the trace from F_p^2 down to F_p
+    got = whittaker_action(preset, bound, mu, q)
+    assert got
+    assert got == _pointwise_whittaker_action(preset, bound, mu, q)
