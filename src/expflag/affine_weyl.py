@@ -41,6 +41,10 @@ class AffineWeylError(ValueError):
     pass
 
 
+# enumerate_elements holds at most this many elements
+_ELEMENT_CAP = 10**5
+
+
 @dataclass(frozen=True)
 class AffineRoot:
     finite_part: tuple
@@ -299,22 +303,18 @@ class AffineWeyl:
     def facet_a0(self):
         return frozenset()
 
-    def coset_reps(self, w: AffineWeylElement, f):
-        """Minimal representative of w W_f and left-W0-maximality of w."""
-        cur = w
-        changed = True
-        while changed:
-            changed = False
-            for i in sorted(f):
-                nxt = self.right_mul_simple(cur, i)
-                if self.length(nxt) < self.length(cur):
-                    cur = nxt
-                    changed = True
-                    break
-        return cur, self.is_left_w0_maximal(w)
-
     def right_minimal(self, w: AffineWeylElement, f) -> AffineWeylElement:
-        return self.coset_reps(w, f)[0]
+        """Minimal representative of w W_f: peel the least-index right
+        descent in f until none is left."""
+        while True:
+            lw = self.length(w)
+            for i in sorted(f):
+                nxt = self.right_mul_simple(w, i)
+                if self.length(nxt) < lw:
+                    w = nxt
+                    break
+            else:
+                return w
 
     def is_right_minimal(self, w: AffineWeylElement, f) -> bool:
         lw = self.length(w)
@@ -365,7 +365,10 @@ class AffineWeyl:
         return self.is_left_w0_maximal(w)
 
     def enumerate_elements(self, length_bound: int):
-        """All w with l(w) <= bound, BFS by length from Omega."""
+        """All w with l(w) <= bound, BFS by length from Omega.
+
+        Raises AffineWeylError once more than _ELEMENT_CAP elements are held.
+        """
         seen = set()
         out = []
         frontier = list(self.omega_elements())
@@ -382,6 +385,10 @@ class AffineWeyl:
                         seen.add(y)
                         new.append(y)
                         out.append(y)
+                        if len(out) > _ELEMENT_CAP:
+                            raise AffineWeylError(
+                                f"more than {_ELEMENT_CAP} elements of length "
+                                f"<= {length_bound}")
             frontier = new
             depth += 1
         return out

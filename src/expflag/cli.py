@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 import click
 
@@ -18,35 +17,33 @@ from .affine_weyl import AffineWeyl, AffineWeylError, ExpLabel
 from .coefficients import FIELD_SIZES, QPoly
 from .hecke import HeckeElement, hecke_mul, t_basis
 from .spherical import spherical_mul, unit_indicator
-from .exp_module import ExpModule, NonDominantIndex, fiber_class
+from .exp_module import ExpModule, NonDominantIndex, apply_word, basis_vector
 from . import fq_oracle
 
 
-@dataclass
-class RunConfig:
-    group: str
-    facet: str = "f0"
-    bound: int = 2
-    q_list: tuple = (2, 3, 5)
-    fmt: str = "json"
-    out: str = "-"
-    seed: int = 0
-
-    def validate(self):
-        if self.bound <= 0:
-            raise click.UsageError("bound must be positive")
-        for i, q in enumerate(self.q_list):
-            if q in self.q_list[:i]:
-                raise click.UsageError(f"duplicate field size {q}")
-            if q not in FIELD_SIZES:
-                raise click.UsageError(
-                    f"unsupported field size {q}; supported: "
-                    + ", ".join(map(str, FIELD_SIZES))
-                )
+def _check_bound(bound):
+    if bound <= 0:
+        raise click.UsageError("bound must be positive")
 
 
-def _emit(cfg: RunConfig, doc):
-    if cfg.fmt == "tsv":
+def _q_list(text, bound):
+    """The field sizes of --q. The text is parsed before --bound is checked
+    and the sizes after it, so each bad input keeps its message."""
+    q_list = _coords(text)
+    _check_bound(bound)
+    for i, q in enumerate(q_list):
+        if q in q_list[:i]:
+            raise click.UsageError(f"duplicate field size {q}")
+        if q not in FIELD_SIZES:
+            raise click.UsageError(
+                f"unsupported field size {q}; supported: "
+                + ", ".join(map(str, FIELD_SIZES))
+            )
+    return q_list
+
+
+def _emit(fmt, out, doc):
+    if fmt == "tsv":
         lines = []
         if isinstance(doc, dict):
             rows = doc.get("rows", [doc])
@@ -60,10 +57,10 @@ def _emit(cfg: RunConfig, doc):
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if cfg.out == "-":
+    if out == "-":
         click.echo(text, nl=False)
     else:
-        with open(cfg.out, "w") as fh:
+        with open(out, "w") as fh:
             fh.write(text)
 
 
@@ -155,12 +152,15 @@ def main():
               type=click.Choice(["lengths", "0W"]), show_default=True)
 def weyl(group, fmt, out, seed, facet, bound, what):
     """Lengths, reduced words, and 0W membership tables."""
-    cfg = RunConfig(group, facet, bound, fmt=fmt, out=out, seed=seed)
-    cfg.validate()
+    _check_bound(bound)
     W = _weyl_context(group, "weyl")
     f = W.facet_f0() if facet == "f0" else W.facet_a0()
+    try:
+        elements = W.enumerate_elements(bound)
+    except AffineWeylError as e:
+        raise click.UsageError(str(e))
     rows = []
-    for w in W.enumerate_elements(bound):
+    for w in elements:
         in_0w = W.is_right_minimal(w, f) and W.zero_W_membership(w, f)
         if what == "0W" and not in_0w:
             continue
@@ -174,7 +174,7 @@ def weyl(group, fmt, out, seed, facet, bound, what):
                 "strictly_dominant_translation": W.strictly_dominant_translation(w),
             }
         )
-    _emit(cfg, {"group": group, "facet": facet, "bound": bound, "rows": rows})
+    _emit(fmt, out, {"group": group, "facet": facet, "bound": bound, "rows": rows})
 
 
 @main.command()
@@ -183,12 +183,10 @@ def weyl(group, fmt, out, seed, facet, bound, what):
 @click.option("--right", required=True)
 def hecke(group, fmt, out, seed, left, right):
     """Product of two T-basis elements given by words."""
-    cfg = RunConfig(group, fmt=fmt, out=out, seed=seed)
-    cfg.validate()
     W = _weyl_context(group)
     a = t_basis(W, _word(W, left)[1])
     b = t_basis(W, _word(W, right)[1])
-    _emit(cfg, {"group": group, "product": hecke_mul(a, b).to_json()})
+    _emit(fmt, out, {"group": group, "product": hecke_mul(a, b).to_json()})
 
 
 @main.command()
@@ -197,15 +195,13 @@ def hecke(group, fmt, out, seed, left, right):
 @click.option("--mu", required=True)
 def spherical(group, fmt, out, seed, lam, mu):
     """Product 1_lam * 1_mu in the spherical 1-basis."""
-    cfg = RunConfig(group, fmt=fmt, out=out, seed=seed)
-    cfg.validate()
     W = _weyl_context(group)
     try:
         a = unit_indicator(W, _coords(lam))
         b = unit_indicator(W, _coords(mu))
     except ValueError as e:
         raise click.UsageError(str(e))
-    _emit(cfg, {"group": group, "product": spherical_mul(a, b).to_json()})
+    _emit(fmt, out, {"group": group, "product": spherical_mul(a, b).to_json()})
 
 
 @main.command()
@@ -217,8 +213,7 @@ def spherical(group, fmt, out, seed, lam, mu):
 @click.option("--bound", default=2, show_default=True, type=int)
 def expmod(group, fmt, out, seed, lam, mu, rank_one, bound):
     """Spherical action on the exponential module; rank-one certificates."""
-    cfg = RunConfig(group, bound=bound, fmt=fmt, out=out, seed=seed)
-    cfg.validate()
+    _check_bound(bound)
     try:
         M = ExpModule(build_root_datum(group))
     except Exception as e:
@@ -238,7 +233,7 @@ def expmod(group, fmt, out, seed, lam, mu, rank_one, bound):
             _violation([{"check": "rank_one", "error": str(e)}])
     if len(doc) == 1:
         raise click.UsageError("nothing to do: pass --lam/--mu or --rank-one")
-    _emit(cfg, doc)
+    _emit(fmt, out, doc)
 
 
 @main.command()
@@ -251,8 +246,6 @@ def expmod(group, fmt, out, seed, lam, mu, rank_one, bound):
               help="all: every target with a nonzero class; with-zero: the zero classes too")
 def fiber(group, fmt, out, seed, source, word, targets):
     """Fiber classes of a one-step (or word) convolution over orbit points."""
-    cfg = RunConfig(group, fmt=fmt, out=out, seed=seed)
-    cfg.validate()
     W = _weyl_context(group, "fiber")
     src_text = {"z": "zero:0", "e": "coset:"}.get(source, source)
     if ":" not in src_text:
@@ -263,9 +256,15 @@ def fiber(group, fmt, out, seed, source, word, targets):
     src = ExpLabel(tag, _word(W, word_text)[1])
     conv, _ = _word(W, word)
     length_cap = W.length(src.elt) + len(conv) + 1
+    try:
+        labels = W.enumerate_exp_labels(W.facet_a0(), length_cap)
+    except AffineWeylError as e:
+        raise click.UsageError(str(e))
+    # the word letter by letter: it need not be reduced
+    vec = apply_word(basis_vector(W, src), W.identity, conv)
     rows = []
-    for lab in W.enumerate_exp_labels(W.facet_a0(), length_cap):
-        cls = fiber_class(src, conv, lab, W)
+    for lab in labels:
+        cls = vec.coefficient(lab)
         if cls.is_zero() and targets == "all":
             continue
         rows.append(
@@ -275,7 +274,7 @@ def fiber(group, fmt, out, seed, source, word, targets):
                 "display": str(cls),
             }
         )
-    _emit(cfg, {"group": group, "source": W.label_to_json(src),
+    _emit(fmt, out, {"group": group, "source": W.label_to_json(src),
                 "word": conv, "rows": rows})
 
 
@@ -291,13 +290,11 @@ def fiber(group, fmt, out, seed, source, word, targets):
 @click.option("--mu", default="1")
 def oracle(group, fmt, out, seed, q_text, bound, mode, lam, mu):
     """Finite-field enumerations over the affine Grassmannian."""
-    cfg = RunConfig(group, bound=bound, q_list=_coords(q_text),
-                    fmt=fmt, out=out, seed=seed)
-    cfg.validate()
+    q_list = _q_list(q_text, bound)
     if group not in fq_oracle.PRESETS:
         raise click.UsageError("oracle presets: " + ", ".join(fq_oracle.PRESETS))
     doc = {"group": group}
-    q = cfg.q_list[0]
+    q = q_list[0]
     try:
         if mode in ("window", "orbits"):
             # --bound only sets the window: the coweight of diag(t^bound, 1)
@@ -332,10 +329,10 @@ def oracle(group, fmt, out, seed, q_text, bound, mode, lam, mu):
             )
         else:
             consts = fq_oracle.interpolate_structure_constants(
-                group, _coords(lam), _coords(mu), list(cfg.q_list)
+                group, _coords(lam), _coords(mu), list(q_list)
             )
             doc.update(
-                q_list=list(cfg.q_list),
+                q_list=list(q_list),
                 constants=[
                     {"nu": list(n), "qpoly": p.to_json(), "display": str(p)}
                     for n, p in sorted(consts.items())
@@ -345,7 +342,7 @@ def oracle(group, fmt, out, seed, q_text, bound, mode, lam, mu):
         raise click.UsageError(str(e))
     except fq_oracle.OracleError as e:
         _violation([{"check": f"oracle:{mode}", "error": str(e)}])
-    _emit(cfg, doc)
+    _emit(fmt, out, doc)
 
 
 @main.command()
@@ -359,9 +356,7 @@ def verify(group, fmt, out, seed, bound, q_text):
     window's top coweight and compares each of its rows lam with the
     generic m_lam * 1_mu specialised at q.
     """
-    cfg = RunConfig(group, bound=bound, q_list=_coords(q_text),
-                    fmt=fmt, out=out, seed=seed)
-    cfg.validate()
+    q_list = _q_list(q_text, bound)
     rng = random.Random(seed)
     W = _weyl_context(group, "verify")
     rd = W.rd
@@ -427,7 +422,7 @@ def verify(group, fmt, out, seed, bound, q_text):
             # one matrix on its top holds the row of every lam in it
             top = window[-1]
             n = 0
-            for q in cfg.q_list:
+            for q in q_list:
                 for mu in window:
                     raw = fq_oracle.whittaker_action(group, top, mu, q)
                     rows = {}
@@ -454,7 +449,7 @@ def verify(group, fmt, out, seed, bound, q_text):
 
     if violations:
         _violation(violations)
-    _emit(cfg, {"group": group, "passed": passed})
+    _emit(fmt, out, {"group": group, "passed": passed})
 
 
 if __name__ == "__main__":

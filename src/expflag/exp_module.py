@@ -22,7 +22,7 @@ from .affine_weyl import AffineWeyl, AffineWeylElement, ExpLabel
 from .coefficients import QPoly, QVector, Q_ONE, Q_ZERO
 from .root_datum import RootDatum
 from .spherical import NormalizationFailure
-from .strata import CellShape, dominance_leq, double_coset_elements
+from .strata import CellShape, dominance_leq, iwahori_orbits_in_spherical
 
 
 class ExpModuleError(ValueError):
@@ -181,17 +181,25 @@ def omega_action(v: BigExpVector, tau: AffineWeylElement) -> BigExpVector:
     return BigExpVector(W, out)
 
 
-def phi_element(v: BigExpVector, y: AffineWeylElement) -> BigExpVector:
-    """phi(T_y): f -> (x -> sum_{g in IyI/I} f(xg)), via the reversed word."""
+def apply_word(v: BigExpVector, tau: AffineWeylElement, word) -> BigExpVector:
+    """phi(T_tau T_s1 ... T_sr) v for word = (s1, ..., sr), tau of length zero.
+
+    phi reverses products, so the letters act from the last to the first,
+    each by ts_action, and tau acts last: phi(T_tau) f(x) = f(x tau), i.e.
+    b_w -> b_{w tau^-1}. The word need not be reduced.
+    """
     W = v.ctx
-    tau, word = W.reduced_word(y)
-    out = v
     for i in reversed(word):
-        out = ts_action(out, i)
+        v = ts_action(v, i)
     if tau != W.identity:
-        # phi(T_tau) f(x) = f(x tau), i.e. b_w -> b_{w tau^{-1}}
-        out = omega_action(out, W.inverse(tau))
-    return out
+        v = omega_action(v, W.inverse(tau))
+    return v
+
+
+def phi_element(v: BigExpVector, y: AffineWeylElement) -> BigExpVector:
+    """phi(T_y): f -> (x -> sum_{g in IyI/I} f(xg)), via the reduced word."""
+    tau, word = v.ctx.reduced_word(y)
+    return apply_word(v, tau, word)
 
 
 def fiber_class(v0: ExpLabel, word_spec, target: ExpLabel, W: AffineWeyl) -> QPoly:
@@ -204,15 +212,10 @@ def fiber_class(v0: ExpLabel, word_spec, target: ExpLabel, W: AffineWeyl) -> QPo
     if isinstance(word_spec, (list, tuple)) and (
         not word_spec or isinstance(word_spec[0], int)
     ):
-        tau, word = W.identity, list(word_spec)
+        tau, word = W.identity, word_spec
     else:
         tau, word = word_spec
-    vec = basis_vector(W, v0)
-    for i in reversed(word):
-        vec = ts_action(vec, i)
-    if tau != W.identity:
-        vec = omega_action(vec, W.inverse(tau))
-    return vec.coefficient(target)
+    return apply_word(basis_vector(W, v0), tau, word).coefficient(target)
 
 
 class ExpModVector(QVector):
@@ -291,17 +294,17 @@ class ExpModule:
 
     def lift_closed(self, mu) -> BigExpVector:
         """Pullback of the closed-orbit indicator to the full flag variety."""
-        base = self.closed_label(mu).elt
-        out = {}
-        for v in self.adj.weyl_elements():
-            w = self.W.mul(base, self.W.from_finite(v))
-            out[ExpLabel("coset", w)] = Q_ONE
-        return BigExpVector(self.W, out)
+        lam = self.closed_label(mu).elt.lam
+        return BigExpVector(self.W, {
+            ExpLabel("coset", AffineWeylElement(lam, v)): Q_ONE
+            for v in self.adj.weyl_elements()
+        })
 
     # ---- the spherical action
 
     def _apply_double_coset(self, vec: BigExpVector, mu_adj) -> BigExpVector:
-        """Sum of phi(T_y) vec over the right-W0-minimal y of W0 t_mu W0.
+        """Sum of phi(T_y) vec over the right-W0-minimal y of W0 t_mu W0,
+        which iwahori_orbits_in_spherical lists.
 
         vec must be right-W0-invariant: phi(T_s) vec = q vec for each finite
         simple s. Each y of the double coset is y' x with x in W0, y'
@@ -309,12 +312,9 @@ class ExpModule:
         q^l(x) phi(T_y') vec, and the sum over the whole double coset is
         P_W0(q) times this one.
         """
-        W = self.W
-        f0 = W.facet_f0()
-        out = BigExpVector(W, {})
-        for y in double_coset_elements(W, mu_adj):
-            if W.is_right_minimal(y, f0):
-                out = out + phi_element(vec, y)
+        out = BigExpVector(self.W, {})
+        for y in iwahori_orbits_in_spherical(self.W, mu_adj):
+            out = out + phi_element(vec, y)
         return out
 
     def _raw_action(self, lam, mu) -> BigExpVector:

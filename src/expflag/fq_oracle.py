@@ -496,7 +496,7 @@ def window_size(preset, bound, q):
     return total
 
 
-def enumerate_gr_window(preset, bound, q, depth=None):
+def enumerate_gr_window(preset, bound, q):
     """All F_q-points of Gr with elementary type <= bound (dominance order)."""
     bound = _dominant(_rd(preset), preset, bound, "bound")
     estimate = window_size(preset, bound, q)
@@ -671,7 +671,7 @@ def orbit_partition(points, group_spec, q, depth=None):
     return assignment, orbits
 
 
-def orbit_closure(preset, q, seeds, group_spec, bound, depth=None):
+def orbit_closure(preset, q, seeds, group_spec, bound):
     """Union of the full twisted orbits of the seeds, by free closure.
 
     Unlike orbit_partition this does not need an ambient enumeration: the
@@ -680,9 +680,8 @@ def orbit_closure(preset, q, seeds, group_spec, bound, depth=None):
     levels and the t-adic depth; it is not enforced pointwise.
     """
     bound = tuple(bound)
-    cut = depth if depth is not None else depth_for(preset, bound)
     gens = _window_generators(preset, group_spec, q, bound)
-    labels, _partial, _consistent = _orbit_bfs(seeds, gens, cut, gf(q).p)
+    labels, _partial, _consistent = _orbit_bfs(seeds, gens, depth_for(preset, bound), gf(q).p)
     return sorted(labels, key=lambda p: (p.a, p.c, p.b))
 
 
@@ -897,7 +896,7 @@ def character_labeling(orbit_points, preset, q, group_spec, level_hi, seed, cut)
     return labels, consistent
 
 
-def baby_basis(preset, bound, q, points, depth=None):
+def baby_basis(preset, bound, q, points):
     """Psi-equivariant basis functions of the twisted-Iwahori model.
 
     One function per dominant lam <= bound: supported on the twisted orbit
@@ -905,9 +904,7 @@ def baby_basis(preset, bound, q, points, depth=None):
     character exponent e. Non-dominant labels admit no such function.
     """
     rd = _rd(preset)
-    window_bound = _window_bound(points)
-    cut = depth if depth is not None else depth_for(preset, window_bound)
-    assignment, orbits = orbit_partition(points, "U_twisted", q, cut)
+    assignment, orbits = orbit_partition(points, "U_twisted", q)
     F = gf(q)
     basis = {}
     for lam in dominant_window(rd, tuple(bound)):
@@ -926,7 +923,7 @@ def baby_basis(preset, bound, q, points, depth=None):
     return basis
 
 
-def baby_averaging(f: FqFunction, points, depth=None):
+def baby_averaging(f: FqFunction, points):
     """Average a Whittaker function to the baby (twisted-Iwahori) model.
 
     av(f)(g) = |U|^-1 sum over u of Psi^-1(u) f(ug), realized per orbit:
@@ -937,9 +934,7 @@ def baby_averaging(f: FqFunction, points, depth=None):
     """
     preset, q = f.preset, f.q
     F = gf(q)
-    window_bound = _window_bound(points)
-    cut = depth if depth is not None else depth_for(preset, window_bound)
-    assignment, orbits = orbit_partition(points, "U_twisted", q, cut)
+    _assignment, orbits = orbit_partition(points, "U_twisted", q)
     out = {}
     for orbit in orbits:
         pts = orbit["points"]
@@ -968,7 +963,7 @@ def baby_averaging(f: FqFunction, points, depth=None):
     return FqFunction(preset, q, f.window, out)
 
 
-def gm_averaging(f: FqFunction, points, depth=None):
+def gm_averaging(f: FqFunction, points):
     """Gm-average a baby-model function and take its exponential class.
 
     gamma(f)(x) = sum over c in F_q^* of f(D(c) x). The result is
@@ -978,8 +973,7 @@ def gm_averaging(f: FqFunction, points, depth=None):
     """
     preset, q = f.preset, f.q
     F = gf(q)
-    window_bound = _window_bound(points)
-    cut = depth if depth is not None else depth_for(preset, window_bound)
+    cut = depth_for(preset, _window_bound(points))
     vals = {}
     for x in points:
         acc = CycNum.integer(0, F.p, q)
@@ -990,19 +984,16 @@ def gm_averaging(f: FqFunction, points, depth=None):
         if not acc.is_zero():
             vals[x] = acc
     g = FqFunction(preset, q, f.window, vals)
-    return g, exponential_class(g, points, cut)
+    return g, exponential_class(g, points)
 
 
-def exponential_class(f: FqFunction, points, depth=None):
+def exponential_class(f: FqFunction, points):
     """Class of an exponential-invariant function in the quotient model.
 
     Checks constancy on the twisted exponential orbits and returns
     {lam: closed coefficient - open coefficient} over split orbits.
     """
-    preset, q = f.preset, f.q
-    window_bound = _window_bound(points)
-    cut = depth if depth is not None else depth_for(preset, window_bound)
-    _assignment, orbits = orbit_partition(points, "U_exp_twisted", q, cut)
+    _assignment, orbits = orbit_partition(points, "U_exp_twisted", f.q)
     coeff = {}
     for orbit in orbits:
         vals = {f.values.get(p, 0) for p in orbit["points"]}
@@ -1022,16 +1013,15 @@ def exponential_class(f: FqFunction, points, depth=None):
     return {k: v for k, v in coeff.items() if not _is_cyc_zero(v)}
 
 
-def exp_action_matrix(preset, bound, mu, q, points, depth=None):
+def exp_action_matrix(preset, bound, mu, q, points):
     """Action of 1_mu on closed-orbit indicator classes, by point counting.
 
     Returns {(lam, nu): int}: the coefficient of the class at nu in
     (closed-orbit indicator of lam) * 1_mu.
     """
     rd = _rd(preset)
-    window_bound = _window_bound(points)
-    cut = depth if depth is not None else depth_for(preset, window_bound)
-    _assignment, orbits = orbit_partition(points, "U_exp_twisted", q, cut)
+    cut = depth_for(preset, _window_bound(points))
+    _assignment, orbits = orbit_partition(points, "U_exp_twisted", q)
     closed = {tuple(o["label"]): o for o in orbits if o["tag"] == "closed"}
     out = {}
     for lam in dominant_window(rd, tuple(bound)):
@@ -1044,7 +1034,7 @@ def exp_action_matrix(preset, bound, mu, q, points, depth=None):
                 raise OracleError(f"window too small for the closed orbit of {nu}")
         f = FqFunction(preset, q, window, {p: 1 for p in closed[lam]["points"]})
         h = hecke_operator(f, mu, points, cut)
-        for nu, v in exponential_class(h, points, cut).items():
+        for nu, v in exponential_class(h, points).items():
             out[(lam, nu)] = v
     return out
 
@@ -1053,7 +1043,7 @@ def exp_action_matrix(preset, bound, mu, q, points, depth=None):
 # interpolation back to Z[q]
 
 
-def interpolate_structure_constants(preset, lam, mu, q_list, bound=None, degree_bound=None):
+def interpolate_structure_constants(preset, lam, mu, q_list, degree_bound=None):
     """Fit the oracle counts of the spherical action to polynomials in q.
 
     For each q the Whittaker-model action coefficients of (W_lam * 1_mu)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .affine_weyl import AffineWeyl, ExpLabel
+from .affine_weyl import AffineWeyl, AffineWeylElement, ExpLabel
 from .coefficients import QPoly
 
 
@@ -97,37 +97,27 @@ def finite_closure_strata(W: AffineWeyl):
 
 
 def iwahori_orbits_in_spherical(W: AffineWeyl, mu):
-    """Right-W0-minimal representatives of the Iwahori orbits inside Gr^mu."""
-    rd = W.rd
-    if not rd.is_dominant(mu):
+    """Right-W0-minimal representatives of the Iwahori orbits inside Gr^mu.
+
+    These are the right-W0-minimal elements of double_coset_elements(W, mu),
+    one for each coset t_kappa W0, in the same order.
+    """
+    if not W.rd.is_dominant(mu):
         raise StrataError("mu must be dominant")
     f0 = W.facet_f0()
-    reps = set()
-    out = []
-    for v in rd.weyl_elements():
-        kappa = v.apply_coweight(mu)
-        for u in rd.weyl_elements():
-            w = W.mul(W.translation(kappa), W.from_finite(u))
-            m = W.right_minimal(w, f0)
-            if m not in reps:
-                reps.add(m)
-                out.append(m)
-    out.sort(key=W.sort_key)
-    return out
+    return [y for y in double_coset_elements(W, mu) if W.is_right_minimal(y, f0)]
 
 
 def double_coset_elements(W: AffineWeyl, mu):
-    """All elements of W0 t_mu W0, each exactly once."""
-    rd = W.rd
-    seen = set()
-    out = []
-    for v in rd.weyl_elements():
-        kappa = v.apply_coweight(mu)
-        for u in rd.weyl_elements():
-            w = W.mul(W.translation(kappa), W.from_finite(u))
-            if w not in seen:
-                seen.add(w)
-                out.append(w)
+    """All elements of W0 t_mu W0, each exactly once, sorted by W.sort_key.
+
+    v t_mu u = t_(v mu) (v u), so the double coset is the set of pairs
+    (kappa, u) with kappa in the W0-orbit of mu and u in W0; distinct pairs
+    are distinct elements.
+    """
+    finite = W.rd.weyl_elements()
+    orbit = {v.apply_coweight(mu) for v in finite}
+    out = [AffineWeylElement(kappa, u) for kappa in orbit for u in finite]
     out.sort(key=W.sort_key)
     return out
 

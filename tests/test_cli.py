@@ -3,6 +3,7 @@
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,10 @@ from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from expflag.affine_weyl import AffineWeyl, ExpLabel
 from expflag.cli import main
+from expflag.exp_module import basis_vector, fiber_class, phi_element
+from expflag.root_datum import build_root_datum
 
 
 @pytest.fixture()
@@ -426,3 +430,58 @@ def test_cli_text_inputs_exit_zero_or_two(args):
     res = CliRunner().invoke(main, args)
     assert res.exit_code in (0, 2), (args, res.output, res.exception)
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["weyl", "--group", "SL2", "--bound", "0"],
+    ["expmod", "--group", "SL2", "--rank-one", "--bound", "0"],
+    ["oracle", "--group", "SL2", "--bound", "0"],
+    ["verify", "--group", "SL2", "--bound", "0"],
+    # the --q text parses, so the bound is checked before the repeat
+    ["verify", "--group", "SL2", "--q", "2,2", "--bound", "0"],
+])
+def test_nonpositive_bound_message(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "bound must be positive" in res.output
+
+
+def test_unparsable_q_is_reported_before_the_bound(runner):
+    res = runner.invoke(main, ["oracle", "--bound", "0", "--q", "x"])
+    assert res.exit_code == 2, res.output
+    assert "bad coordinate list 'x'" in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["weyl", "--group", "SL2", "--bound", "100000000"],
+    # targets up to length 50,002: past the element cap before any letter acts
+    ["fiber", "--group", "SL2", "--source", "e", "--word",
+     ",".join(["0"] * 50001)],
+])
+def test_element_cap_is_config_error(runner, args):
+    start = time.perf_counter()
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "more than 100000 elements" in res.output
+    # a generous guard against running to the end: the cap is reached in
+    # about a second
+    assert time.perf_counter() - start < 60
+
+
+@pytest.mark.parametrize("group", ["SL2", "SL3"])
+def test_fiber_applies_a_word_that_is_not_reduced(runner, group):
+    res = runner.invoke(main, ["fiber", "--group", group, "--source", "e",
+                               "--word", "0,0", "--targets", "with-zero"])
+    assert res.exit_code == 0, res.output
+    rows = json.loads(res.output)["rows"]
+    W = AffineWeyl(build_root_datum(group))
+    src = ExpLabel("coset", W.identity)
+    identity = phi_element(basis_vector(W, src), W.word_to_element([0, 0]))
+    differs = False
+    for row in rows:
+        target = ExpLabel(row["target"]["tag"], W.from_json(row["target"]))
+        cls = fiber_class(src, [0, 0], target, W)
+        assert row["class"] == cls.to_json(), row
+        differs = differs or cls != identity.coefficient(target)
+    # T_s0 T_s0 = (q - 1) T_s0 + q, not T_(s0 s0) = 1
+    assert differs

@@ -1,5 +1,7 @@
 """Orbit shapes, cell classes, and Iwahori decompositions of spherical cells."""
 
+import itertools
+
 import pytest
 
 from expflag.root_datum import build_root_datum
@@ -152,3 +154,27 @@ def test_dominant_coweights_below_rank_one():
     rdp = build_root_datum("PGL2")
     assert dominant_coweights_below(rdp, (4,)) == [(0,), (2,), (4,)]
     assert dominant_coweights_below(rdp, (3,)) == [(1,), (3,)]
+
+
+ALL_PRESETS = ["SL2", "PGL2", "GL2", "SL3", "PGL3", "Sp4", "G2"]
+
+
+@pytest.mark.parametrize("preset", ALL_PRESETS)
+def test_double_coset_enumeration_matches_the_product_definition(preset):
+    # reference: every product t_(v mu) u over v, u in W0, deduplicated
+    W = AffineWeyl(build_root_datum(preset))
+    rd = W.rd
+    f0 = W.facet_f0()
+    box = itertools.product(range(-2, 3), repeat=rd.char_lattice_rank)
+    dominant = [mu for mu in box if rd.is_dominant(mu)]
+    assert dominant
+    for mu in dominant:
+        ref = {
+            W.mul(W.translation(v.apply_coweight(mu)), W.from_finite(u))
+            for v in rd.weyl_elements()
+            for u in rd.weyl_elements()
+        }
+        assert double_coset_elements(W, mu) == sorted(ref, key=W.sort_key), mu
+        minimal = {W.right_minimal(y, f0) for y in ref}
+        assert iwahori_orbits_in_spherical(W, mu) == sorted(
+            minimal, key=W.sort_key), mu
