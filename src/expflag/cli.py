@@ -128,7 +128,6 @@ _common = [
                  default="json", show_default=True),
     click.option("--out", default="-", show_default=True,
                  help="output path, - for stdout"),
-    click.option("--seed", default=0, show_default=True, type=int),
 ]
 
 
@@ -150,7 +149,7 @@ def main():
 @click.option("--bound", default=3, show_default=True, type=int)
 @click.option("--list", "what", default="lengths",
               type=click.Choice(["lengths", "0W"]), show_default=True)
-def weyl(group, fmt, out, seed, facet, bound, what):
+def weyl(group, fmt, out, facet, bound, what):
     """Lengths, reduced words, and 0W membership tables."""
     _check_bound(bound)
     W = _weyl_context(group, "weyl")
@@ -181,7 +180,7 @@ def weyl(group, fmt, out, seed, facet, bound, what):
 @_with_common
 @click.option("--left", required=True, help="reduced word, e.g. 0,1,0")
 @click.option("--right", required=True)
-def hecke(group, fmt, out, seed, left, right):
+def hecke(group, fmt, out, left, right):
     """Product of two T-basis elements given by words."""
     W = _weyl_context(group)
     a = t_basis(W, _word(W, left)[1])
@@ -193,7 +192,7 @@ def hecke(group, fmt, out, seed, left, right):
 @_with_common
 @click.option("--lam", required=True, help="dominant coweight, e.g. 1,0")
 @click.option("--mu", required=True)
-def spherical(group, fmt, out, seed, lam, mu):
+def spherical(group, fmt, out, lam, mu):
     """Product 1_lam * 1_mu in the spherical 1-basis."""
     W = _weyl_context(group)
     try:
@@ -211,7 +210,7 @@ def spherical(group, fmt, out, seed, lam, mu):
 @click.option("--rank-one", "rank_one", is_flag=True,
               help="emit the rank-one certificate over the window")
 @click.option("--bound", default=2, show_default=True, type=int)
-def expmod(group, fmt, out, seed, lam, mu, rank_one, bound):
+def expmod(group, fmt, out, lam, mu, rank_one, bound):
     """Spherical action on the exponential module; rank-one certificates."""
     _check_bound(bound)
     try:
@@ -244,7 +243,7 @@ def expmod(group, fmt, out, seed, lam, mu, rank_one, bound):
 @click.option("--targets", type=click.Choice(["all", "with-zero"]), default="all",
               show_default=True,
               help="all: every target with a nonzero class; with-zero: the zero classes too")
-def fiber(group, fmt, out, seed, source, word, targets):
+def fiber(group, fmt, out, source, word, targets):
     """Fiber classes of a one-step (or word) convolution over orbit points."""
     W = _weyl_context(group, "fiber")
     src_text = {"z": "zero:0", "e": "coset:"}.get(source, source)
@@ -288,11 +287,13 @@ def fiber(group, fmt, out, seed, source, word, targets):
               show_default=True)
 @click.option("--lam", default="0")
 @click.option("--mu", default="1")
-def oracle(group, fmt, out, seed, q_text, bound, mode, lam, mu):
+def oracle(group, fmt, out, q_text, bound, mode, lam, mu):
     """Finite-field enumerations over the affine Grassmannian."""
     q_list = _q_list(q_text, bound)
     if group not in fq_oracle.PRESETS:
         raise click.UsageError("oracle presets: " + ", ".join(fq_oracle.PRESETS))
+    if mode != "interpolate" and len(q_list) > 1:
+        raise click.UsageError(f"--mode {mode} takes one field size in --q")
     doc = {"group": group}
     q = q_list[0]
     try:
@@ -349,7 +350,9 @@ def oracle(group, fmt, out, seed, q_text, bound, mode, lam, mu):
 @_with_common
 @click.option("--bound", default=2, show_default=True, type=int)
 @click.option("--q", "q_text", default="2,3,5", show_default=True)
-def verify(group, fmt, out, seed, bound, q_text):
+@click.option("--seed", default=0, show_default=True, type=int,
+              help="seed of the Hecke suite's random triples")
+def verify(group, fmt, out, bound, q_text, seed):
     """Run the invariant suites on a preset; nonzero exit on violation.
 
     The oracle suite builds one Whittaker matrix per (q, mu) on the

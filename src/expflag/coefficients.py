@@ -2,8 +2,8 @@
 
 Three coefficient domains are implemented here:
 
-* ``QPoly``: sparse polynomials in the generic parameter q with arbitrary
-  precision integer coefficients, optionally Laurent (negative exponents).
+* ``QPoly``: sparse polynomials in Z[q], the generic parameter q, with
+  arbitrary precision integer coefficients and no negative exponents.
   This is the coefficient ring of every generic computation.
 * ``GF``: the finite fields F_q for q = p^k with p <= 7, k <= 2, with a
   fixed irreducible polynomial per (p, k) so that all runs are reproducible.
@@ -40,23 +40,22 @@ class NonIntegral(ValueError):
 
 
 class QPoly:
-    """Element of Z[q] (or Z[q, q^-1] when ``laurent`` is set).
+    """Element of Z[q]; a negative exponent is rejected.
 
     Stored as a map exponent -> nonzero int coefficient.
     """
 
-    __slots__ = ("coeffs", "laurent", "_hash")
+    __slots__ = ("coeffs", "_hash")
 
-    def __init__(self, coeffs=None, laurent=False):
+    def __init__(self, coeffs=None):
         clean = {}
         if coeffs:
             for e, c in coeffs.items():
                 if c:
                     clean[int(e)] = int(c)
-        if not laurent and any(e < 0 for e in clean):
-            raise ValueError("negative exponent in non-Laurent polynomial")
+        if any(e < 0 for e in clean):
+            raise ValueError("negative exponent in a polynomial of Z[q]")
         object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "laurent", bool(laurent))
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
@@ -65,14 +64,8 @@ class QPoly:
     # ---- constructors
 
     @staticmethod
-    def from_int(n, laurent=False):
-        return QPoly({0: n}, laurent)
-
-    @staticmethod
-    def q_power(k, laurent=False):
-        if k < 0 and not laurent:
-            laurent = True
-        return QPoly({k: 1}, laurent)
+    def from_int(n):
+        return QPoly({0: n})
 
     # ---- structure
 
@@ -86,9 +79,6 @@ class QPoly:
     def leading_coeff(self):
         return self.coeffs[max(self.coeffs)] if self.coeffs else 0
 
-    def as_laurent(self):
-        return QPoly(self.coeffs, True)
-
     # ---- ring operations
 
     def __add__(self, other):
@@ -96,12 +86,12 @@ class QPoly:
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0) + c
-        return QPoly(out, self.laurent or other.laurent)
+        return QPoly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPoly({e: -c for e, c in self.coeffs.items()}, self.laurent)
+        return QPoly({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -116,7 +106,7 @@ class QPoly:
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return QPoly(out, self.laurent or other.laurent)
+        return QPoly(out)
 
     __rmul__ = __mul__
 
@@ -125,7 +115,6 @@ class QPoly:
             other = QPoly.from_int(other)
         if not isinstance(other, QPoly):
             return NotImplemented
-        # the laurent flag is a type annotation, not part of the value
         return self.coeffs == other.coeffs
 
     def __hash__(self):
@@ -139,13 +128,8 @@ class QPoly:
         return bool(self.coeffs)
 
     def specialize(self, q):
-        """Evaluate at an integer q; exact (Fraction for Laurent at q not unit)."""
-        if all(e >= 0 for e in self.coeffs):
-            return sum(c * q**e for e, c in self.coeffs.items())
-        val = sum(Fraction(c) * Fraction(q) ** e for e, c in self.coeffs.items())
-        if val.denominator == 1:
-            return int(val)
-        return val
+        """Evaluate at an integer q."""
+        return sum(c * q**e for e, c in self.coeffs.items())
 
     def __repr__(self):
         if not self.coeffs:
@@ -164,14 +148,15 @@ class QPoly:
     # ---- serialization
 
     def to_json(self):
+        # the output format's Laurent flag; a QPoly never sets it
         return {
-            "laurent": self.laurent,
+            "laurent": False,
             "terms": [[e, str(c)] for e, c in sorted(self.coeffs.items())],
         }
 
     @staticmethod
     def from_json(doc):
-        return QPoly({int(e): int(c) for e, c in doc["terms"]}, doc["laurent"])
+        return QPoly({int(e): int(c) for e, c in doc["terms"]})
 
 
 def _coerce(x):
@@ -184,17 +169,12 @@ def _coerce(x):
 
 Q_ZERO = QPoly()
 Q_ONE = QPoly.from_int(1)
-Q = QPoly.q_power(1)
 
 
 def qpoly_exact_div(a: QPoly, b: QPoly) -> QPoly:
-    """Exact division in Z[q, q^-1]; raises DivisionNotExact otherwise."""
+    """Exact division in Z[q]; raises DivisionNotExact otherwise."""
     if b.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    if a.is_zero():
-        return QPoly({}, a.laurent)
-    laurent = a.laurent or b.laurent
-    # strip a common q-power off b so the leading-term loop is monic-like
     rem = dict(a.coeffs)
     quot = {}
     b_deg = b.degree()
@@ -204,17 +184,15 @@ def qpoly_exact_div(a: QPoly, b: QPoly) -> QPoly:
         r_deg = max(rem)
         e = r_deg - b_deg
         c, r = divmod(rem[r_deg], b_lead)
-        if r:
-            raise DivisionNotExact(QPoly(rem, True))
-        if e < 0 and not laurent:
-            raise DivisionNotExact(QPoly(rem, True))
+        if r or e < 0:
+            raise DivisionNotExact(QPoly(rem))
         quot[e] = quot.get(e, 0) + c
         for be, bc in b.coeffs.items():
             ee = be + e
             rem[ee] = rem.get(ee, 0) - bc * c
             if not rem[ee]:
                 del rem[ee]
-    return QPoly(quot, laurent)
+    return QPoly(quot)
 
 
 def qpoly_interpolate(samples, degree_bound: int) -> QPoly:

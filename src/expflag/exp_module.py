@@ -15,7 +15,6 @@ applied from its last letter to its first.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from importlib import resources
 
 from .affine_weyl import AffineWeyl, AffineWeylElement, ExpLabel
@@ -373,23 +372,24 @@ class ExpModule:
         return self._raw_action(source, mu).coefficient(self.closed_label(lam))
 
     def dimension_bound_check(self, lam, mu) -> bool:
-        """Fiber dimension over t^(lam + rho-hat) is < <rho, mu - lam>."""
+        """Fiber dimension over t^(lam + rho-hat) is < <rho, mu - lam>,
+        compared in integers as 2 deg F < <2 rho, mu - lam>."""
         if tuple(lam) == tuple(mu):
             raise ExpModuleError("lam and mu must differ")
         F = self.convolution_fiber(lam, mu)
         if F.is_zero():
             return True
         diff = tuple(m - l for l, m in zip(lam, mu))
-        bound = self.rd.pair_fractional(self.rd.rho, diff)
-        return Fraction(F.degree()) < bound
+        return 2 * F.degree() < self.rd.pair(self.rd.two_rho, diff)
 
     # ---- rank-one freeness
 
     def verify_rank_one(self, window):
-        """Certify that {m_0 . 1_mu} is triangular with unit diagonal.
+        """Certify that {m_0 . 1_mu} is triangular with diagonal exactly 1.
 
         window: list of dominant coweights, closed under dominance.
         Returns a report dict; raises RankOneViolated or WindowTooSmall.
+        With a unit diagonal the back substitution for m_mu stays in Z[q].
         """
         window = [tuple(mu) for mu in window]
         zero = tuple(0 for _ in range(self.rd.char_lattice_rank))
@@ -405,7 +405,6 @@ class ExpModule:
                     )
             columns[mu] = col
         # triangularity and unit-diagonal checks
-        det = Q_ONE
         for mu in window:
             col = columns[mu]
             for nu in col.support:
@@ -414,27 +413,21 @@ class ExpModule:
                         f"entry at {nu} in column {mu} breaks dominance triangularity"
                     )
             diag = col.coefficient(mu)
-            if not _is_unit_times_q_power(diag):
-                raise RankOneViolated(
-                    f"diagonal entry at {mu} is {diag}, not +-q^k"
-                )
-            det = det * diag
-        # solve m_0 . A_mu = m_mu by back substitution, in Laurent polynomials
+            if diag != Q_ONE:
+                raise RankOneViolated(f"diagonal entry at {mu} is {diag}, not 1")
+        # solve m_0 . A_mu = m_mu by back substitution
         basis_certificate = {}
         order = sorted(window, key=lambda mu: self.rd.pair(self.rd.two_rho, mu))
         for mu in window:
-            target = {tuple(mu): Q_ONE.as_laurent()}
+            target = {mu: Q_ONE}
             coeffs = {}
             for kappa in reversed(order):
-                c = target.get(kappa, Q_ZERO)
-                if isinstance(c, QPoly) and c.is_zero():
+                a = target.get(kappa, Q_ZERO)
+                if a.is_zero():
                     continue
-                diag = columns[kappa].coefficient(kappa).as_laurent()
-                a = _laurent_unit_div(c, diag)
                 coeffs[kappa] = a
                 for nu, entry in columns[kappa].support.items():
-                    prev = target.get(nu, Q_ZERO)
-                    target[nu] = prev.as_laurent() - a * entry.as_laurent()
+                    target[nu] = target.get(nu, Q_ZERO) - a * entry
             for nu, rem in target.items():
                 if not rem.is_zero():
                     raise WindowTooSmall(f"solve for {mu} leaves remainder at {nu}")
@@ -444,23 +437,13 @@ class ExpModule:
             "matrix": {
                 str(list(mu)): columns[mu].to_json() for mu in window
             },
-            "determinant": det.to_json(),
+            "determinant": Q_ONE.to_json(),
             "basis_certificate": {
                 str(list(mu)): {
-                    str(list(k)): a.to_json() for k, a in cs.items()
+                    # the pinned certificate format marks its entries Laurent
+                    str(list(k)): {**a.to_json(), "laurent": True}
+                    for k, a in cs.items()
                 }
                 for mu, cs in basis_certificate.items()
             },
         }
-
-
-def _is_unit_times_q_power(p: QPoly) -> bool:
-    terms = list(p.coeffs.values())
-    return len(terms) == 1 and terms[0] in (1, -1)
-
-
-def _laurent_unit_div(c: QPoly, diag: QPoly) -> QPoly:
-    """Divide by +-q^k exactly, in Z[q, q^{-1}]."""
-    (k, u), = diag.coeffs.items()
-    shifted = QPoly({e - k: u * v for e, v in c.as_laurent().coeffs.items()}, laurent=True)
-    return shifted

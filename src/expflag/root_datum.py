@@ -1,9 +1,10 @@
 """Pinned split reductive root data and their finite Weyl groups.
 
 A root datum is given by two lattices X*(T) and X_*(T) of the same rank,
-simple roots in the first, simple coroots in the second, and an integer
-pairing between them. The isogeny type is encoded entirely by the lattices:
-SL2 and PGL2 share a Cartan matrix but differ in where the (co)roots sit.
+simple roots in the first and simple coroots in the second, written in
+dual bases so that they pair by the dot product. The isogeny type is
+encoded entirely by the lattices: SL2 and PGL2 share a Cartan matrix but
+differ in where the (co)roots sit.
 
 The finite Weyl group W0 is built once, at construction, by a BFS over words
 (x s_i for each x in turn, i ascending). Each element is known by its BFS
@@ -80,7 +81,7 @@ class RootDatum:
     closure) and the Cartan-matrix axioms.
     """
 
-    def __init__(self, name, simple_roots, simple_coroots, pairing=None):
+    def __init__(self, name, simple_roots, simple_coroots):
         if not simple_roots:
             raise RootDatumError("torus data rejected: need at least one simple root")
         if len(simple_roots) != len(simple_coroots):
@@ -92,12 +93,6 @@ class RootDatum:
         self.char_lattice_rank = len(self.simple_roots[0])
         if len(self.simple_coroots[0]) != self.char_lattice_rank:
             raise RootDatumError("lattice rank mismatch between roots and coroots")
-        if pairing is None:
-            pairing = [
-                [1 if i == j else 0 for j in range(self.char_lattice_rank)]
-                for i in range(self.char_lattice_rank)
-            ]
-        self.pairing_matrix = [tuple(row) for row in pairing]
 
         self.cartan = [
             [self.pair(a, b) for b in self.simple_coroots] for a in self.simple_roots
@@ -112,7 +107,7 @@ class RootDatum:
 
     def pair(self, chi, lam):
         """<chi, lambda> for chi in X*(T) (or Q-span), lambda in X_*(T)."""
-        return sum(c * sum(map(mul, row, lam)) for c, row in zip(chi, self.pairing_matrix))
+        return sum(map(mul, chi, lam))
 
     def is_dominant(self, lam):
         return all(self.pair(a, lam) >= 0 for a in self.simple_roots)
@@ -275,13 +270,12 @@ class RootDatum:
         raise RootDatumError(f"{root} is not a root")
 
     def _build_rho(self):
-        # rho = half sum of positive roots, in Q tensor X*(T)
+        # 2 rho = sum of positive roots, in X*(T); rho-hat in Q tensor X_*(T)
         n = self.char_lattice_rank
         total = [0] * n
         for r in self.positive_roots:
             total = [a + b for a, b in zip(total, r)]
         self.two_rho = tuple(total)
-        self.rho = tuple(Fraction(a, 2) for a in total)
         totalc = [0] * n
         for r in self.positive_roots:
             c = self.coroot_of[r]
@@ -290,14 +284,8 @@ class RootDatum:
         self.rho_hat = tuple(Fraction(a, 2) for a in totalc)
 
     def pair_fractional(self, chi, lam):
-        """Pairing extended Q-bilinearly (for rho and rho-hat)."""
-        total = Fraction(0)
-        for i, ci in enumerate(chi):
-            if not ci:
-                continue
-            row = self.pairing_matrix[i]
-            total += Fraction(ci) * sum(Fraction(row[j]) * Fraction(lam[j]) for j in range(len(lam)))
-        return total
+        """Pairing extended Q-bilinearly (for rho-hat), as a Fraction."""
+        return Fraction(self.pair(chi, lam))
 
     # ---- components of the Dynkin diagram
 
@@ -372,14 +360,6 @@ class RootDatum:
             list(v),
         )
         return sol
-
-    def to_json(self):
-        return {
-            "name": self.name,
-            "cartan": [list(row) for row in self.cartan],
-            "simple_roots": [list(r) for r in self.simple_roots],
-            "simple_coroots": [list(c) for c in self.simple_coroots],
-        }
 
 
 def _check_cartan(cartan):
@@ -532,27 +512,26 @@ _PRESETS["Sp4"] = lambda: _simply_connected("Sp4", [[2, -1], [-2, 2]])
 _PRESETS["G2"] = lambda: _simply_connected("G2", [[2, -1], [-3, 2]])
 
 
+_SPEC_KEYS = frozenset({"name", "simple_roots", "simple_coroots", "cartan"})
+
+
 def build_root_datum(spec) -> RootDatum:
     """Build from a preset name or a description dict.
 
-    A description has keys name, simple_roots, simple_coroots, and optionally
-    pairing (defaults to the standard dot product) and cartan (validated
-    against the computed one if present).
+    A description has keys name, simple_roots, simple_coroots (in dual
+    bases of X*(T) and X_*(T): roots and coroots pair by the dot product),
+    and optionally cartan (validated against the computed one if present).
+    Any other key is rejected.
     """
     if isinstance(spec, str):
         if spec not in _PRESETS:
             raise RootDatumError(f"unknown preset {spec!r}; have {sorted(_PRESETS)}")
         spec = _PRESETS[spec]()
-    rd = RootDatum(
-        spec["name"],
-        spec["simple_roots"],
-        spec["simple_coroots"],
-        spec.get("pairing"),
-    )
+    unknown = sorted(set(spec) - _SPEC_KEYS)
+    if unknown:
+        raise RootDatumError(
+            f"unknown root datum keys {unknown}; allowed: {sorted(_SPEC_KEYS)}")
+    rd = RootDatum(spec["name"], spec["simple_roots"], spec["simple_coroots"])
     if "cartan" in spec and [list(r) for r in rd.cartan] != [list(r) for r in spec["cartan"]]:
         raise RootDatumError("declared Cartan matrix disagrees with the pairing")
     return rd
-
-
-def positive_roots(rd: RootDatum):
-    return list(rd.positive_roots)

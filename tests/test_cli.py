@@ -485,3 +485,31 @@ def test_fiber_applies_a_word_that_is_not_reduced(runner, group):
         differs = differs or cls != identity.coefficient(target)
     # T_s0 T_s0 = (q - 1) T_s0 + q, not T_(s0 s0) = 1
     assert differs
+
+
+@pytest.mark.parametrize("command", [
+    ["weyl"], ["hecke", "--left", "0", "--right", "1"],
+    ["spherical", "--lam", "1", "--mu", "1"], ["expmod", "--rank-one"],
+    ["fiber", "--source", "z", "--word", "0"], ["oracle"],
+])
+def test_seed_is_a_verify_option_only(runner, command):
+    # only verify draws random elements; elsewhere --seed would be ignored
+    res = runner.invoke(main, command + ["--group", "SL2", "--seed", "5"])
+    assert res.exit_code == 2, res.output
+    assert "No such option" in res.output
+    res = runner.invoke(main, ["verify", "--group", "SL2", "--bound", "1",
+                               "--q", "2", "--seed", "5"])
+    assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("mode", ["window", "orbits", "action"])
+def test_single_field_modes_reject_a_list_of_fields(runner, mode):
+    # these modes compute at one q; a second field must not be dropped
+    # without a word
+    res = runner.invoke(main, ["oracle", "--group", "SL2", "--mode", mode,
+                               "--q", "2,3", "--lam", "0", "--mu", "1"])
+    assert res.exit_code == 2, res.output
+    assert f"--mode {mode} takes one field size" in res.output
+    res = runner.invoke(main, ["oracle", "--group", "SL2", "--mode", mode,
+                               "--q", "3", "--lam", "0", "--mu", "1"])
+    assert res.exit_code == 0, res.output

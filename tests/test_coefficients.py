@@ -75,6 +75,18 @@ def test_json_round_trip():
     assert QPoly.from_json(a.to_json()) == a
 
 
+def test_qpoly_is_z_q_only():
+    # the "laurent" field of the JSON format is constant on output and
+    # ignored on input; no value ever has a negative exponent
+    q = QPoly({1: 1})
+    assert q.to_json() == {"laurent": False, "terms": [[1, "1"]]}
+    assert QPoly.from_json({"laurent": True, "terms": [[1, "1"]]}) == q
+    with pytest.raises(ValueError):
+        QPoly({-1: 1})
+    with pytest.raises(DivisionNotExact):
+        qpoly_exact_div(QPoly({0: 1}), q)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 25, 49])
 def test_gf_field_axioms(q):
     F = gf(q)

@@ -260,9 +260,45 @@ def test_rank_one_determinant(M):
     rd = M.rd
     window = dominant_coweights_below(rd, tuple(2 for _ in range(rd.rank)))
     report = M.verify_rank_one(window)
-    det = QPoly.from_json(report["determinant"])
-    k = det.degree()
-    assert det == QPoly({k: 1}) or det == QPoly({k: -1})
+    assert QPoly.from_json(report["determinant"]) == ONE
+
+
+@pytest.mark.parametrize("name", ["SL2", "PGL2", "SL3", "PGL3", "Sp4", "G2"])
+def test_rank_one_certificate_has_nonnegative_coefficients(name):
+    # m_mu = m_0 . A_mu with A_mu in Z[q], and its coefficients in the
+    # 1-basis are q-analogues of weight multiplicities (Kazhdan-Lusztig
+    # positivity), so every term is a nonnegative power with a positive
+    # coefficient
+    from expflag.cli import _height_window
+
+    rd = build_root_datum(name)
+    report = ExpModule(rd).verify_rank_one(_height_window(rd, 2))
+    for column in report["basis_certificate"].values():
+        for doc in column.values():
+            a = QPoly.from_json(doc)
+            assert not a.is_zero()
+            assert all(e >= 0 and c > 0 for e, c in a.coeffs.items()), a
+
+
+@pytest.mark.parametrize("diag", [QPoly({0: -1}), Q])
+def test_rank_one_rejects_a_diagonal_other_than_one(monkeypatch, diag):
+    # -1 and q are units of Z[q, q^-1], not of Z[q]; the certificate must
+    # refuse them instead of leaving Z[q]
+    M = ExpModule(build_root_datum("SL2"))
+    window = [(0,), (1,), (2,)]
+    honest = M.spherical_action_basis
+
+    def patched(lam, mu):
+        col = honest(lam, mu)
+        if tuple(mu) != (1,):
+            return col
+        support = dict(col.support)
+        support[(1,)] = diag
+        return ExpModVector(M.rd, support)
+
+    monkeypatch.setattr(M, "spherical_action_basis", patched)
+    with pytest.raises(exp_module.RankOneViolated, match="diagonal"):
+        M.verify_rank_one(window)
 
 
 def test_vector_json_shape(M):

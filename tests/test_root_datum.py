@@ -2,7 +2,7 @@
 
 import pytest
 
-from expflag.root_datum import build_root_datum, positive_roots
+from expflag.root_datum import RootDatumError, build_root_datum
 
 PRESETS = ["SL2", "PGL2", "GL2", "SL3", "PGL3", "Sp4", "G2"]
 
@@ -23,7 +23,7 @@ def test_preset_shapes(name):
     rank, order, npos = EXPECTED[name]
     assert rd.rank == rank
     assert len(list(rd.weyl_elements())) == order
-    assert len(positive_roots(rd)) == npos
+    assert len(rd.positive_roots) == npos
 
 
 @pytest.mark.parametrize("name", PRESETS)
@@ -55,9 +55,9 @@ def test_two_rho_pairs_to_two_on_simples(name):
 def test_longest_element_negates_positives(name):
     rd = build_root_datum(name)
     w0 = rd.longest_element()
-    for root in positive_roots(rd):
+    for root in rd.positive_roots:
         img = rd.apply_weight(w0, root)
-        assert tuple(-x for x in img) in positive_roots(rd)
+        assert tuple(-x for x in img) in rd.positive_root_set
 
 
 @pytest.mark.parametrize("name", ["SL2", "PGL2", "SL3", "Sp4"])
@@ -84,17 +84,16 @@ def test_adjoint_embedding_respects_pairings(name):
         )
 
 
-def test_explicit_pairing_matches_the_standard_one():
-    # <x, y> = 2xy with alpha = alpha-check = 1 is SL2 with X*(T) rescaled by 2
-    rd = build_root_datum(
-        {"name": "SL2'", "simple_roots": [(1,)], "simple_coroots": [(1,)], "pairing": [[2]]}
-    )
-    sl2 = build_root_datum("SL2")
-    assert rd.cartan == sl2.cartan
-    for chi, lam in [((1,), (3,)), ((-2,), (5,)), ((0,), (7,))]:
-        assert rd.pair(chi, lam) == sl2.pair((2 * chi[0],), lam) == 2 * chi[0] * lam[0]
-    assert [v.mat for v in rd.weyl_elements()] == [v.mat for v in sl2.weyl_elements()]
-    assert rd.mul_table == sl2.mul_table and rd.left_descents == sl2.left_descents
+def test_spec_with_an_unknown_key_is_rejected():
+    # roots and coroots pair by the dot product; a pairing key is not read,
+    # so it must not be accepted and silently ignored
+    spec = {"name": "SL2'", "simple_roots": [(1,)], "simple_coroots": [(1,)],
+            "pairing": [[2]]}
+    with pytest.raises(RootDatumError, match="pairing"):
+        build_root_datum(spec)
+    sl2 = {"name": "SL2", "simple_roots": [(2,)], "simple_coroots": [(1,)],
+           "cartan": [[2]]}
+    assert build_root_datum(sl2).cartan == [[2]]
 
 
 def test_unknown_preset_rejected():
