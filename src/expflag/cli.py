@@ -363,6 +363,17 @@ def verify(group, fmt, out, bound, q_text, seed):
     rng = random.Random(seed)
     W = _weyl_context(group, "verify")
     rd = W.rd
+    window = _height_window(rd, bound)
+    if group in fq_oracle.PRESETS:
+        # the oracle suite enumerates K mu K / K for every mu of the window:
+        # a window past the oracle's cap is a configuration error, found
+        # before any suite runs
+        try:
+            for q in q_list:
+                for mu in window:
+                    fq_oracle.check_window_size(group, mu, q)
+        except fq_oracle.WindowTooLarge as e:
+            raise click.UsageError(str(e))
     violations = []
     passed = {}
 
@@ -402,7 +413,6 @@ def verify(group, fmt, out, bound, q_text, seed):
     check("hecke_associativity", hecke_suite)
 
     M = ExpModule(rd)
-    window = _height_window(rd, bound)
 
     def commutativity():
         n = 0

@@ -21,8 +21,19 @@ their ``PRESETS`` entry: ``coords`` maps the Hermite diagonal exponents
 lattices are classes modulo global t-scaling; diagonal(coords(a, c))
 normalizes them to c = 0.
 
-Left (``act``) and right (``translate``) translates take one of three
-paths:
+Two read-offs skip the Hermite form where its answer is already known:
+
+* ``act`` returns the point itself when g stabilizes the lattice L, i.e.
+  L^-1 g L lies in GL2(O) (``_fixes``): for x_plus, x_minus and diagonal
+  elements with unit entries this is a test on a, c and val b, used only
+  where the bounded Hermite path below would run.
+* ``whittaker_action`` reads the label and character coefficient of
+  t^nu times a coset representative straight off the two diagonals and b,
+  with no point built, wherever ``_triangular_point`` would apply; the
+  representatives of one diagonal add their trace counts at once.
+
+Otherwise left (``act``) and right (``translate``) translates take one of
+three paths:
 
 * An upper-triangular element with monomial diagonal
   [[d0 t^e0, g01], [0, d1 t^e1]] leaves the Hermite form triangular, so the
@@ -41,10 +52,13 @@ paths:
   the cut, det g = 0, or a diagonal exponent of the closed form reaches
   the cut. It raises the same errors as ever.
 
-``test_closed_form_translates_match_general_hnf`` and the
-``test_bounded_hnf_*`` tests check each fast path against
-``_hnf_point(preset, q, mat, cut)`` with four arguments, the full-precision
-form of the full product: same point, or the same error.
+``test_closed_form_translates_match_general_hnf``, the
+``test_bounded_hnf_*`` and the ``test_stabilizer_shortcut_*`` tests check
+each fast path against ``_hnf_point(preset, q, mat, cut)`` with four
+arguments, the full-precision form of the full product: same point, or the
+same error. ``test_whittaker_counts_match_pointwise_psi_sum`` and
+``test_whittaker_read_off_falls_back_where_the_depth_bites`` check the
+Whittaker read-off against a sum over translates.
 
 One search, ``_orbit_bfs``, finds every orbit, inside a window or free,
 and transports the baby character along it: ``orbit_partition`` stores
@@ -384,8 +398,51 @@ def _point_product(point: GrPoint, g, cut, left):
     return prod, None if dv is None else a + c + dv
 
 
+def _fixes(point: GrPoint, mat, cut):
+    """Whether g L = L is known here: True only if L^-1 g L lies in GL2(O).
+
+    With L = [[t^a, b], [0, t^c]], v = val b and s of valuation n:
+    * x_+(s): L^-1 g L - 1 = [[0, s t^(c-a)], [0, 0]], integral iff
+      n + c - a >= 0;
+    * x_-(s): L^-1 g L - 1 has entries of valuations n + a - c and, for
+      b != 0, v + n - c (twice) and 2v + n - a - c;
+    * diag(u0, u1) with unit entries: L^-1 g L = [[u0, (u0 - u1) b t^-a],
+      [0, u1]], integral iff b = 0 or val(u0 - u1) + v >= a. In
+      characteristic 2 the t>j generators have val(u0 - u1) = 2j, not j.
+    Decides only where the bounded Hermite path of act would run (every
+    exponent of the exact product below cut, and a - v inverse terms), so
+    a False leaves the same point or error to the general paths.
+    """
+    (g00, g01), (g10, g11) = mat
+    if (g01 and g10) or not (g00 and g11):
+        return False
+    a, c, b = point.a, point.c, point.b
+    v = b[0][0] if b else None
+    if v is not None and a - v >= cut:
+        return False
+    off = g01 or g10
+    top = max(max(g00), max(g11), max(off, default=0), 0)
+    if max(a, c, 0) + top >= cut:
+        return False
+    if off:
+        if g00 != {0: 1} or g11 != {0: 1}:
+            return False
+        n = min(off)
+        if g01:
+            return n + c - a >= 0
+        return n + a - c >= 0 and (v is None or (v + n - c >= 0 and 2 * v + n - a - c >= 0))
+    if min(g00) != 0 or min(g11) != 0:
+        return False
+    if v is None:
+        return True
+    diff = min((e for e in g00.keys() | g11.keys() if g00.get(e) != g11.get(e)), default=None)
+    return diff is None or diff + v >= a
+
+
 def act(point: GrPoint, mat, cut):
     """Left translate of a point by a group element."""
+    if _fixes(point, mat, cut):
+        return point
     out = _triangular_point(point, mat, cut, left=True)
     if out is not None:
         return out
@@ -496,12 +553,17 @@ def window_size(preset, bound, q):
     return total
 
 
-def enumerate_gr_window(preset, bound, q):
-    """All F_q-points of Gr with elementary type <= bound (dominance order)."""
-    bound = _dominant(_rd(preset), preset, bound, "bound")
+def check_window_size(preset, bound, q):
+    """Raise WindowTooLarge if the window below bound is past the cap."""
     estimate = window_size(preset, bound, q)
     if estimate > _WINDOW_CAP:
         raise WindowTooLarge(estimate)
+
+
+def enumerate_gr_window(preset, bound, q):
+    """All F_q-points of Gr with elementary type <= bound (dominance order)."""
+    bound = _dominant(_rd(preset), preset, bound, "bound")
+    check_window_size(preset, bound, q)
     F = gf(q)
     points = []
     for a, c, low in _window_shapes(preset, bound):
@@ -513,10 +575,15 @@ def enumerate_gr_window(preset, bound, q):
     return points
 
 
+def _coset_points(preset, mu, q):
+    """The lattices in relative position exactly mu: K mu K / K."""
+    mu = _dominant(_rd(preset), preset, mu, "mu")
+    return [p for p in enumerate_gr_window(preset, mu, q) if p.coweight() == mu]
+
+
 def coset_reps(preset, mu, q, depth=None):
     """Matrices of the lattices in relative position exactly mu: K mu K / K."""
-    mu = _dominant(_rd(preset), preset, mu, "mu")
-    return [p.matrix() for p in enumerate_gr_window(preset, mu, q) if p.coweight() == mu]
+    return [p.matrix() for p in _coset_points(preset, mu, q)]
 
 
 # ---------------------------------------------------------------------------
@@ -818,15 +885,14 @@ def whittaker_space(preset, bound, q, domain_points):
     One function per dominant lam in the window, supported on the
     semi-infinite orbit of t^lam, with value psi(a_-1) at u t^lam.
     """
-    rd = _rd(preset)
-    basis = {}
-    for lam in dominant_window(rd, tuple(bound)):
-        vals = {}
-        for p in domain_points:
-            label, elem = iwasawa_data(p)
-            if label == lam:
-                vals[p] = psi_value(elem, q)
-        basis[lam] = FqFunction(preset, q, tuple(bound), vals)
+    bound = tuple(bound)
+    basis = {lam: FqFunction(preset, q, bound, {})
+             for lam in dominant_window(_rd(preset), bound)}
+    for p in domain_points:
+        label, elem = iwasawa_data(p)
+        f = basis.get(label)
+        if f is not None:
+            f.values[p] = psi_value(elem, q)
     return basis
 
 
@@ -838,29 +904,54 @@ def whittaker_action(preset, bound, mu, q, depth=None):
     W_lam(t^nu g). No window enumeration is needed: values of W_lam at
     arbitrary points come from the Iwasawa decomposition.
 
-    Every coset representative is translated and read off one at a time,
-    and the psi sums are kept as exponent counts: c_k points of trace k
-    give sum_k c_k zeta^k, which one CycNum per entry holds at the end
+    The translate of t^nu = [[t^a0, 0], [0, t^c0]] by a coset
+    representative [[t^a, b], [0, t^c]] is [[t^(a0+a), t^a0 b], [0, t^(c0+c)]],
+    already in Hermite form: its label is coords(a0 + a, c0 + c) and its
+    character coefficient is the coefficient of t^(c0+c-a0-1) in b (the
+    global t-rescaling of a projective preset changes neither). So the
+    representatives of one diagonal (a, c) add, for each nu, their trace
+    counts at that exponent to one entry. Only where a diagonal exponent
+    reaches the cut, so that _triangular_point would not apply, does a
+    representative go through translate, with its errors.
+    The psi sums are kept as exponent counts: c_k points of trace k give
+    sum_k c_k zeta^k, which one CycNum per entry holds at the end
     (zeta^(p-1) reduces to minus the lower powers).
     """
     rd = _rd(preset)
     bound = _dominant(rd, preset, bound, "lam")
     mu = _dominant(rd, preset, mu, "mu")
+    P = PRESETS[preset]
     out_bound = _hecke_window(preset, bound, mu)
     cut = depth if depth is not None else depth_for(preset, out_bound)
-    reps = coset_reps(preset, mu, q, cut)
-    sources = set(dominant_window(rd, bound))
     F = gf(q)
+    # the representatives by diagonal (a, c), each shape with the trace
+    # counts of its nonzero coefficients of t^k, for every exponent k
+    shapes = {}
+    for p in _coset_points(preset, mu, q):
+        pts, traces = shapes.setdefault((p.a, p.c), ([], {}))
+        pts.append(p)
+        for e, co in p.b:
+            traces.setdefault(e, [0] * F.p)[F.trace(co)] += 1
+    sources = set(dominant_window(rd, bound))
     counts = {}
     for nu in dominant_window(rd, out_bound):
-        base = torus_point(preset, q, nu)
-        for g in reps:
-            lab, elem = iwasawa_data(translate(base, g, cut))
+        a0, c0 = P.diagonal(*nu)
+        for (a, c), (pts, traces) in shapes.items():
+            a, c = a0 + a, c0 + c
+            if max(a, c, 0) >= cut:
+                for p in pts:
+                    lab, elem = iwasawa_data(translate(torus_point(preset, q, nu), p.matrix(), cut))
+                    if lab in sources:
+                        counts.setdefault((lab, nu), [0] * F.p)[F.trace(elem)] += 1
+                continue
+            lab = P.coords(a, c)
             if lab in sources:
-                hist = counts.get((lab, nu))
-                if hist is None:
-                    hist = counts[lab, nu] = [0] * F.p
-                hist[F.trace(elem)] += 1
+                # a zero coefficient of t^(c - a0 - 1) has trace 0
+                hist = counts.setdefault((lab, nu), [0] * F.p)
+                hist[0] += len(pts)
+                for tr, n in enumerate(traces.get(c - a0 - 1, ())):
+                    hist[tr] += n
+                    hist[0] -= n
     matrix = {}
     for key, hist in counts.items():
         v = CycNum.make(F.p, q, [c - hist[-1] for c in hist[:-1]])

@@ -513,3 +513,24 @@ def test_single_field_modes_reject_a_list_of_fields(runner, mode):
     res = runner.invoke(main, ["oracle", "--group", "SL2", "--mode", mode,
                                "--q", "3", "--lam", "0", "--mu", "1"])
     assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("args,estimate", [
+    (["--group", "SL2", "--bound", "5", "--q", "9"], 48427561),
+    # only the last field is too large: every field is checked up front
+    (["--group", "PGL2", "--bound", "7", "--q", "2,9"], 5380840),
+])
+def test_oversized_oracle_window_is_config_error(monkeypatch, args, estimate):
+    from expflag.affine_weyl import AffineWeyl
+
+    suites = []
+    monkeypatch.setattr(AffineWeyl, "enumerate_elements",
+                        lambda self, bound: suites.append(bound) or [])
+    start = time.perf_counter()
+    res = CliRunner().invoke(main, ["verify", *args])
+    assert res.exit_code == 2, res.output
+    assert f"window would contain about {estimate} points" in res.output
+    # no suite ran; the check takes well under a second (the suites ran
+    # for about a minute before the oracle suite hit the window)
+    assert not suites
+    assert time.perf_counter() - start < 10

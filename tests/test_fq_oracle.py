@@ -625,11 +625,27 @@ def test_whittaker_row_does_not_depend_on_the_bound(preset, q):
             assert set(row) <= set(inside), (lam, mu)
 
 
-def _pointwise_whittaker_action(preset, bound, mu, q):
-    """whittaker_action with one psi_value CycNum added per coset point."""
+@pytest.fixture()
+def translate_calls(monkeypatch):
+    """The arguments of every call to fq_oracle.translate made through the
+    module (the helpers here call the name imported above)."""
+    calls = []
+    translate_ = fq_oracle.translate
+
+    def counting(*args):
+        calls.append(args)
+        return translate_(*args)
+
+    monkeypatch.setattr(fq_oracle, "translate", counting)
+    return calls
+
+
+def _pointwise_whittaker_action(preset, bound, mu, q, depth=None):
+    """whittaker_action with every coset point translated and one
+    psi_value CycNum added per point."""
     rd = build_root_datum(preset)
     out_bound = fq_oracle._hecke_window(preset, bound, mu)
-    cut = depth_for(preset, out_bound)
+    cut = depth if depth is not None else depth_for(preset, out_bound)
     sources = dominant_window(rd, bound)
     zero = CycNum.integer(0, gf(q).p, q)
     matrix = {}
@@ -656,3 +672,83 @@ def test_whittaker_counts_match_pointwise_psi_sum(preset, bound, mu, q):
     got = whittaker_action(preset, bound, mu, q)
     assert got
     assert got == _pointwise_whittaker_action(preset, bound, mu, q)
+
+
+@pytest.mark.parametrize("preset,bound,mu", [
+    ("SL2", (2,), (1,)),
+    ("PGL2", (1,), (2,)),
+    ("GL2", (2, 0), (1, 0)),
+    ("GL2", (1, 0), (1, -1)),
+])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_whittaker_read_off_falls_back_where_the_depth_bites(preset, bound, mu, q,
+                                                             translate_calls):
+    """At every depth below the default one, whittaker_action equals the
+    pointwise sum over translates at that depth, or raises the same error;
+    representatives whose diagonal exponent reaches the depth go through
+    translate."""
+    default = depth_for(preset, fq_oracle._hecke_window(preset, bound, mu))
+    fallbacks = []
+    for depth in range(1, default):
+        got = _outcome(whittaker_action, preset, bound, mu, q, depth)
+        fallbacks.append(len(translate_calls))
+        translate_calls.clear()
+        assert got == _outcome(_pointwise_whittaker_action, preset, bound, mu, q, depth), depth
+    assert fallbacks[0] and not fallbacks[-1]
+
+
+def test_whittaker_action_builds_no_translate_at_the_default_depth(translate_calls):
+    assert whittaker_action("PGL2", (3,), (3,), 9)
+    assert not translate_calls
+
+
+def _generator_kind(name):
+    """x+, x-, t> (both t>ja and t>jb), gm or torus."""
+    return name if name in ("gm", "torus") else name[:2]
+
+
+@pytest.mark.parametrize("preset,q", [("SL2", 2), ("SL2", 3), ("SL2", 4), ("PGL2", 2),
+                                      ("PGL2", 3), ("GL2", 2), ("GL2", 3)])
+def test_stabilizer_shortcut_matches_full_hnf(preset, q, monkeypatch):
+    """act by every generator of the four twisted groups equals the
+    four-argument _hnf_point of the full product, at the window's cut and
+    at cut 2, on the SL2 chain windows and the PGL2/GL2 bound windows; and
+    the stabilizer shortcut answers for every generator kind."""
+    F = gf(q)
+    if preset == "SL2":
+        pts = _chain_window(q)
+    else:
+        pts = enumerate_gr_window(preset, _BOUND_AND_MU[preset][0], q)
+    bound = fq_oracle._window_bound(pts)
+    gens = {repr(g): (g, _generator_kind(name)) for spec in _SPECS
+            for g, _e, name in fq_oracle._window_generators(preset, spec, q, bound)}
+    kinds = {id(g): kind for g, kind in gens.values()}
+    fired = set()
+    fixes = fq_oracle._fixes
+
+    def spy(point, mat, cut):
+        out = fixes(point, mat, cut)
+        if out:
+            fired.add(kinds[id(mat)])
+        return out
+
+    monkeypatch.setattr(fq_oracle, "_fixes", spy)
+    for cut in (depth_for(preset, bound), 2):
+        for p in pts:
+            for g, _kind in gens.values():
+                want = _outcome(_hnf_point, preset, q, _m_mul(F, g, p.matrix(), cut), cut)
+                assert _outcome(act, p, g, cut) == want, (p, g, cut)
+    assert fired == {kind for _g, kind in gens.values()}
+
+
+def test_stabilizer_shortcut_leaves_a_short_cut_to_the_full_path():
+    """(1 + t) I fixes every lattice, but over F_2 at cut 2 the lattice
+    L = [[1, t^-3], [0, 1]] needs a - v = 3 inverse terms, past the cut:
+    act then equals the full-precision form, truncation term t^-1 and all."""
+    F, cut = gf(2), 2
+    p = GrPoint("SL2", 2, 0, 0, ((-3, 1),))
+    g = (({0: 1, 1: 1}, {}), ({}, {0: 1, 1: 1}))
+    want = _hnf_point("SL2", 2, _m_mul(F, g, p.matrix(), cut), cut)
+    assert want == GrPoint("SL2", 2, 0, 0, ((-3, 1), (-1, 1)))
+    assert act(p, g, cut) == want
+    assert act(p, g, cut + 2) == p
