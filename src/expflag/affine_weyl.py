@@ -30,11 +30,7 @@ from fractions import Fraction
 from operator import add
 from typing import NamedTuple
 
-from .root_datum import (
-    FiniteWeylElement,
-    RootDatum,
-    _solve_integer,
-)
+from .root_datum import FiniteWeylElement, RootDatum
 
 
 class AffineWeylError(ValueError):
@@ -266,9 +262,6 @@ class AffineWeyl:
             raise AffineWeylError(
                 "Omega enumeration needs a semisimple datum (finite pi1)"
             )
-        coroot_rows = [
-            [rd.simple_coroots[j][i] for j in range(rd.rank)] for i in range(n)
-        ]
         reps = []
         box = 3 + max(max(abs(c) for c in ck) for ck in rd.simple_coroots)
         pts = list(itertools.product(range(-box, box + 1), repeat=n))
@@ -278,8 +271,7 @@ class AffineWeyl:
             if any(abs(rd.pair(a, lam)) > 1 for a in rd.positive_roots):
                 continue
             if any(
-                _solve_integer(coroot_rows, [a - b for a, b in zip(lam, r)])
-                is not None
+                rd.coroot_coords(tuple(a - b for a, b in zip(lam, r))) is not None
                 for r in reps
             ):
                 continue

@@ -96,17 +96,19 @@ def _word(W, text):
 def _height_window(rd, bound):
     """Dominant coweights of height at most <2 rho, bound * (1,..,1)>.
 
-    Height-bounded sets are closed under the dominance order and always
-    contain 0, which the rank-one certificate requires.
+    mu is dominant iff its adjoint coordinates v_i = <alpha_i, mu> are all
+    >= 0, and its height is sum_i k_i v_i where 2 rho = sum_i k_i alpha_i;
+    so the window is what ``from_adjoint_coords`` makes of those v >= 0 that
+    stay under the cap. Height-bounded sets are closed under the dominance
+    order and always contain 0, which the rank-one certificate requires.
     """
-    import itertools
-
     cap = rd.pair(rd.two_rho, tuple(bound for _ in range(rd.char_lattice_rank)))
-    out = []
-    for mu in itertools.product(range(-cap, cap + 1), repeat=rd.char_lattice_rank):
-        if rd.is_dominant(mu) and rd.pair(rd.two_rho, mu) <= cap:
-            out.append(tuple(mu))
-    return sorted(out)
+    walk = [((), cap)]
+    for i in range(rd.rank):
+        k = sum(rd.root_coords[r][i] for r in rd.positive_roots)
+        walk = [(v + (x,), room - k * x) for v, room in walk for x in range(room // k + 1)]
+    window = (rd.from_adjoint_coords(v) for v, _ in walk)
+    return sorted(mu for mu in window if mu is not None)
 
 
 def _weyl_context(group, needs_semisimple=None):
@@ -253,6 +255,9 @@ def fiber(group, fmt, out, source, word, targets):
     if tag not in ("coset", "zero"):
         raise click.UsageError(f"bad source tag {tag!r}")
     src = ExpLabel(tag, _word(W, word_text)[1])
+    if tag == "zero" and not W.is_left_w0_maximal(src.elt):
+        raise click.UsageError(
+            f"zero source {json.dumps(W.to_json(src.elt))} is not left-W0-maximal")
     conv, _ = _word(W, word)
     length_cap = W.length(src.elt) + len(conv) + 1
     try:

@@ -12,12 +12,21 @@ position ``index`` and keeps the reduced word BFS reached it by, so words,
 sort keys and output never depend on how an element was computed. Integer
 tables indexed by position hold products, inverses, the action on the list
 of roots and the left descents; multiplication and inversion are lookups.
+
+Coordinates are integers. Each root carries its simple-root coordinates
+from the reflection closure, which give positivity, height and the highest
+roots. Coroot and adjoint coordinates of a coweight read one integer
+adjugate of the Cartan matrix, computed at construction. ``Fraction`` is
+left only where a rational is the honest answer: the finite-type test of
+the Cartan matrix (``_check_cartan``, ``_det``) and rho-hat with
+``pair_fractional``, which the alcove-sign cross-check of the affine length
+evaluates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 
 class RootDatumError(ValueError):
@@ -98,6 +107,9 @@ class RootDatum:
             [self.pair(a, b) for b in self.simple_coroots] for a in self.simple_roots
         ]
         _check_cartan(self.cartan)
+        # cartan^-1 = adj / det, over Z
+        self._cartan_det = int(_det(self.cartan))
+        self._cartan_adj = _adjugate(self.cartan)
 
         self._build_roots()
         self._build_weyl()
@@ -118,15 +130,16 @@ class RootDatum:
     # ---- derived data
 
     def _build_roots(self):
-        """Reflection closure of the simple roots, with coroots in parallel."""
-        roots = {}
-        frontier = list(zip(self.simple_roots, self.simple_coroots))
-        for r, c in frontier:
-            roots[r] = c
+        """Reflection closure of the simple roots, with coroots and
+        simple-root coordinates (``root_coords``) in parallel."""
+        n = self.rank
+        roots = dict(zip(self.simple_roots, self.simple_coroots))
+        coords = {r: tuple(int(j == i) for j in range(n)) for i, r in enumerate(self.simple_roots)}
+        frontier = list(roots.items())
         while frontier:
             new = []
             for r, c in frontier:
-                for i in range(self.rank):
+                for i in range(n):
                     a, av = self.simple_roots[i], self.simple_coroots[i]
                     k = self.pair(r, av)
                     r2 = _vec_sub(r, _vec_scale(k, a))
@@ -134,6 +147,7 @@ class RootDatum:
                     c2 = _vec_sub(c, _vec_scale(k2, av))
                     if r2 not in roots:
                         roots[r2] = c2
+                        coords[r2] = tuple(x - k * (j == i) for j, x in enumerate(coords[r]))
                         new.append((r2, c2))
                     elif roots[r2] != c2:
                         raise RootDatumError("coroot mismatch under reflection closure")
@@ -142,32 +156,16 @@ class RootDatum:
                 raise RootDatumError("root system not finite (Cartan matrix not of finite type)")
         self.roots = sorted(roots)
         self.coroot_of = dict(roots)
-        self.positive_roots = [r for r in self.roots if self._is_positive(r)]
+        self.root_coords = coords
+        self.positive_roots = [r for r in self.roots if min(coords[r]) >= 0]
         self.positive_root_set = frozenset(self.positive_roots)
         self.simple_root_set = frozenset(self.simple_roots)
         if len(self.positive_roots) != len(self.roots) // 2:
             raise RootDatumError("root system not balanced")
 
-    def _is_positive(self, r):
-        """Positive means a nonnegative combination of simple roots."""
-        coeffs = self.root_in_simple_basis(r)
-        return all(c >= 0 for c in coeffs)
-
-    def root_in_simple_basis(self, r):
-        """Coordinates of a root in the simple-root basis, via the coweight pairing."""
-        # <r, omega_i^vee> recovers the coefficient of alpha_i; use the
-        # fundamental coweights computed against the Cartan matrix instead of
-        # lattice inverses so this also works for non-semisimple lattices.
-        sols = _solve_in_basis(
-            [[self.pair(self.simple_roots[i], self.simple_coroots[j])
-              for i in range(self.rank)] for j in range(self.rank)],
-            [self.pair(r, self.simple_coroots[j]) for j in range(self.rank)],
-        )
-        return sols
-
     def height(self, r):
         """Sum of the coefficients of the root r in the basis of simple roots."""
-        return sum(self.root_in_simple_basis(r))
+        return sum(self.root_coords[r])
 
     def _build_weyl(self):
         """W0 by BFS on words, with its tables.
@@ -287,46 +285,15 @@ class RootDatum:
         """Pairing extended Q-bilinearly (for rho-hat), as a Fraction."""
         return Fraction(self.pair(chi, lam))
 
-    # ---- components of the Dynkin diagram
-
-    def components(self):
-        """Partition of simple indices into connected Dynkin components."""
-        adj = {i: set() for i in range(self.rank)}
-        for i in range(self.rank):
-            for j in range(self.rank):
-                if i != j and self.cartan[i][j] != 0:
-                    adj[i].add(j)
-        seen = set()
-        comps = []
-        for i in range(self.rank):
-            if i in seen:
-                continue
-            stack = [i]
-            comp = set()
-            while stack:
-                k = stack.pop()
-                if k in comp:
-                    continue
-                comp.add(k)
-                stack.extend(adj[k] - comp)
-            seen |= comp
-            comps.append(sorted(comp))
-        return comps
-
     def highest_roots(self):
-        """One highest root per component, found by maximal height."""
-        out = []
-        for comp in self.components():
-            comp_set = set(comp)
-            best = None
-            for r in self.positive_roots:
-                coeffs = self.root_in_simple_basis(r)
-                support = {i for i, c in enumerate(coeffs) if c}
-                if support <= comp_set:
-                    if best is None or sum(coeffs) > sum(self.root_in_simple_basis(best)):
-                        best = r
-            out.append(best)
-        return out
+        """One highest root per component: the positive roots theta with no
+        root theta + alpha_i, ordered by the first simple root in their
+        support."""
+        tops = [
+            t for t in self.positive_roots
+            if not any(tuple(map(add, t, a)) in self.root_coords for a in self.simple_roots)
+        ]
+        return sorted(tops, key=lambda t: next(i for i, c in enumerate(self.root_coords[t]) if c))
 
     def adjoint(self):
         """The adjoint datum of the same Cartan matrix.
@@ -351,15 +318,37 @@ class RootDatum:
         return tuple(self.pair(a, lam) for a in self.simple_roots)
 
     def from_adjoint_coords(self, v):
-        """Partial inverse of to_adjoint_coords; None if v is not in the image."""
-        sol = _solve_integer(
-            [[self.pair(self.simple_roots[i],
-                        tuple(1 if k == j else 0 for k in range(self.char_lattice_rank)))
-              for j in range(self.char_lattice_rank)]
-             for i in range(self.rank)],
-            list(v),
-        )
-        return sol
+        """Partial inverse of to_adjoint_coords; None if v is not in the image.
+
+        On a semisimple datum the simple coroots span, so the preimage is
+        sum_j (cartan^-1 v)_j alpha_j^vee = (coroot sum of adj v) / det.
+        """
+        if self.rank != self.char_lattice_rank:
+            raise RootDatumError(
+                f"from_adjoint_coords needs a semisimple datum; {self.name} is not semisimple")
+        lam = self._coroot_sum(self._adj_apply(v))
+        if any(a % self._cartan_det for a in lam):
+            return None
+        return tuple(a // self._cartan_det for a in lam)
+
+    def coroot_coords(self, lam):
+        """The integers c with lam = sum_j c_j alpha_j^vee, or None.
+
+        <alpha_i, lam> = sum_j cartan[i][j] c_j, so c = adj <alpha, lam> / det;
+        rebuilding lam rejects a coweight with a central part (GL2's (1, 1)).
+        """
+        c = self._adj_apply(self.to_adjoint_coords(lam))
+        if any(a % self._cartan_det for a in c):
+            return None
+        c = tuple(a // self._cartan_det for a in c)
+        return c if self._coroot_sum(c) == tuple(lam) else None
+
+    def _adj_apply(self, v):
+        return [sum(map(mul, row, v)) for row in self._cartan_adj]
+
+    def _coroot_sum(self, c):
+        """sum_j c_j alpha_j^vee."""
+        return tuple(sum(map(mul, c, col)) for col in zip(*self.simple_coroots))
 
 
 def _check_cartan(cartan):
@@ -391,6 +380,16 @@ def _check_cartan(cartan):
             raise RootDatumError("Cartan matrix not of finite type")
 
 
+def _adjugate(m):
+    """adj m, with m adj m = det(m) I: adj[i][j] is the (j, i) cofactor."""
+    n = len(m)
+    return [
+        [(-1) ** (i + j) * int(_det([row[:i] + row[i + 1:] for k, row in enumerate(m) if k != j]))
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
 def _det(m):
     m = [row[:] for row in m]
     n = len(m)
@@ -408,54 +407,6 @@ def _det(m):
             for c in range(col, n):
                 m[r][c] -= f * m[col][c]
     return det
-
-
-def _solve_in_basis(mat, rhs):
-    """Solve mat * x = rhs exactly; mat square invertible over Q."""
-    n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [a / pv for a in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
-def _solve_integer(mat, rhs):
-    """An integer solution x of mat x = rhs, or None. mat is m x n over Z."""
-    m, n = len(mat), len(mat[0])
-    aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(m)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, m) if aug[r][col]), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        pv = aug[row][col]
-        aug[row] = [a / pv for a in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if aug[r][n]:
-            return None
-    x = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][n]
-    if any(v.denominator != 1 for v in x):
-        return None
-    return tuple(int(v) for v in x)
 
 
 _PRESETS = {}

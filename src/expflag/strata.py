@@ -155,17 +155,5 @@ def dominant_coweights_below(rd, bound):
 def dominance_leq(rd, nu, mu) -> bool:
     """nu <= mu: mu - nu in the nonnegative span of simple coroots."""
     diff = tuple(m - n for m, n in zip(mu, nu))
-    coeffs = _coroot_coords(rd, diff)
-    if coeffs is None:
-        return False
-    return all(c >= 0 for c in coeffs)
-
-
-def _coroot_coords(rd, vec):
-    from .root_datum import _solve_integer
-
-    rows = [
-        [rd.simple_coroots[j][i] for j in range(rd.rank)]
-        for i in range(rd.char_lattice_rank)
-    ]
-    return _solve_integer(rows, list(vec))
+    coeffs = rd.coroot_coords(diff)
+    return coeffs is not None and min(coeffs) >= 0

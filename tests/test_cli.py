@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, formats, and the verification suites."""
 
+import itertools
 import json
 import re
 import shlex
@@ -430,6 +431,12 @@ def test_cli_text_inputs_exit_zero_or_two(args):
     res = CliRunner().invoke(main, args)
     assert res.exit_code in (0, 2), (args, res.output, res.exception)
     assert "Traceback" not in res.output
+    if res.exit_code == 0 and args[0] == "fiber":
+        # a zero orbit exists only over a left-W0-maximal element
+        doc = json.loads(res.output)
+        if doc["source"]["tag"] == "zero":
+            W = AffineWeyl(build_root_datum(doc["group"]))
+            assert W.is_left_w0_maximal(W.from_json(doc["source"])), args
 
 
 @pytest.mark.parametrize("args", [
@@ -466,6 +473,52 @@ def test_element_cap_is_config_error(runner, args):
     # a generous guard against running to the end: the cap is reached in
     # about a second
     assert time.perf_counter() - start < 60
+
+
+@pytest.mark.parametrize("group,source,element", [
+    ("SL3", "zero:1", '{"lambda": [0, 0], "v_word": [1]}'),
+    ("SL2", "zero:", '{"lambda": [0], "v_word": []}'),
+    ("SL2", "zero:1", '{"lambda": [-1], "v_word": [0]}'),
+])
+def test_fiber_zero_source_must_be_left_w0_maximal(runner, group, source, element):
+    res = runner.invoke(main, ["fiber", "--group", group, "--source", source,
+                               "--word", "0"])
+    assert res.exit_code == 2, res.output
+    assert f"zero source {element} is not left-W0-maximal" in res.output
+
+
+def _box_height_window(rd, bound):
+    """The height window by a scan of the box [-cap, cap]^n."""
+    cap = rd.pair(rd.two_rho, tuple(bound for _ in range(rd.char_lattice_rank)))
+    return sorted(
+        mu for mu in itertools.product(range(-cap, cap + 1), repeat=rd.char_lattice_rank)
+        if rd.is_dominant(mu) and rd.pair(rd.two_rho, mu) <= cap
+    )
+
+
+_RANK_THREE = {
+    "Sp6": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+    "Spin7": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+    "PGL4": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+}
+
+
+@pytest.mark.parametrize("group,bound", [
+    *((g, b) for g in ["SL2", "PGL2", "SL3", "PGL3", "Sp4", "G2"] for b in (1, 2, 3)),
+    *((g, b) for g in _RANK_THREE for b in (1, 2)),
+])
+def test_height_window_matches_box_scan(group, bound):
+    from expflag.cli import _height_window
+    from expflag.root_datum import _adjoint_preset, _simply_connected
+
+    if group in _RANK_THREE:
+        make = _adjoint_preset if group.startswith("PGL") else _simply_connected
+        rd = build_root_datum(make(group, _RANK_THREE[group]))
+    else:
+        rd = build_root_datum(group)
+    window = _height_window(rd, bound)
+    assert window == _box_height_window(rd, bound)
+    assert window[0] == tuple(0 for _ in range(rd.rank))
 
 
 @pytest.mark.parametrize("group", ["SL2", "SL3"])

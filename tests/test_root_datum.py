@@ -1,5 +1,7 @@
 """Root data: Cartan integers, finite Weyl groups, duality, adjoint maps."""
 
+import itertools
+
 import pytest
 
 from expflag.root_datum import RootDatumError, build_root_datum
@@ -99,3 +101,137 @@ def test_spec_with_an_unknown_key_is_rejected():
 def test_unknown_preset_rejected():
     with pytest.raises(Exception):
         build_root_datum("E9")
+
+
+# ---- integer coordinates on reducible and non-semisimple data
+
+_IRREDUCIBLE = {
+    "A1": [[2]],
+    "A2": [[2, -1], [-1, 2]],
+    "B2": [[2, -1], [-2, 2]],
+    "G2": [[2, -1], [-3, 2]],
+}
+
+
+def _block_cartan(*names):
+    """The block-diagonal Cartan matrix of a product of irreducible types."""
+    blocks = [_IRREDUCIBLE[n] for n in names]
+    size = sum(len(b) for b in blocks)
+    out, at = [[0] * size for _ in range(size)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(b)] = row
+        at += len(b)
+    return out
+
+
+def _reducible(names, adjoint):
+    from expflag.root_datum import _adjoint_preset, _simply_connected
+
+    make = _adjoint_preset if adjoint else _simply_connected
+    return build_root_datum(make("x".join(names) + ("_adj" if adjoint else ""),
+                                 _block_cartan(*names)))
+
+
+_PRODUCTS = [("A1", "A1"), ("A2", "A1"), ("A1", "G2"), ("B2", "A1")]
+_REDUCIBLE = [(names, adjoint) for names in _PRODUCTS for adjoint in (False, True)]
+_REDUCIBLE_IDS = ["x".join(n) + ("-adj" if a else "-sc") for n, a in _REDUCIBLE]
+
+
+def _box(radius, n):
+    return itertools.product(range(-radius, radius + 1), repeat=n)
+
+
+def _lattice_sum(coeffs, basis):
+    return tuple(sum(c * b[k] for c, b in zip(coeffs, basis)) for k in range(len(basis[0])))
+
+
+def _simple_root_coords_by_search(rd):
+    """Each root's simple-root coordinates, found in the box [-3, 3]^rank."""
+    found = {}
+    for c in _box(3, rd.rank):
+        r = _lattice_sum(c, rd.simple_roots)
+        if r in rd.coroot_of:
+            found[r] = c
+    return found
+
+
+def _highest_by_component(rd, coords):
+    """The root of greatest height in each Dynkin component, the components
+    ordered by their least simple index."""
+    comps, seen = [], set()
+    for i in range(rd.rank):
+        if i in seen:
+            continue
+        comp, stack = set(), [i]
+        while stack:
+            j = stack.pop()
+            if j not in comp:
+                comp.add(j)
+                stack.extend(k for k in range(rd.rank) if rd.cartan[j][k] and k != j)
+        seen |= comp
+        comps.append(comp)
+    out = []
+    for comp in comps:
+        inside = [r for r in rd.positive_roots
+                  if all(i in comp for i, c in enumerate(coords[r]) if c)]
+        out.append(max(inside, key=lambda r: sum(coords[r])))
+    return out
+
+
+@pytest.mark.parametrize("names,adjoint", _REDUCIBLE, ids=_REDUCIBLE_IDS)
+def test_root_coordinates_on_reducible_data(names, adjoint):
+    rd = _reducible(names, adjoint)
+    coords = _simple_root_coords_by_search(rd)
+    assert rd.root_coords == coords
+    assert set(rd.positive_roots) == {r for r, c in coords.items() if min(c) >= 0}
+    for r in rd.roots:
+        assert rd.height(r) == sum(coords[r])
+    assert rd.highest_roots() == _highest_by_component(rd, coords)
+    assert len(rd.highest_roots()) == len(names)
+
+
+_COORD_DATA = [*(("preset", g) for g in PRESETS if g != "GL2"),
+               *(("reducible", r) for r in _REDUCIBLE)]
+_COORD_IDS = [g for g in PRESETS if g != "GL2"] + _REDUCIBLE_IDS
+
+
+def _datum(kind, spec):
+    return build_root_datum(spec) if kind == "preset" else _reducible(*spec)
+
+
+@pytest.mark.parametrize("kind,spec", _COORD_DATA, ids=_COORD_IDS)
+def test_coroot_coords_match_box_search(kind, spec):
+    rd = _datum(kind, spec)
+    # every coroot combination with coefficients in [-10, 10] that lands in
+    # the box [-2, 2]^n; no coweight of that box has larger coefficients
+    by_search = {}
+    for c in _box(10, rd.rank):
+        lam = _lattice_sum(c, rd.simple_coroots)
+        if max(map(abs, lam)) <= 2:
+            by_search[lam] = c
+    for lam in _box(2, rd.char_lattice_rank):
+        assert rd.coroot_coords(lam) == by_search.get(lam), lam
+
+
+@pytest.mark.parametrize("kind,spec", _COORD_DATA, ids=_COORD_IDS)
+def test_from_adjoint_coords_match_box_search(kind, spec):
+    rd = _datum(kind, spec)
+    # every coweight of [-10, 10]^n whose adjoint coordinates land in
+    # [-2, 2]^rank; no preimage of that box lies outside it
+    by_search = {}
+    for lam in _box(10, rd.char_lattice_rank):
+        v = rd.to_adjoint_coords(lam)
+        if max(map(abs, v)) <= 2:
+            by_search[v] = lam
+    for v in _box(2, rd.rank):
+        assert rd.from_adjoint_coords(v) == by_search.get(v), v
+
+
+def test_coroot_coords_on_a_central_torus():
+    rd = build_root_datum("GL2")
+    assert rd.coroot_coords((1, 1)) is None
+    assert rd.coroot_coords((1, -1)) == (1,)
+    assert rd.coroot_coords((2, 0)) is None
+    with pytest.raises(RootDatumError, match="semisimple"):
+        rd.from_adjoint_coords((1,))
