@@ -17,6 +17,15 @@ W0 tables:
     i.e. iff <alpha_i, lam> >= 1, or <alpha_i, lam> = 0 and i is a left
     descent of v (v^-1(alpha_i) < 0);
   - w is minimal in W0 w iff every w^-1(alpha_i) > 0, the mirror condition.
+Descents are one sign each (l(w s) < l(w) iff w(alpha_s) < 0): for the
+simple affine root alpha_i + n_i,
+  - i is a right descent iff the level n_i + <v(alpha_i), lam> of
+    w(alpha_i + n_i) is < 0, or is 0 with v(alpha_i) < 0;
+  - i is a left descent iff the level n_i - <alpha_i, lam> of
+    w^-1(alpha_i + n_i) is < 0, or is 0 with v^-1(alpha_i) < 0.
+Right multiplication by a simple reflection s_i = t_{lam_i} u_i is
+t_lam v s_i = t_{lam + v lam_i} (v u_i); a table built at construction holds
+the pair (v lam_i, v u_i) for every v in W0 and every i.
 ``sign_on_alcove`` evaluates an affine root exactly at a rational
 barycenter of a0; ``length_brute`` and ``is_left_w0_maximal_by_descents``
 are independent cross-checks of the closed forms.
@@ -27,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from typing import NamedTuple
 
 from .root_datum import FiniteWeylElement, RootDatum
@@ -58,16 +67,23 @@ class AffineWeylElement(NamedTuple):
     v: FiniteWeylElement
 
 
-@dataclass(frozen=True)
-class ExpLabel:
-    """Orbit label: a coset-type orbit or the open piece of a splitting one."""
-
+class _ExpLabelTuple(NamedTuple):
     tag: str
     elt: AffineWeylElement
 
-    def __post_init__(self):
-        if self.tag not in ("coset", "zero"):
-            raise AffineWeylError(f"bad tag {self.tag!r}")
+
+class ExpLabel(_ExpLabelTuple):
+    """Orbit label: a coset-type orbit or the open piece of a splitting one.
+
+    A tuple, so hashing and equality are those of (tag, elt).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, tag, elt):
+        if tag not in ("coset", "zero"):
+            raise AffineWeylError(f"bad tag {tag!r}")
+        return super().__new__(cls, tag, elt)
 
 
 class AffineWeyl:
@@ -82,10 +98,21 @@ class AffineWeyl:
         self._build_barycenter()
         self._omega = None
         self._len_cache = {}
+        self._word_cache = {}
         # indexed like rd.roots: 1 at each negative root, else 0
         self._root_negative = tuple(
             int(r not in rd.positive_root_set) for r in rd.roots
         )
+        # simple affine root i is roots[_simple_k[i]] + _simple_n[i]
+        self._simple_k = [
+            rd.root_index[ar.finite_part] for ar in self.simple_affine_roots
+        ]
+        self._simple_n = [ar.level for ar in self.simple_affine_roots]
+        # _right_table[v][i] = (v lam_i, v u_i) for s_i = t_{lam_i} u_i
+        self._right_table = [
+            [(v.apply_coweight(s.lam), rd.w_mul(v, s.v)) for s in self.simples]
+            for v in rd.weyl_elements()
+        ]
         self._positive = [
             (k, a) for k, a in enumerate(rd.roots) if a in rd.positive_root_set
         ]
@@ -135,7 +162,9 @@ class AffineWeyl:
         return AffineWeylElement(lam, vinv)
 
     def right_mul_simple(self, x: AffineWeylElement, i: int) -> AffineWeylElement:
-        return self.mul(x, self.simples[i])
+        """x s_i, read off the right-multiplication table."""
+        shift, u = self._right_table[x.v.index][i]
+        return AffineWeylElement(tuple(map(add, x.lam, shift)), u)
 
     def word_to_element(self, word, omega=None) -> AffineWeylElement:
         w = omega if omega is not None else self.identity
@@ -143,7 +172,7 @@ class AffineWeyl:
             if not 0 <= i < self.num_simples:
                 raise AffineWeylError(
                     f"no simple reflection s{i}: indices run over 0..{self.num_simples - 1}")
-            w = self.mul(w, self.simples[i])
+            w = self.right_mul_simple(w, i)
         return w
 
     # ---- affine roots
@@ -206,27 +235,45 @@ class AffineWeyl:
         return count
 
     def is_right_descent(self, w: AffineWeylElement, i: int) -> bool:
-        return self.length(self.right_mul_simple(w, i)) < self.length(w)
+        """l(w s_i) < l(w): w(alpha_i + n_i) = v(alpha_i) + n_i +
+        <v(alpha_i), lam> is a negative affine root."""
+        rd = self.rd
+        k = rd.root_perm[w.v.index][self._simple_k[i]]
+        level = self._simple_n[i] + sum(map(mul, rd.roots[k], w.lam))
+        return level < 0 or (level == 0 and self._root_negative[k] == 1)
+
+    def is_left_descent(self, w: AffineWeylElement, i: int) -> bool:
+        """l(s_i w) < l(w): w^-1(alpha_i + n_i) = v^-1(alpha_i) + n_i -
+        <alpha_i, lam> is a negative affine root."""
+        rd = self.rd
+        k = self._simple_k[i]
+        level = self._simple_n[i] - sum(map(mul, rd.roots[k], w.lam))
+        return level < 0 or (
+            level == 0
+            and self._root_negative[rd.root_perm[rd.inv_table[w.v.index]][k]] == 1
+        )
 
     def reduced_word(self, w: AffineWeylElement):
         """Return (omega_part, word) with w = omega_part * product(word).
 
         Deterministic: the least-index right descent is peeled at each step.
+        Memoised per element.
         """
+        if w in self._word_cache:
+            return self._word_cache[w]
         word = []
         cur = w
-        while self.length(cur) > 0:
-            lw = self.length(cur)
+        for _ in range(self.length(w)):
             for i in range(self.num_simples):
-                nxt = self.right_mul_simple(cur, i)
-                if self.length(nxt) < lw:
-                    word.append(i)
-                    cur = nxt
+                if self.is_right_descent(cur, i):
                     break
             else:
                 raise AffineWeylError("positive length but no descent")
+            word.append(i)
+            cur = self.right_mul_simple(cur, i)
         word.reverse()
-        return cur, tuple(word)
+        out = self._word_cache[w] = (cur, tuple(word))
+        return out
 
     def bruhat_leq(self, x: AffineWeylElement, y: AffineWeylElement) -> bool:
         key = (x, y)
@@ -242,9 +289,8 @@ class AffineWeyl:
                 i for i in range(self.num_simples) if self.is_right_descent(y, i)
             )
             y1 = self.right_mul_simple(y, i)
-            x1 = self.right_mul_simple(x, i)
-            if self.length(x1) < lx:
-                res = self.bruhat_leq(x1, y1)
+            if self.is_right_descent(x, i):
+                res = self.bruhat_leq(self.right_mul_simple(x, i), y1)
             else:
                 res = self.bruhat_leq(x, y1)
         self._bruhat_cache[key] = res
@@ -298,21 +344,17 @@ class AffineWeyl:
     def right_minimal(self, w: AffineWeylElement, f) -> AffineWeylElement:
         """Minimal representative of w W_f: peel the least-index right
         descent in f until none is left."""
+        f = sorted(f)
         while True:
-            lw = self.length(w)
-            for i in sorted(f):
-                nxt = self.right_mul_simple(w, i)
-                if self.length(nxt) < lw:
-                    w = nxt
+            for i in f:
+                if self.is_right_descent(w, i):
+                    w = self.right_mul_simple(w, i)
                     break
             else:
                 return w
 
     def is_right_minimal(self, w: AffineWeylElement, f) -> bool:
-        lw = self.length(w)
-        return all(
-            self.length(self.right_mul_simple(w, i)) > lw for i in f
-        )
+        return not any(self.is_right_descent(w, i) for i in f)
 
     def is_left_w0_maximal(self, w: AffineWeylElement) -> bool:
         """w = t_lam v of maximal length in W0 w.
@@ -372,8 +414,10 @@ class AffineWeyl:
             new = []
             for w in frontier:
                 for i in range(self.num_simples):
+                    if self.is_right_descent(w, i):
+                        continue
                     y = self.right_mul_simple(w, i)
-                    if y not in seen and self.length(y) == depth + 1:
+                    if y not in seen:
                         seen.add(y)
                         new.append(y)
                         out.append(y)

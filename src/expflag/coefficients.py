@@ -58,6 +58,15 @@ class QPoly:
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "_hash", None)
 
+    @staticmethod
+    def _of(clean):
+        """A QPoly on a dict that is already valid: nonzero int
+        coefficients at nonnegative int exponents."""
+        out = object.__new__(QPoly)
+        object.__setattr__(out, "coeffs", clean)
+        object.__setattr__(out, "_hash", None)
+        return out
+
     def __setattr__(self, *a):
         raise AttributeError("QPoly is immutable")
 
@@ -85,16 +94,28 @@ class QPoly:
         other = _coerce(other)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return QPoly(out)
+            c += out.get(e, 0)
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+        return QPoly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPoly({e: -c for e, c in self.coeffs.items()})
+        return QPoly._of({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
+        other = _coerce(other)
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            c = out.get(e, 0) - c
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+        return QPoly._of(out)
 
     def __rsub__(self, other):
         return _coerce(other) - self
@@ -106,9 +127,13 @@ class QPoly:
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return QPoly(out)
+        return QPoly._of({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
+
+    def shift(self):
+        """q times self: every exponent moves up by one."""
+        return QPoly._of({e + 1: c for e, c in self.coeffs.items()})
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -77,7 +77,7 @@ def case_analysis(W: AffineWeyl, target: ExpLabel, w: ExpLabel, s: int, ws=None)
     tbar = target.elt
     if tbar != wbar and tbar != ws:
         return None, Q_ZERO
-    ascent = W.length(ws) > W.length(wbar)
+    ascent = not W.is_right_descent(wbar, s)
     if w.tag == "zero" and not W.is_left_w0_maximal(wbar):
         raise ExpModuleError("zero tag on non-maximal element")
 
@@ -133,6 +133,13 @@ class BigExpVector(QVector):
     __slots__ = ()
     letter, json_field = "b", "label"
 
+    def _key(self, lab):
+        if lab.tag == "zero" and not self.ctx.is_left_w0_maximal(lab.elt):
+            raise ExpModuleError(
+                f"zero label on {self.ctx.to_json(lab.elt)}, "
+                "which is not left-W0-maximal")
+        return lab
+
     def _sort_key(self, lab):
         return self.ctx.sort_key(lab.elt) + (lab.tag,)
 
@@ -166,7 +173,7 @@ def ts_action(v: BigExpVector, s: int) -> BigExpVector:
                     continue
                 prev = out.get(t, Q_ZERO) + coeff * c
                 out[t] = prev
-    return BigExpVector(W, out)
+    return v._new(out)
 
 
 def omega_action(v: BigExpVector, tau: AffineWeylElement) -> BigExpVector:
@@ -177,7 +184,7 @@ def omega_action(v: BigExpVector, tau: AffineWeylElement) -> BigExpVector:
     out = {}
     for lab, c in v.support.items():
         out[ExpLabel(lab.tag, W.mul(lab.elt, tau))] = c
-    return BigExpVector(W, out)
+    return v._new(out)
 
 
 def apply_word(v: BigExpVector, tau: AffineWeylElement, word) -> BigExpVector:

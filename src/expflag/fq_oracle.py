@@ -203,13 +203,13 @@ def _m_scalar(F, diag0, diag1):
 # points
 
 
-@dataclass(frozen=True)
-class GrPoint:
+class GrPoint(NamedTuple):
     """Lattice in canonical column Hermite form [[t^a, b], [0, t^c]].
 
     b is a Laurent polynomial with exponents < a, stored as a sorted tuple
     of (exponent, coefficient) pairs. For PGL2 the form is normalized by
-    global t-scaling so that c = 0.
+    global t-scaling so that c = 0. A tuple, so hashing and equality are
+    those of (preset, q, a, c, b).
     """
 
     preset: str

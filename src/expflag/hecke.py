@@ -43,9 +43,8 @@ def t_simple_mul(W: AffineWeyl, i: int, x: HeckeElement, side: str) -> HeckeElem
     """Multiply by T_{s_i} on the given side ('left' or 'right')."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
+    right = side == "right"
     s = W.simples[i]
-    q = QPoly({1: 1})
-    qm1 = QPoly({1: 1, 0: -1})
     out = {}
 
     def acc(w, c):
@@ -55,12 +54,17 @@ def t_simple_mul(W: AffineWeyl, i: int, x: HeckeElement, side: str) -> HeckeElem
             out[w] = c
 
     for w, c in x.support.items():
-        ws = W.mul(s, w) if side == "left" else W.mul(w, s)
-        if W.length(ws) > W.length(w):
-            acc(ws, c)
+        if right:
+            ws, down = W.right_mul_simple(w, i), W.is_right_descent(w, i)
         else:
-            acc(w, c * qm1)
-            acc(ws, c * q)
+            ws, down = W.mul(s, w), W.is_left_descent(w, i)
+        if down:
+            qc = c.shift()
+            # (q - 1) c on w, q c on ws
+            acc(w, qc - c)
+            acc(ws, qc)
+        else:
+            acc(ws, c)
     return HeckeElement(W, out)
 
 

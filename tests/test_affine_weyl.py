@@ -5,10 +5,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from expflag.root_datum import build_root_datum
-from expflag.affine_weyl import AffineWeyl, AffineWeylError
+from expflag.root_datum import _adjoint_preset, _simply_connected, build_root_datum
+from expflag.affine_weyl import AffineWeyl, AffineWeylError, ExpLabel
 
 PRESETS = ["SL2", "PGL2", "GL2", "SL3", "PGL3", "Sp4"]
+
+# rank-three data for the table checks, in the presets' transpose convention
+_RANK_THREE = {
+    "Sp6": (_simply_connected, [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]),
+    "Spin7": (_simply_connected, [[2, -1, 0], [-1, 2, -2], [0, -1, 2]]),
+    "PGL4": (_adjoint_preset, [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]),
+}
 
 
 @pytest.fixture(scope="module", params=PRESETS)
@@ -75,13 +82,55 @@ def test_simple_multiplication_changes_length_by_one(W):
             assert abs(W.length(W.mul(w, s)) - W.length(w)) == 1
 
 
-def test_descents_detect_length_drop(W):
+@pytest.fixture(scope="module", params=PRESETS + sorted(_RANK_THREE))
+def W_tables(request):
+    name = request.param
+    if name in _RANK_THREE:
+        make, cartan = _RANK_THREE[name]
+        return AffineWeyl(build_root_datum(make(name, cartan)))
+    return AffineWeyl(build_root_datum(name))
+
+
+def test_descents_detect_length_drop(W_tables):
+    """The closed-form descents, the right-multiplication table and the
+    memoised reduced words against products and lengths."""
+    W = W_tables
     rng = random.Random(23)
     for _ in range(60):
         w = _random_element(W, rng)
+        lw = W.length(w)
         for i, s in enumerate(W.simples):
-            drops = W.length(W.mul(w, s)) < W.length(w)
-            assert W.is_right_descent(w, i) == drops
+            assert W.right_mul_simple(w, i) == W.mul(w, s)
+            assert W.is_right_descent(w, i) == (W.length(W.mul(w, s)) < lw)
+            assert W.is_left_descent(w, i) == (W.length(W.mul(s, w)) < lw)
+        tau, word = W.reduced_word(w)
+        assert len(word) == lw
+        assert W.word_to_element(word, tau) == w
+        assert W.reduced_word(w) == (tau, word)
+
+
+def test_reduced_word_without_a_descent_is_an_error():
+    W = AffineWeyl(build_root_datum("SL3"))
+    w = W.word_to_element([0, 1])
+    # a length that the descents cannot account for
+    W._len_cache[w] = 3
+    with pytest.raises(AffineWeylError, match="no descent"):
+        W.reduced_word(w)
+
+
+def test_exp_label_tag_is_checked():
+    W = AffineWeyl(build_root_datum("SL2"))
+    with pytest.raises(AffineWeylError, match="bad tag 'open'"):
+        ExpLabel("open", W.identity)
+
+
+def test_equal_labels_are_one_key():
+    W = AffineWeyl(build_root_datum("SL3"))
+    a = ExpLabel("zero", W.word_to_element([1, 0]))
+    b = ExpLabel("zero", W.mul(W.simples[1], W.simples[0]))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert ExpLabel("coset", a.elt) != a
 
 
 def test_translation_lengths_are_weyl_invariant(W):

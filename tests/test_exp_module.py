@@ -19,8 +19,10 @@ from expflag.strata import dominant_coweights_below, double_coset_elements, orbi
 from expflag.exp_module import (
     BigExpVector,
     ExpModule,
+    ExpModuleError,
     ExpModVector,
     NonDominantIndex,
+    apply_word,
     basis_vector,
     case_analysis,
     fiber_class,
@@ -204,6 +206,21 @@ def test_non_invariant_lift_is_reported(monkeypatch):
     monkeypatch.setattr(exp_module, "ts_action", lambda v, s: v)
     with pytest.raises(NormalizationFailure, match=r"SL3.*m_\(0, 0\).*T_s0.*1_\(1, 1\)"):
         M.spherical_action_basis((0, 0), (1, 1))
+
+
+@pytest.mark.parametrize("entry", [
+    lambda W, lab: basis_vector(W, lab),
+    lambda W, lab: apply_word(basis_vector(W, lab), W.identity, [0]),
+    lambda W, lab: fiber_class(lab, [0], ExpLabel("coset", W.identity), W),
+], ids=["basis_vector", "apply_word", "fiber_class"])
+def test_zero_label_on_a_non_maximal_element_is_rejected(entry):
+    """A zero label names a left-W0-maximal element; on SL3, s1 is not, and
+    each entry point rejects it instead of returning an empty vector."""
+    W = AffineWeyl(build_root_datum("SL3"))
+    with pytest.raises(ExpModuleError, match=r"\[0, 0\].*\[1\].*not left-W0-maximal"):
+        entry(W, ExpLabel("zero", W.word_to_element([1])))
+    w0 = W.word_to_element([0, 1, 0])
+    assert entry(W, ExpLabel("zero", w0)) != BigExpVector(W, {})
 
 
 def test_sl2_fundamental_action():

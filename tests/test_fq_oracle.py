@@ -193,6 +193,14 @@ def test_hecke_operator_counts_cosets():
     assert all(v == 1 for v in g.values.values() if v)
 
 
+def test_equal_points_are_one_key():
+    p = GrPoint("SL2", 3, 2, -2, ((0, 1), (1, 2)))
+    built = _hnf_point("SL2", 3, p.matrix(), 8)
+    assert built is not p and built == p and hash(built) == hash(p)
+    assert {p: 1}[built] == 1
+    assert GrPoint("PGL2", 3, 2, -2, p.b) != p
+
+
 def test_grpoint_json():
     p = GrPoint("SL2", 3, 2, -2, ((0, 1), (1, 2)))
     doc = p.to_json()

@@ -1,5 +1,6 @@
 """Generic Hecke algebra over Z[q] and its spherical subquotient."""
 
+import collections
 import random
 import re
 
@@ -131,6 +132,33 @@ def test_non_invariant_lift_is_reported(W, monkeypatch):
     zero = tuple(0 for _ in range(W.rd.char_lattice_rank))
     with pytest.raises(NormalizationFailure, match=rf"{W.rd.name}.*\[{re.escape(str(zero))}\].*T_s0"):
         spherical_mul(unit_indicator(W, zero), unit_indicator(W, zero))
+
+
+def test_products_run_on_descents_and_the_right_table(monkeypatch):
+    """With the reduced words memoised, T-basis products on SL3 make no
+    AffineWeyl.length or AffineWeyl.mul call: t_simple_mul reads the
+    closed-form descents and the right-multiplication table."""
+    W = AffineWeyl(build_root_datum("SL3"))
+    elems = W.enumerate_elements(4)
+    for w in elems:
+        W.reduced_word(w)
+    calls = collections.Counter()
+
+    def counting(name):
+        orig = getattr(AffineWeyl, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return orig(self, *args)
+        return wrapper
+
+    for name in ("length", "mul"):
+        monkeypatch.setattr(AffineWeyl, name, counting(name))
+    rng = random.Random(37)
+    for _ in range(40):
+        a, b, c = (t_basis(W, rng.choice(elems)) for _ in range(3))
+        assert hecke_mul(hecke_mul(a, b), c).support
+    assert not calls
 
 
 def test_poincare_polynomial_values():
