@@ -17,12 +17,10 @@ W0 tables:
     i.e. iff <alpha_i, lam> >= 1, or <alpha_i, lam> = 0 and i is a left
     descent of v (v^-1(alpha_i) < 0);
   - w is minimal in W0 w iff every w^-1(alpha_i) > 0, the mirror condition.
-Descents are one sign each (l(w s) < l(w) iff w(alpha_s) < 0): for the
-simple affine root alpha_i + n_i,
-  - i is a right descent iff the level n_i + <v(alpha_i), lam> of
-    w(alpha_i + n_i) is < 0, or is 0 with v(alpha_i) < 0;
-  - i is a left descent iff the level n_i - <alpha_i, lam> of
-    w^-1(alpha_i + n_i) is < 0, or is 0 with v^-1(alpha_i) < 0.
+A right descent is one sign (l(w s) < l(w) iff w(alpha_s) < 0): for the
+simple affine root alpha_i + n_i, i is a right descent iff the level
+n_i + <v(alpha_i), lam> of w(alpha_i + n_i) is < 0, or is 0 with
+v(alpha_i) < 0.
 Right multiplication by a simple reflection s_i = t_{lam_i} u_i is
 t_lam v s_i = t_{lam + v lam_i} (v u_i); a table built at construction holds
 the pair (v lam_i, v u_i) for every v in W0 and every i.
@@ -98,7 +96,6 @@ class AffineWeyl:
         self._build_barycenter()
         self._omega = None
         self._len_cache = {}
-        self._word_cache = {}
         # indexed like rd.roots: 1 at each negative root, else 0
         self._root_negative = tuple(
             int(r not in rd.positive_root_set) for r in rd.roots
@@ -242,25 +239,11 @@ class AffineWeyl:
         level = self._simple_n[i] + sum(map(mul, rd.roots[k], w.lam))
         return level < 0 or (level == 0 and self._root_negative[k] == 1)
 
-    def is_left_descent(self, w: AffineWeylElement, i: int) -> bool:
-        """l(s_i w) < l(w): w^-1(alpha_i + n_i) = v^-1(alpha_i) + n_i -
-        <alpha_i, lam> is a negative affine root."""
-        rd = self.rd
-        k = self._simple_k[i]
-        level = self._simple_n[i] - sum(map(mul, rd.roots[k], w.lam))
-        return level < 0 or (
-            level == 0
-            and self._root_negative[rd.root_perm[rd.inv_table[w.v.index]][k]] == 1
-        )
-
     def reduced_word(self, w: AffineWeylElement):
         """Return (omega_part, word) with w = omega_part * product(word).
 
         Deterministic: the least-index right descent is peeled at each step.
-        Memoised per element.
         """
-        if w in self._word_cache:
-            return self._word_cache[w]
         word = []
         cur = w
         for _ in range(self.length(w)):
@@ -272,8 +255,7 @@ class AffineWeyl:
             word.append(i)
             cur = self.right_mul_simple(cur, i)
         word.reverse()
-        out = self._word_cache[w] = (cur, tuple(word))
-        return out
+        return cur, tuple(word)
 
     def bruhat_leq(self, x: AffineWeylElement, y: AffineWeylElement) -> bool:
         key = (x, y)

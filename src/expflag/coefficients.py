@@ -107,15 +107,7 @@ class QPoly:
         return QPoly._of({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        other = _coerce(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            c = out.get(e, 0) - c
-            if c:
-                out[e] = c
-            else:
-                del out[e]
-        return QPoly._of(out)
+        return self + (-_coerce(other))
 
     def __rsub__(self, other):
         return _coerce(other) - self

