@@ -231,12 +231,16 @@ class AffineWeyl:
                     count += 1
         return count
 
-    def is_right_descent(self, w: AffineWeylElement, i: int) -> bool:
-        """l(w s_i) < l(w): w(alpha_i + n_i) = v(alpha_i) + n_i +
-        <v(alpha_i), lam> is a negative affine root."""
+    def simple_image(self, w: AffineWeylElement, i: int):
+        """w(alpha_i + n_i) = v(alpha_i) + n_i + <v(alpha_i), lam> for
+        w = t_lam v, as (index k of v(alpha_i) in rd.roots, level)."""
         rd = self.rd
         k = rd.root_perm[w.v.index][self._simple_k[i]]
-        level = self._simple_n[i] + sum(map(mul, rd.roots[k], w.lam))
+        return k, self._simple_n[i] + sum(map(mul, rd.roots[k], w.lam))
+
+    def is_right_descent(self, w: AffineWeylElement, i: int) -> bool:
+        """l(w s_i) < l(w): w(alpha_i + n_i) is a negative affine root."""
+        k, level = self.simple_image(w, i)
         return level < 0 or (level == 0 and self._root_negative[k] == 1)
 
     def reduced_word(self, w: AffineWeylElement):

@@ -354,11 +354,8 @@ class GF:
         self.q = q
         self.p = p
         self.k = k
-        if k == 1:
-            self._mul = None
-        else:
-            c0, c1 = _IRRED2[p]
-            self._c = (c0, c1)
+        if k == 2:
+            self._c = _IRRED2[p]
         # one brute-force pass here (q <= 49) makes inv a lookup
         self._inv = [0] * q
         for a in range(1, q):
@@ -397,12 +394,6 @@ class GF:
             raise ZeroDivisionError
         return self._inv[a]
 
-    def pow(self, a, n):
-        out = 1
-        for _ in range(n):
-            out = self.mul(out, a)
-        return out
-
     def elements(self):
         return range(self.q)
 
@@ -414,10 +405,12 @@ class GF:
         return n % self.p
 
     def trace(self, a):
-        """Trace to F_p, as an integer 0..p-1."""
+        """Trace to F_p, as an integer 0..p-1: a0 + a1 x has trace
+        2 a0 + a1 c1, since x + x^p = c1 for x^2 = c1 x + c0."""
         if self.k == 1:
             return a
-        return (a + self.pow(a, self.p)) % self.p if self.k == 2 else None
+        p = self.p
+        return (2 * (a % p) + (a // p) * self._c[1]) % p
 
 
 @lru_cache(maxsize=None)

@@ -1,11 +1,14 @@
 """The decategorified exponential module and its spherical Hecke action.
 
 The big module lives on exponential-orbit labels of the full affine flag
-variety; simple-reflection operators move classes along the one-step lines
-whose cell decomposition is stored in data/case_table.json. Iterating those
-operators along reduced words gives fiber classes of convolution morphisms,
-and reading the result on the orbits of the affine Grassmannian gives the
-spherical action on the quotient module with basis {m_mu}.
+variety. A simple reflection s moves a label along the s-line through its
+chamber, and case_analysis reads that whole line at once: the classes of
+its cells in each label on T and T s, from whether s ascends T, whether T
+and T s are left-W0-maximal, and the image T(alpha_s + n_s). Iterating
+those operators along reduced words gives fiber classes of convolution
+morphisms, and reading the result on the orbits of the affine
+Grassmannian gives the spherical action on the quotient module with basis
+{m_mu}.
 
 The operator realized by a basis step is phi(T_s): f -> (x -> sum over the
 s-neighbors of x of f); composing phi's reverses products, so a word is
@@ -14,14 +17,11 @@ applied from its last letter to its first.
 
 from __future__ import annotations
 
-import json
-from importlib import resources
-
 from .affine_weyl import AffineWeyl, AffineWeylElement, ExpLabel
 from .coefficients import QPoly, QVector, Q_ONE, Q_ZERO
 from .root_datum import RootDatum
 from .spherical import NormalizationFailure
-from .strata import CellShape, dominance_leq, iwahori_orbits_in_spherical
+from .strata import dominance_leq, iwahori_orbits_in_spherical
 
 
 class ExpModuleError(ValueError):
@@ -40,91 +40,80 @@ class NonDominantIndex(ExpModuleError):
     pass
 
 
-def _load_case_table():
-    with resources.files("expflag.data").joinpath("case_table.json").open() as fh:
-        raw = json.load(fh)
-    table = {}
-    for key, entry in raw.items():
-        if key.startswith("_"):
-            continue
-        parsed = {}
-        for part in ("closed", "open", "single"):
-            if entry.get(part) is not None:
-                parsed[part] = CellShape.from_json(entry[part]).class_in_q()
-        table[key] = parsed
-    return table
+_Q = QPoly({1: 1})
+_QM1 = QPoly({1: 1, 0: -1})
+
+# (closed, open): the classes of a splitting line cell in the closed and the
+# open orbit, products of A1 -> q, Gm -> q - 1 and Gm minus a point -> q - 2
+_SPLIT_CASES = {
+    "I-iso": (Q_ONE, _QM1),
+    "I-triv": (_Q, Q_ZERO),
+    "II-in-kernel": (_QM1, Q_ZERO),
+    "II-off-kernel": (Q_ZERO, _QM1),
+    "IIIa-triv": (Q_ZERO, _Q),
+    "IIIb-open-immersion": (Q_ONE, QPoly({1: 1, 0: -2})),
+    "IIIb-triv": (Q_ZERO, _QM1),
+}
 
 
-CASE_TABLE = _load_case_table()
+def _check_label(W: AffineWeyl, lab: ExpLabel) -> ExpLabel:
+    if lab.tag == "zero" and not W.is_left_w0_maximal(lab.elt):
+        raise ExpModuleError(
+            f"zero label on {W.to_json(lab.elt)}, which is not left-W0-maximal")
+    return lab
 
 
-def _table_class(case_id, part) -> QPoly:
-    return CASE_TABLE[case_id].get(part, Q_ZERO)
+def case_analysis(W: AffineWeyl, lab: ExpLabel, s: int):
+    """The s-lines that meet lab's orbit: [(t, case_id, class)] for each
+    label t on T = lab.elt or T s with a nonzero class.
 
-
-def case_analysis(W: AffineWeyl, target: ExpLabel, w: ExpLabel, s: int, ws=None):
-    """(case_id, class) of the line through w's basepoint in target's orbit.
-
-    The line is the set of chambers s-adjacent to the basepoint of w; the
-    class records how many of its q points lie in the orbit of target.
-    case_id is None when the answer is forced (empty by support, a single
-    lower point, or a non-splitting descent target). ws is w.elt s, for a
-    caller that has it already.
+    class counts the points of the s-line through t's chamber that lie in
+    lab's orbit. case_id names the _SPLIT_CASES entry it came from,
+    "I-nosplit" when T's cell does not split, and None when the count is
+    forced. A zero label on T s needs (T s)^-1(alpha_i) < 0 for every simple
+    alpha_i, so (T s)(alpha_s + n_s) is never a level-zero simple root: the
+    iso case of IIIa cannot occur.
     """
-    wbar = w.elt
-    if ws is None:
-        ws = W.right_mul_simple(wbar, s)
-    tbar = target.elt
-    if tbar != wbar and tbar != ws:
-        return None, Q_ZERO
-    ascent = not W.is_right_descent(wbar, s)
-    if w.tag == "zero" and not W.is_left_w0_maximal(wbar):
-        raise ExpModuleError("zero tag on non-maximal element")
-
-    if ascent:
-        # all q points of the line lie in the upper cell
-        if tbar != ws:
-            return None, Q_ZERO
-        if not W.is_left_w0_maximal(ws):
-            if target.tag != "coset":
-                return None, Q_ZERO
-            return "I-nosplit", _table_class("I-nosplit", "single")
-        part = "closed" if target.tag == "coset" else "open"
-        image = W.act_on_affine_root(wbar, W.simple_affine_roots[s])
-        simple0 = image.level == 0 and image.finite_part in W.rd.simple_root_set
-        if w.tag == "coset":
-            case = "I-iso" if simple0 else "I-triv"
-        else:
-            case = "IIIa-iso" if simple0 else "IIIa-triv"
-        return case, _table_class(case, part)
-
-    # descent: one point in the lower cell, q-1 points back in w's cell
-    if tbar == ws:
-        if not W.is_left_w0_maximal(ws):
-            return (None, Q_ONE) if target.tag == "coset" else (None, Q_ZERO)
-        # the single point carries the basepoint's kernel level
-        if w.tag == "coset":
-            return (None, Q_ONE) if target.tag == "coset" else (None, Q_ZERO)
-        return (None, Q_ONE) if target.tag == "zero" else (None, Q_ZERO)
-
-    image = W.act_on_affine_root(wbar, W.simple_affine_roots[s])
-    neg_simple0 = image.level == 0 and (
-        tuple(-a for a in image.finite_part) in W.rd.simple_root_set
-    )
-    if w.tag == "coset":
-        if not W.is_left_w0_maximal(wbar):
-            if target.tag != "coset":
-                return None, Q_ZERO
-            return None, QPoly({1: 1, 0: -1})
-        case = "II-off-kernel" if neg_simple0 else "II-in-kernel"
-    else:
-        case = "IIIb-open-immersion" if neg_simple0 else "IIIb-triv"
-    part = "closed" if target.tag == "coset" else "open"
-    return case, _table_class(case, part)
+    T = lab.elt
+    maximal = W.is_left_w0_maximal(T)
+    if lab.tag == "zero" and not maximal:
+        raise ExpModuleError(
+            f"zero label on {W.to_json(T)}, which is not left-W0-maximal")
+    Ts = W.right_mul_simple(T, s)
+    ts_labels = [ExpLabel("coset", Ts)]
+    if W.is_left_w0_maximal(Ts):
+        ts_labels.append(ExpLabel("zero", Ts))
+    k, level = W.simple_image(T, s)
+    height = W.rd.height(W.rd.roots[k])
+    if level > 0 or (level == 0 and height > 0):
+        # ascent: the line through T s has one point in T's cell, in lab's
+        # orbit for every label on T s, or for lab's tag when T is maximal
+        return [(t, None, Q_ONE) for t in ts_labels
+                if not maximal or t.tag == lab.tag]
+    # descent: the line through T has one point in T s's cell and q - 1 in
+    # T's; the line through T s lies in T's cell
+    if not maximal:
+        return [(ExpLabel("coset", T), None, _QM1)] + [
+            (t, "I-nosplit", _Q) for t in ts_labels]
+    iso = level == 0 and height == -1  # T(alpha_s + n_s) = -alpha_j
+    line = [
+        (ExpLabel("coset", T), "II-off-kernel" if iso else "II-in-kernel"),
+        (ExpLabel("zero", T), "IIIb-open-immersion" if iso else "IIIb-triv"),
+    ]
+    line += zip(ts_labels, ("I-iso" if iso else "I-triv", "IIIa-triv"))
+    part = lab.tag == "zero"
+    return [(t, case, _SPLIT_CASES[case][part]) for t, case in line
+            if not _SPLIT_CASES[case][part].is_zero()]
 
 
 def key_lemma_class(W: AffineWeyl, target: ExpLabel, w: ExpLabel, s: int) -> QPoly:
-    return case_analysis(W, target, w, s)[1]
+    """Class of the points of the s-line through w's chamber that lie in
+    target's orbit."""
+    _check_label(W, w)
+    for t, _, cls in case_analysis(W, target, s):
+        if t == w:
+            return cls
+    return Q_ZERO
 
 
 class BigExpVector(QVector):
@@ -134,11 +123,7 @@ class BigExpVector(QVector):
     letter, json_field = "b", "label"
 
     def _key(self, lab):
-        if lab.tag == "zero" and not self.ctx.is_left_w0_maximal(lab.elt):
-            raise ExpModuleError(
-                f"zero label on {self.ctx.to_json(lab.elt)}, "
-                "which is not left-W0-maximal")
-        return lab
+        return _check_label(self.ctx, lab)
 
     def _sort_key(self, lab):
         return self.ctx.sort_key(lab.elt) + (lab.tag,)
@@ -151,28 +136,13 @@ def basis_vector(W: AffineWeyl, lab: ExpLabel) -> BigExpVector:
     return BigExpVector(W, {lab: Q_ONE})
 
 
-def _adjacent_labels(W: AffineWeyl, elt: AffineWeylElement):
-    out = [ExpLabel("coset", elt)]
-    if W.is_left_w0_maximal(elt):
-        out.append(ExpLabel("zero", elt))
-    return out
-
-
 def ts_action(v: BigExpVector, s: int) -> BigExpVector:
     """phi(T_s): sum a function over the s-line through each chamber."""
     W = v.ctx
     out = {}
     for lab, c in v.support.items():
-        # the two cells of the s-line through lab's chamber, each with its
-        # s-neighbor (w s != w, so they differ)
-        ls = W.right_mul_simple(lab.elt, s)
-        for elt, elt_s in ((lab.elt, ls), (ls, lab.elt)):
-            for t in _adjacent_labels(W, elt):
-                coeff = case_analysis(W, lab, t, s, elt_s)[1]
-                if coeff.is_zero():
-                    continue
-                prev = out.get(t, Q_ZERO) + coeff * c
-                out[t] = prev
+        for t, _, cls in case_analysis(W, lab, s):
+            out[t] = out.get(t, Q_ZERO) + cls * c
     return v._new(out)
 
 

@@ -45,13 +45,6 @@ class CellShape:
             out = out * qm2
         return out
 
-    def to_json(self):
-        return {"a": self.a, "b": self.b, "c": self.c}
-
-    @staticmethod
-    def from_json(doc):
-        return CellShape(doc["a"], doc["b"], doc["c"])
-
 
 def orbit_shape(W: AffineWeyl, label: ExpLabel, f) -> CellShape:
     """Shape of the orbit of a label on the partial flag variety of f."""

@@ -102,6 +102,18 @@ def test_gf_field_axioms(q):
             assert F.trace(F.add(a, b)) == (F.trace(a) + F.trace(b)) % F.p
 
 
+@pytest.mark.parametrize("q", [4, 9, 25, 49])
+def test_gf_trace_is_a_plus_a_to_the_p(q):
+    F = gf(q)
+    for a in F.elements():
+        frob = 1
+        for _ in range(F.p):
+            frob = F.mul(frob, a)
+        tr = F.add(a, frob)
+        assert tr < F.p  # a + a^p lies in F_p
+        assert F.trace(a) == tr
+
+
 @pytest.mark.parametrize("q", FIELD_SIZES)
 def test_gf_inverse_table(q):
     F = gf(q)
