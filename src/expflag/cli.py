@@ -93,24 +93,6 @@ def _word(W, text):
         raise click.UsageError(str(e))
 
 
-def _height_window(rd, bound):
-    """Dominant coweights of height at most <2 rho, bound * (1,..,1)>.
-
-    mu is dominant iff its adjoint coordinates v_i = <alpha_i, mu> are all
-    >= 0, and its height is sum_i k_i v_i where 2 rho = sum_i k_i alpha_i;
-    so the window is what ``from_adjoint_coords`` makes of those v >= 0 that
-    stay under the cap. Height-bounded sets are closed under the dominance
-    order and always contain 0, which the rank-one certificate requires.
-    """
-    cap = rd.pair(rd.two_rho, tuple(bound for _ in range(rd.char_lattice_rank)))
-    walk = [((), cap)]
-    for i in range(rd.rank):
-        k = sum(rd.root_coords[r][i] for r in rd.positive_roots)
-        walk = [(v + (x,), room - k * x) for v, room in walk for x in range(room // k + 1)]
-    window = (rd.from_adjoint_coords(v) for v, _ in walk)
-    return sorted(mu for mu in window if mu is not None)
-
-
 def _weyl_context(group, needs_semisimple=None):
     """The affine Weyl group of a preset; ``needs_semisimple`` names the
     command when it cannot run on a group with a central torus."""
@@ -227,7 +209,7 @@ def expmod(group, fmt, out, lam, mu, rank_one, bound):
             raise click.UsageError(str(e))
         doc["action"] = vec.to_json()
     if rank_one:
-        window = _height_window(M.rd, bound)
+        window = M.rd.dominant_window((bound,) * M.rd.char_lattice_rank)
         try:
             doc["rank_one"] = M.verify_rank_one(window)
         except Exception as e:
@@ -344,7 +326,8 @@ def oracle(group, fmt, out, q_text, bound, mode, lam, mu):
                     for n, p in sorted(consts.items())
                 ],
             )
-    except (fq_oracle.WindowTooLarge, fq_oracle.InvalidCoweight) as e:
+    except (fq_oracle.WindowTooLarge, fq_oracle.InvalidCoweight,
+            fq_oracle.TooFewFieldSizes) as e:
         raise click.UsageError(str(e))
     except fq_oracle.OracleError as e:
         _violation([{"check": f"oracle:{mode}", "error": str(e)}])
@@ -368,7 +351,7 @@ def verify(group, fmt, out, bound, q_text, seed):
     rng = random.Random(seed)
     W = _weyl_context(group, "verify")
     rd = W.rd
-    window = _height_window(rd, bound)
+    window = rd.dominant_window((bound,) * rd.char_lattice_rank)
     if group in fq_oracle.PRESETS:
         # the oracle suite enumerates K mu K / K for every mu of the window:
         # a window past the oracle's cap is a configuration error, found

@@ -21,7 +21,7 @@ from .affine_weyl import AffineWeyl, AffineWeylElement, ExpLabel
 from .coefficients import QPoly, QVector, Q_ONE, Q_ZERO
 from .root_datum import RootDatum
 from .spherical import NormalizationFailure
-from .strata import dominance_leq, iwahori_orbits_in_spherical
+from .strata import iwahori_orbits_in_spherical
 
 
 class ExpModuleError(ValueError):
@@ -385,7 +385,7 @@ class ExpModule:
         for mu in window:
             col = columns[mu]
             for nu in col.support:
-                if nu != mu and not dominance_leq(self.rd, nu, mu):
+                if nu != mu and not self.rd.dominance_leq(nu, mu):
                     raise RankOneViolated(
                         f"entry at {nu} in column {mu} breaks dominance triangularity"
                     )

@@ -56,9 +56,11 @@ three paths:
 ``test_bounded_hnf_*`` and the ``test_stabilizer_shortcut_*`` tests check
 each fast path against ``_hnf_point(preset, q, mat, cut)`` with four
 arguments, the full-precision form of the full product: same point, or the
-same error. ``test_whittaker_counts_match_pointwise_psi_sum`` and
-``test_whittaker_read_off_falls_back_where_the_depth_bites`` check the
+same error. ``test_whittaker_counts_match_pointwise_psi_sum`` checks the
 Whittaker read-off against a sum over translates.
+
+The cut of a window follows from its bound alone (``depth_for``); the
+Whittaker read-off needs none.
 
 One search, ``_orbit_bfs``, finds every orbit, inside a window or free,
 and transports the baby character along it: ``orbit_partition`` stores
@@ -74,7 +76,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from .coefficients import CycNum, QPoly, gf, psi_value, qpoly_interpolate
+from .coefficients import CycNum, Inconsistent, NonIntegral, gf, psi_value, qpoly_interpolate
 from .root_datum import build_root_datum
 
 
@@ -94,6 +96,10 @@ class SupportEscapesWindow(OracleError):
 
 class InvalidCoweight(OracleError):
     """A coweight of the wrong rank, or not dominant where it must be."""
+
+
+class TooFewFieldSizes(OracleError):
+    """Fewer field sizes than an interpolation of the needed degree takes."""
 
 
 class Preset(NamedTuple):
@@ -495,9 +501,15 @@ def _dominant(rd, preset, lam, name):
 
 
 def depth_for(preset, bound):
-    """t-adic depth sufficient for a window: 2 * <alpha, bound + rho-hat> + 2."""
+    """t-adic depth sufficient for a window below bound.
+
+    With the bound's diagonal (a, c) it is 2 * (a - c + 1) + 2, that is
+    2 * <alpha, bound + rho-hat> + 2, plus max(min(a, c), 0): a GL2 lattice
+    t^k L has every exponent k above those of L, so it needs a cut k deeper.
+    On SL2 and PGL2 min(a, c) <= 0 and the last term vanishes.
+    """
     a, c = _diagonal(preset, bound)
-    return 2 * (a - c + 1) + 2
+    return 2 * (a - c + 1) + 2 + max(min(a, c), 0)
 
 
 def _window_generators(preset, group_spec, q, bound):
@@ -681,7 +693,7 @@ def _orbit_bfs(seeds, gens, cut, p, window=None):
     return labels, partial, consistent
 
 
-def orbit_partition(points, group_spec, q, depth=None):
+def orbit_partition(points, group_spec, q):
     """Partition a window into orbits of the given twisted group.
 
     Returns (assignment, orbits): assignment maps each point to an orbit
@@ -698,13 +710,13 @@ def orbit_partition(points, group_spec, q, depth=None):
     preset, q0 = points[0].preset, points[0].q
     if q != q0:
         raise OracleError("q mismatch")
-    key = (preset, q, group_spec, depth, frozenset(points))
+    key = (preset, q, group_spec, frozenset(points))
     cached = _partition_cache.pop(key, None)
     if cached is not None:
         _partition_cache[key] = cached
         return cached
     bound = _window_bound(points)
-    cut = depth if depth is not None else depth_for(preset, bound)
+    cut = depth_for(preset, bound)
     gens = _window_generators(preset, group_spec, q, bound)
     index = set(points)
     assignment = {}
@@ -809,8 +821,6 @@ def hecke_operator(f: FqFunction, mu, domain_points, depth=None):
     reps = coset_reps(preset, mu, q, cut)
     out = {}
     rd = _rd(preset)
-    from .strata import dominance_leq
-
     for x in domain_points:
         acc = 0
         for g in reps:
@@ -819,7 +829,7 @@ def hecke_operator(f: FqFunction, mu, domain_points, depth=None):
             if v is not None:
                 acc = acc + v if acc != 0 else v
         if acc != 0 and not _is_cyc_zero(acc):
-            if not dominance_leq(rd, x.coweight(), f.window):
+            if not rd.dominance_leq(x.coweight(), f.window):
                 raise SupportEscapesWindow(
                     f"nonzero value at type {x.coweight()} outside {f.window}"
                 )
@@ -855,30 +865,6 @@ def iwasawa_data(point: GrPoint):
     return lam, dict(point.b).get(point.c - 1, 0)
 
 
-def dominant_window(rd, bound):
-    """Dominant lam with bound - lam a nonnegative rational span of coroots.
-
-    Unlike the integral dominance order this does not restrict to one
-    coset of the coroot lattice, so it indexes every Whittaker line whose
-    torus point can appear under convolution up to the bound.
-    """
-    prims = []
-    for cv in rd.simple_coroots:
-        g = math.gcd(*[abs(x) for x in cv]) or 1
-        prims.append(tuple(x // g for x in cv))
-    cap = rd.pair(rd.two_rho, tuple(bound)) + 1
-    out = []
-    for coeffs in itertools.product(range(cap + 1), repeat=rd.rank):
-        lam = list(bound)
-        for j, c in enumerate(coeffs):
-            for i in range(rd.char_lattice_rank):
-                lam[i] -= c * prims[j][i]
-        lam = tuple(lam)
-        if rd.is_dominant(lam):
-            out.append(lam)
-    return out
-
-
 def whittaker_space(preset, bound, q, domain_points):
     """Basis of (U(F), Psi)-equivariant functions with dominant labels <= bound.
 
@@ -887,7 +873,7 @@ def whittaker_space(preset, bound, q, domain_points):
     """
     bound = tuple(bound)
     basis = {lam: FqFunction(preset, q, bound, {})
-             for lam in dominant_window(_rd(preset), bound)}
+             for lam in _rd(preset).dominant_window(bound)}
     for p in domain_points:
         label, elem = iwasawa_data(p)
         f = basis.get(label)
@@ -896,7 +882,7 @@ def whittaker_space(preset, bound, q, domain_points):
     return basis
 
 
-def whittaker_action(preset, bound, mu, q, depth=None):
+def whittaker_action(preset, bound, mu, q):
     """Matrix of right convolution by 1_mu on the Whittaker basis.
 
     Returns {(lam, nu): CycNum}: the coefficient of the basis function at
@@ -910,9 +896,7 @@ def whittaker_action(preset, bound, mu, q, depth=None):
     character coefficient is the coefficient of t^(c0+c-a0-1) in b (the
     global t-rescaling of a projective preset changes neither). So the
     representatives of one diagonal (a, c) add, for each nu, their trace
-    counts at that exponent to one entry. Only where a diagonal exponent
-    reaches the cut, so that _triangular_point would not apply, does a
-    representative go through translate, with its errors.
+    counts at that exponent to one entry, with no cut and no point built.
     The psi sums are kept as exponent counts: c_k points of trace k give
     sum_k c_k zeta^k, which one CycNum per entry holds at the end
     (zeta^(p-1) reduces to minus the lower powers).
@@ -922,33 +906,26 @@ def whittaker_action(preset, bound, mu, q, depth=None):
     mu = _dominant(rd, preset, mu, "mu")
     P = PRESETS[preset]
     out_bound = _hecke_window(preset, bound, mu)
-    cut = depth if depth is not None else depth_for(preset, out_bound)
     F = gf(q)
-    # the representatives by diagonal (a, c), each shape with the trace
-    # counts of its nonzero coefficients of t^k, for every exponent k
+    # the representatives by diagonal (a, c): how many, and the trace counts
+    # of their nonzero coefficients of t^k, for every exponent k
     shapes = {}
     for p in _coset_points(preset, mu, q):
-        pts, traces = shapes.setdefault((p.a, p.c), ([], {}))
-        pts.append(p)
+        size, traces = shapes.get((p.a, p.c), (0, {}))
+        shapes[p.a, p.c] = (size + 1, traces)
         for e, co in p.b:
             traces.setdefault(e, [0] * F.p)[F.trace(co)] += 1
-    sources = set(dominant_window(rd, bound))
+    sources = set(rd.dominant_window(bound))
     counts = {}
-    for nu in dominant_window(rd, out_bound):
+    for nu in rd.dominant_window(out_bound):
         a0, c0 = P.diagonal(*nu)
-        for (a, c), (pts, traces) in shapes.items():
+        for (a, c), (size, traces) in shapes.items():
             a, c = a0 + a, c0 + c
-            if max(a, c, 0) >= cut:
-                for p in pts:
-                    lab, elem = iwasawa_data(translate(torus_point(preset, q, nu), p.matrix(), cut))
-                    if lab in sources:
-                        counts.setdefault((lab, nu), [0] * F.p)[F.trace(elem)] += 1
-                continue
             lab = P.coords(a, c)
             if lab in sources:
                 # a zero coefficient of t^(c - a0 - 1) has trace 0
                 hist = counts.setdefault((lab, nu), [0] * F.p)
-                hist[0] += len(pts)
+                hist[0] += size
                 for tr, n in enumerate(traces.get(c - a0 - 1, ())):
                     hist[tr] += n
                     hist[0] -= n
@@ -998,7 +975,7 @@ def baby_basis(preset, bound, q, points):
     assignment, orbits = orbit_partition(points, "U_twisted", q)
     F = gf(q)
     basis = {}
-    for lam in dominant_window(rd, tuple(bound)):
+    for lam in rd.dominant_window(bound):
         seed = torus_point(preset, q, lam)
         orbit = orbits[assignment[seed]]
         if orbit["partial"]:
@@ -1115,12 +1092,12 @@ def exp_action_matrix(preset, bound, mu, q, points):
     _assignment, orbits = orbit_partition(points, "U_exp_twisted", q)
     closed = {tuple(o["label"]): o for o in orbits if o["tag"] == "closed"}
     out = {}
-    for lam in dominant_window(rd, tuple(bound)):
+    for lam in rd.dominant_window(bound):
         window = _hecke_window(preset, lam, mu)
         # lam and every dominant target in the result window must be properly
         # split, otherwise the ambient enumeration is too small and
         # coefficients would be dropped silently
-        for nu in dominant_window(rd, window) + [lam]:
+        for nu in rd.dominant_window(window) + [lam]:
             if nu not in closed:
                 raise OracleError(f"window too small for the closed orbit of {nu}")
         f = FqFunction(preset, q, window, {p: 1 for p in closed[lam]["points"]})
@@ -1134,16 +1111,25 @@ def exp_action_matrix(preset, bound, mu, q, points):
 # interpolation back to Z[q]
 
 
-def interpolate_structure_constants(preset, lam, mu, q_list, degree_bound=None):
+def interpolate_structure_constants(preset, lam, mu, q_list):
     """Fit the oracle counts of the spherical action to polynomials in q.
 
     For each q the Whittaker-model action coefficients of (W_lam * 1_mu)
     are exact integers; this interpolates them across q_list and returns
-    {nu: QPoly}. The polynomial degree is capped by len(q_list) - 1.
+    {nu: QPoly}. Each count is a sum of |K mu K / K| = |Gr^mu(F_q)| roots
+    of unity, so its degree is at most d = <2 rho, mu> = dim Gr^mu. The fit
+    takes d + 1 field sizes (TooFewFieldSizes on fewer), and every further
+    size checks it: counts off a polynomial of degree <= d raise an
+    OracleError.
     """
-    lam, mu = tuple(lam), tuple(mu)
-    if degree_bound is None:
-        degree_bound = len(q_list) - 1
+    rd = _rd(preset)
+    lam = _dominant(rd, preset, lam, "lam")
+    mu = _dominant(rd, preset, mu, "mu")
+    degree = rd.pair(rd.two_rho, mu)
+    if len(q_list) < degree + 1:
+        raise TooFewFieldSizes(
+            f"interpolating 1_{mu} needs at least {degree + 1} field sizes "
+            f"(<2 rho, mu> = {degree}), got {len(q_list)}")
     samples = {}
     for q in q_list:
         matrix = whittaker_action(preset, lam, mu, q)
@@ -1156,5 +1142,8 @@ def interpolate_structure_constants(preset, lam, mu, q_list, degree_bound=None):
         filled = dict(pts)
         for q in q_list:
             filled.setdefault(q, 0)
-        out[nu] = qpoly_interpolate(sorted(filled.items()), degree_bound)
+        try:
+            out[nu] = qpoly_interpolate(sorted(filled.items()), degree)
+        except (Inconsistent, NonIntegral) as e:
+            raise OracleError(f"counts at {nu} are not a polynomial of degree <= {degree}: {e}")
     return {nu: poly for nu, poly in out.items() if not poly.is_zero()}

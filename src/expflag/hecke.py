@@ -39,12 +39,8 @@ def t_basis(W: AffineWeyl, w: AffineWeylElement) -> HeckeElement:
     return HeckeElement(W, {w: Q_ONE})
 
 
-def t_simple_mul(W: AffineWeyl, i: int, x: HeckeElement, side: str) -> HeckeElement:
-    """Multiply by T_{s_i} on the given side ('left' or 'right')."""
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    right = side == "right"
-    s = W.simples[i]
+def t_simple_mul(W: AffineWeyl, i: int, x: HeckeElement) -> HeckeElement:
+    """x T_{s_i}."""
     out = {}
 
     def acc(w, c):
@@ -54,11 +50,8 @@ def t_simple_mul(W: AffineWeyl, i: int, x: HeckeElement, side: str) -> HeckeElem
             out[w] = c
 
     for w, c in x.support.items():
-        if right:
-            ws, down = W.right_mul_simple(w, i), W.is_right_descent(w, i)
-        else:
-            ws, down = W.mul(s, w), W.is_right_descent(W.inverse(w), i)
-        if down:
+        ws = W.right_mul_simple(w, i)
+        if W.is_right_descent(w, i):
             qc = c.shift()
             # (q - 1) c on w, q c on ws
             acc(w, qc - c)
@@ -68,14 +61,11 @@ def t_simple_mul(W: AffineWeyl, i: int, x: HeckeElement, side: str) -> HeckeElem
     return HeckeElement(W, out)
 
 
-def omega_mul(W: AffineWeyl, tau: AffineWeylElement, x: HeckeElement, side: str) -> HeckeElement:
+def omega_mul(W: AffineWeyl, tau: AffineWeylElement, x: HeckeElement) -> HeckeElement:
+    """x T_tau for tau of length zero."""
     if W.length(tau) != 0:
         raise ValueError("omega factor must have length zero")
-    out = {}
-    for w, c in x.support.items():
-        tw = W.mul(tau, w) if side == "left" else W.mul(w, tau)
-        out[tw] = c
-    return HeckeElement(W, out)
+    return HeckeElement(W, {W.mul(w, tau): c for w, c in x.support.items()})
 
 
 def hecke_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
@@ -86,9 +76,9 @@ def hecke_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
         tau, word = W.reduced_word(w)
         term = a.scale(c)
         if tau != W.identity:
-            term = omega_mul(W, tau, term, "right")
+            term = omega_mul(W, tau, term)
         for i in word:
-            term = t_simple_mul(W, i, term, "right")
+            term = t_simple_mul(W, i, term)
         out = out + term
     return out
 

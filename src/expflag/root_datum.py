@@ -21,6 +21,11 @@ left only where a rational is the honest answer: the finite-type test of
 the Cartan matrix (``_check_cartan``, ``_det``) and rho-hat with
 ``pair_fractional``, which the alcove-sign cross-check of the affine length
 evaluates.
+
+The dominance order on coweights is enumerated here and only here:
+``dominance_leq``, the interval ``dominant_below(mu)``, walked down the
+positive coroots, and the height window ``dominant_window(bound)`` that
+``expmod --rank-one``, ``verify`` and the F_q oracle work on.
 """
 
 from __future__ import annotations
@@ -126,6 +131,55 @@ class RootDatum:
 
     def is_strictly_dominant(self, lam):
         return all(self.pair(a, lam) > 0 for a in self.simple_roots)
+
+    def dominance_leq(self, nu, mu):
+        """nu <= mu: mu - nu in the nonnegative span of the simple coroots."""
+        coeffs = self.coroot_coords(_vec_sub(mu, nu))
+        return coeffs is not None and min(coeffs) >= 0
+
+    def dominant_below(self, mu):
+        """The dominant nu <= mu, sorted.
+
+        Each is reached from mu by subtracting positive coroots while staying
+        dominant (Stembridge, The partial order of dominant weights, 1998),
+        so a search along those steps finds them all.
+        """
+        mu = tuple(mu)
+        if not self.is_dominant(mu):
+            raise RootDatumError(f"{mu} is not dominant")
+        steps = [self.coroot_of[r] for r in self.positive_roots]
+        seen, frontier = {mu}, [mu]
+        while frontier:
+            frontier = [
+                nu for nu in {_vec_sub(x, c) for x in frontier for c in steps}
+                if nu not in seen and self.is_dominant(nu)
+            ]
+            seen.update(frontier)
+        return sorted(seen)
+
+    def dominant_window(self, bound):
+        """Dominant lam with <2 rho, lam> <= <2 rho, bound> and bound - lam
+        in the rational span of the coroots, sorted; bound need not be dominant.
+
+        lam is dominant iff its adjoint coordinates v_i = <alpha_i, lam> are
+        >= 0, and <2 rho, lam> = sum_i k_i v_i for 2 rho = sum_i k_i alpha_i:
+        the v under the cap are walked, each lifted to bound - sum_j c_j
+        alpha_j^vee with c = cartan^-1 (<alpha, bound> - v) where integral.
+        On a semisimple datum the window holds every dominant coweight under
+        the cap, 0 included; on GL2 every lam keeps bound's central part.
+        """
+        bound = tuple(bound)
+        walk = [((), self.pair(self.two_rho, bound))]
+        for i in range(self.rank):
+            k = sum(self.root_coords[r][i] for r in self.positive_roots)
+            walk = [(v + (x,), room - k * x) for v, room in walk for x in range(room // k + 1)]
+        u, det = self.to_adjoint_coords(bound), self._cartan_det
+        out = []
+        for v, _room in walk:
+            shift = self._coroot_sum(self._adj_apply(_vec_sub(u, v)))
+            if not any(s % det for s in shift):
+                out.append(tuple(b - s // det for b, s in zip(bound, shift)))
+        return sorted(out)
 
     # ---- derived data
 

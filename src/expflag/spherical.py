@@ -120,7 +120,7 @@ def spherical_mul(a: SphericalElement, b: SphericalElement) -> SphericalElement:
     la = lift(a)
     q = QPoly({1: 1})
     for i in range(W.rd.rank):
-        if t_simple_mul(W, i, la, "right") != la.scale(q):
+        if t_simple_mul(W, i, la) != la.scale(q):
             raise NormalizationFailure(
                 f"spherical_mul on {W.rd.name}: lift of {sorted(a.support)} "
                 f"is not right-W0-invariant under T_s{i}"

@@ -7,7 +7,6 @@ dictionary A1 -> q, Gm -> q - 1, Gm minus a point -> q - 2.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .affine_weyl import AffineWeyl, AffineWeylElement, ExpLabel
@@ -121,32 +120,3 @@ def gr_cell_class(W: AffineWeyl, mu) -> QPoly:
     for x in iwahori_orbits_in_spherical(W, mu):
         out = out + QPoly({W.length(x): 1})
     return out
-
-
-def dominant_coweights_below(rd, bound):
-    """Dominant mu with mu <= bound in the dominance order.
-
-    mu <= bound means bound - mu is a nonnegative integer combination of
-    simple coroots.
-    """
-    if not rd.is_dominant(bound):
-        raise StrataError("bound must be dominant")
-    n = rd.char_lattice_rank
-    height_cap = rd.pair(rd.two_rho, bound) + 1
-    out = []
-    for coeffs in itertools.product(range(0, height_cap + 1), repeat=rd.rank):
-        mu = list(bound)
-        for j, c in enumerate(coeffs):
-            for i in range(n):
-                mu[i] -= c * rd.simple_coroots[j][i]
-        mu = tuple(mu)
-        if rd.is_dominant(mu):
-            out.append(mu)
-    return sorted(set(out))
-
-
-def dominance_leq(rd, nu, mu) -> bool:
-    """nu <= mu: mu - nu in the nonnegative span of simple coroots."""
-    diff = tuple(m - n for m, n in zip(mu, nu))
-    coeffs = rd.coroot_coords(diff)
-    return coeffs is not None and min(coeffs) >= 0

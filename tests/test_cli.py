@@ -147,6 +147,41 @@ def test_oracle_interpolate_matches_expmod(runner):
     assert set(consts) == {(0,), (1,), (2,)}
 
 
+@pytest.mark.parametrize("group,lam,mu,q_sizes", [
+    ("SL2", "1", "2", [2, 3, 4, 5, 7]),
+    ("PGL2", "1", "2", [2, 3, 4]),
+    ("GL2", "1,0", "2,0", [2, 3, 4]),
+])
+def test_oracle_interpolate_needs_dim_gr_mu_plus_one_field_sizes(runner, group, lam, mu, q_sizes):
+    # each count is a sum of |Gr^mu(F_q)| roots of unity, of degree at most
+    # <2 rho, mu>; one size fewer used to fit a wrong polynomial and exit 0
+    args = ["oracle", "--group", group, "--mode", "interpolate", "--lam", lam, "--mu", mu]
+    res = runner.invoke(main, args + ["--q", ",".join(map(str, q_sizes[:-1]))])
+    assert res.exit_code == 2, res.output
+    assert f"needs at least {len(q_sizes)} field sizes" in res.output
+    res = runner.invoke(main, args + ["--q", ",".join(map(str, q_sizes))])
+    assert res.exit_code == 0, res.output
+
+
+def test_oracle_interpolate_reports_counts_off_the_fit(runner, monkeypatch):
+    # a count off by one at q = 5 leaves the four samples of a degree-2 fit
+    # inconsistent: an invariant violation, not a wrong polynomial
+    from expflag import fq_oracle
+
+    real = fq_oracle.whittaker_action
+
+    def corrupt(preset, bound, mu, q):
+        matrix = real(preset, bound, mu, q)
+        return {k: v + 1 for k, v in matrix.items()} if q == 5 else matrix
+
+    monkeypatch.setattr(fq_oracle, "whittaker_action", corrupt)
+    res = runner.invoke(main, ["oracle", "--group", "SL2", "--mode", "interpolate",
+                               "--lam", "1", "--mu", "1", "--q", "2,3,4,5"])
+    assert res.exit_code == 1, res.output
+    errors = [v["error"] for v in json.loads(res.output)["violations"]]
+    assert all("not a polynomial of degree <= 2" in e for e in errors), errors
+
+
 def test_verify_passes(runner):
     for group in ("SL2", "PGL2", "SL3"):
         res = runner.invoke(
@@ -348,9 +383,9 @@ def _patched_verify(monkeypatch, change=None):
     calls = []
     real = fq_oracle.whittaker_action
 
-    def wrapper(preset, bound, mu, q, depth=None):
+    def wrapper(preset, bound, mu, q):
         calls.append((bound, mu, q))
-        out = real(preset, bound, mu, q, depth)
+        out = real(preset, bound, mu, q)
         return change(out, mu, q) if change else out
 
     monkeypatch.setattr(fq_oracle, "whittaker_action", wrapper)
@@ -360,10 +395,9 @@ def _patched_verify(monkeypatch, change=None):
 
 
 def test_verify_builds_one_whittaker_matrix_per_q_and_mu(monkeypatch):
-    from expflag.cli import _height_window
     from expflag.root_datum import build_root_datum
 
-    window = _height_window(build_root_datum("PGL2"), 2)
+    window = build_root_datum("PGL2").dominant_window((2,))
     res, calls = _patched_verify(monkeypatch)
     assert res.exit_code == 0, res.output
     assert len(calls) == 2 * len(window)
@@ -488,11 +522,14 @@ def test_fiber_zero_source_must_be_left_w0_maximal(runner, group, source, elemen
 
 
 def _box_height_window(rd, bound):
-    """The height window by a scan of the box [-cap, cap]^n."""
-    cap = rd.pair(rd.two_rho, tuple(bound for _ in range(rd.char_lattice_rank)))
+    """The window by a scan of a box: the dominant coweights lam of height at
+    most <2 rho, bound>, with the central part m1 + m2 of bound on GL2."""
+    cap = rd.pair(rd.two_rho, bound)
+    radius = cap + max(map(abs, bound))
     return sorted(
-        mu for mu in itertools.product(range(-cap, cap + 1), repeat=rd.char_lattice_rank)
-        if rd.is_dominant(mu) and rd.pair(rd.two_rho, mu) <= cap
+        lam for lam in itertools.product(range(-radius, radius + 1), repeat=rd.char_lattice_rank)
+        if rd.is_dominant(lam) and rd.pair(rd.two_rho, lam) <= cap
+        and (rd.name != "GL2" or sum(lam) == sum(bound))
     )
 
 
@@ -501,14 +538,19 @@ _RANK_THREE = {
     "Spin7": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
     "PGL4": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
 }
+# GL2 bounds (m1, m2) with central parts m1 + m2 from -4 to 9
+_GL2_BOUNDS = [(0, 0), (1, 0), (2, 0), (3, 3), (5, 4), (-1, -3), (1, -2), (0, -3), (5, 2)]
 
 
 @pytest.mark.parametrize("group,bound", [
     *((g, b) for g in ["SL2", "PGL2", "SL3", "PGL3", "Sp4", "G2"] for b in (1, 2, 3)),
     *((g, b) for g in _RANK_THREE for b in (1, 2)),
+    *(("GL2", b) for b in _GL2_BOUNDS),
 ])
 def test_height_window_matches_box_scan(group, bound):
-    from expflag.cli import _height_window
+    """RootDatum.dominant_window, on the bound (k, ..., k) that expmod
+    --rank-one and verify pass for --bound k, and on GL2 bounds, where the
+    central part of the bound carries over to the window."""
     from expflag.root_datum import _adjoint_preset, _simply_connected
 
     if group in _RANK_THREE:
@@ -516,8 +558,14 @@ def test_height_window_matches_box_scan(group, bound):
         rd = build_root_datum(make(group, _RANK_THREE[group]))
     else:
         rd = build_root_datum(group)
-    window = _height_window(rd, bound)
-    assert window == _box_height_window(rd, bound)
+    if group == "GL2":
+        window = rd.dominant_window(bound)
+        assert window == _box_height_window(rd, bound)
+        assert window
+        assert (bound in window) == rd.is_dominant(bound)
+        return
+    window = rd.dominant_window((bound,) * rd.rank)
+    assert window == _box_height_window(rd, (bound,) * rd.rank)
     assert window[0] == tuple(0 for _ in range(rd.rank))
 
 

@@ -17,7 +17,6 @@ from expflag.spherical import (
 )
 from expflag.strata import (
     CellShape,
-    dominant_coweights_below,
     double_coset_elements,
     orbit_shape,
 )
@@ -128,14 +127,14 @@ def test_fiber_class_accepts_word_spec(M):
 def test_unit_acts_as_identity(M):
     rd = M.rd
     zero = tuple(0 for _ in range(rd.char_lattice_rank))
-    for lam in dominant_coweights_below(rd, tuple(1 for _ in range(rd.rank))):
+    for lam in rd.dominant_below((1,) * rd.rank):
         v = M.unit_vector(lam)
         assert M.spherical_action(v, zero) == v
 
 
 def test_action_is_linear_and_commutative(M):
     rd = M.rd
-    window = dominant_coweights_below(rd, tuple(1 for _ in range(rd.rank)))
+    window = rd.dominant_below((1,) * rd.rank)
     lam = window[-1]
     for mu in window:
         for nu in window:
@@ -357,7 +356,7 @@ def test_pgl2_fundamental_action():
 def test_leading_coefficient_is_monic_at_top(M):
     # the coefficient of m_{lam + mu} in m_lam * b_mu is exactly 1
     rd = M.rd
-    window = dominant_coweights_below(rd, tuple(1 for _ in range(rd.rank)))
+    window = rd.dominant_below((1,) * rd.rank)
     for lam in window:
         for mu in window:
             top = tuple(a + b for a, b in zip(lam, mu))
@@ -367,7 +366,7 @@ def test_leading_coefficient_is_monic_at_top(M):
 
 def test_support_stays_dominant_and_bounded(M):
     rd = M.rd
-    window = dominant_coweights_below(rd, tuple(1 for _ in range(rd.rank)))
+    window = rd.dominant_below((1,) * rd.rank)
     for lam in window:
         for mu in window:
             out = M.spherical_action_basis(lam, mu)
@@ -378,7 +377,7 @@ def test_support_stays_dominant_and_bounded(M):
 
 def test_dimension_bound(M):
     rd = M.rd
-    window = dominant_coweights_below(rd, tuple(2 for _ in range(rd.rank)))
+    window = rd.dominant_below((2,) * rd.rank)
     for lam in window:
         for mu in window:
             if lam == mu:
@@ -388,7 +387,7 @@ def test_dimension_bound(M):
 
 def test_rank_one_determinant(M):
     rd = M.rd
-    window = dominant_coweights_below(rd, tuple(2 for _ in range(rd.rank)))
+    window = rd.dominant_below((2,) * rd.rank)
     report = M.verify_rank_one(window)
     assert QPoly.from_json(report["determinant"]) == ONE
 
@@ -399,10 +398,8 @@ def test_rank_one_certificate_has_nonnegative_coefficients(name):
     # 1-basis are q-analogues of weight multiplicities (Kazhdan-Lusztig
     # positivity), so every term is a nonnegative power with a positive
     # coefficient
-    from expflag.cli import _height_window
-
     rd = build_root_datum(name)
-    report = ExpModule(rd).verify_rank_one(_height_window(rd, 2))
+    report = ExpModule(rd).verify_rank_one(rd.dominant_window((2,) * rd.rank))
     for column in report["basis_certificate"].values():
         for doc in column.values():
             a = QPoly.from_json(doc)
@@ -433,7 +430,7 @@ def test_rank_one_rejects_a_diagonal_other_than_one(monkeypatch, diag):
 
 def test_vector_json_shape(M):
     rd = M.rd
-    window = dominant_coweights_below(rd, tuple(1 for _ in range(rd.rank)))
+    window = rd.dominant_below((1,) * rd.rank)
     out = M.spherical_action_basis(window[-1], window[-1])
     doc = out.to_json()
     for entry in doc:
@@ -443,7 +440,7 @@ def test_vector_json_shape(M):
 
 def test_convolution_fiber_values(M):
     rd = M.rd
-    window = dominant_coweights_below(rd, tuple(1 for _ in range(rd.rank)))
+    window = rd.dominant_below((1,) * rd.rank)
     for lam in window:
         for mu in window:
             top = tuple(a + b for a, b in zip(lam, mu))

@@ -6,7 +6,7 @@ from expflag import fq_oracle
 from expflag.root_datum import build_root_datum
 from expflag.affine_weyl import AffineWeyl
 from expflag.coefficients import CycNum, QPoly, gf, psi_value
-from expflag.strata import dominant_coweights_below, gr_cell_class
+from expflag.strata import gr_cell_class
 from expflag.fq_oracle import (
     PRESETS,
     FqFunction,
@@ -24,7 +24,6 @@ from expflag.fq_oracle import (
     coset_reps,
     cyc_as_int,
     depth_for,
-    dominant_window,
     enumerate_gr_window,
     hecke_operator,
     interpolate_structure_constants,
@@ -64,7 +63,7 @@ def test_window_point_counts_match_cell_classes():
         for q in (2, 3):
             for bound in ((2,), (3,)):
                 pts = enumerate_gr_window(preset, bound, q)
-                for mu in dominant_window(rd, bound):
+                for mu in rd.dominant_window(bound):
                     n = sum(1 for p in pts if p.coweight() == mu)
                     if rd.is_dominant(mu) and n:
                         assert n == gr_cell_class(W, mu).specialize(q)
@@ -396,7 +395,7 @@ def _pairwise_baby_averaging(f, points):
     q = f.q
     p = gf(q).p
     cut, level_hi = _window_cut_and_level(points)
-    _, orbits = orbit_partition(points, "U_twisted", q, cut)
+    _, orbits = orbit_partition(points, "U_twisted", q)
     out = {}
     for orbit in orbits:
         pts = orbit["points"]
@@ -522,16 +521,17 @@ def test_orbit_closure_matches_free_bfs(preset, q, group_spec):
     assert got == sorted(seen, key=_point_key)
 
 
-def test_partition_cache_keeps_the_most_recently_used_windows():
-    from expflag import fq_oracle
-
-    # the depth is part of the key: one small window, size + 1 entries
-    window = enumerate_gr_window("SL2", (1,), 2)
+def test_partition_cache_keeps_the_most_recently_used_windows(monkeypatch):
+    # size + 1 small windows, each its own key
+    monkeypatch.setattr(fq_oracle, "_partition_cache", {})
     size = fq_oracle._PARTITION_CACHE_SIZE
-    depths = [depth_for("SL2", (1,)) + k for k in range(size + 1)]
+    windows = [(q, enumerate_gr_window(preset, (b,), q))
+               for preset in ("SL2", "PGL2") for b in (0, 1) for q in (2, 3)][:size + 1]
+    assert len(windows) == size + 1
 
     def orbits(i):
-        return orbit_partition(window, "U_twisted", 2, depths[i])[1]
+        q, window = windows[i]
+        return orbit_partition(window, "U_twisted", q)[1]
 
     first = [orbits(i) for i in range(size)]
     assert all(orbits(i) is first[i] for i in range(size))
@@ -624,12 +624,12 @@ def test_whittaker_row_does_not_depend_on_the_bound(preset, q):
     rd = build_root_datum(preset)
     for mu in mus:
         shared = whittaker_action(preset, top, mu, q)
-        for lam in dominant_window(rd, top):
+        for lam in rd.dominant_window(top):
             row = {nu: v for (l, nu), v in shared.items() if l == lam}
             own = {nu: v for (l, nu), v in whittaker_action(preset, lam, mu, q).items()
                    if l == lam}
             assert row == own, (lam, mu)
-            inside = dominant_window(rd, fq_oracle._hecke_window(preset, lam, mu))
+            inside = rd.dominant_window(fq_oracle._hecke_window(preset, lam, mu))
             assert set(row) <= set(inside), (lam, mu)
 
 
@@ -648,16 +648,16 @@ def translate_calls(monkeypatch):
     return calls
 
 
-def _pointwise_whittaker_action(preset, bound, mu, q, depth=None):
+def _pointwise_whittaker_action(preset, bound, mu, q):
     """whittaker_action with every coset point translated and one
     psi_value CycNum added per point."""
     rd = build_root_datum(preset)
     out_bound = fq_oracle._hecke_window(preset, bound, mu)
-    cut = depth if depth is not None else depth_for(preset, out_bound)
-    sources = dominant_window(rd, bound)
+    cut = depth_for(preset, out_bound)
+    sources = rd.dominant_window(bound)
     zero = CycNum.integer(0, gf(q).p, q)
     matrix = {}
-    for nu in dominant_window(rd, out_bound):
+    for nu in rd.dominant_window(out_bound):
         base = torus_point(preset, q, nu)
         for g in coset_reps(preset, mu, q, cut):
             lab, elem = fq_oracle.iwasawa_data(translate(base, g, cut))
@@ -673,6 +673,8 @@ def _pointwise_whittaker_action(preset, bound, mu, q, depth=None):
     ("PGL2", (1,), (2,)),
     ("GL2", (2, 0), (1, 0)),
     ("GL2", (1, 0), (1, -1)),
+    ("GL2", (5, 5), (1, 0)),
+    ("GL2", (4, 3), (2, 1)),
 ])
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_whittaker_counts_match_pointwise_psi_sum(preset, bound, mu, q):
@@ -682,32 +684,44 @@ def test_whittaker_counts_match_pointwise_psi_sum(preset, bound, mu, q):
     assert got == _pointwise_whittaker_action(preset, bound, mu, q)
 
 
-@pytest.mark.parametrize("preset,bound,mu", [
-    ("SL2", (2,), (1,)),
-    ("PGL2", (1,), (2,)),
-    ("GL2", (2, 0), (1, 0)),
-    ("GL2", (1, 0), (1, -1)),
-])
-@pytest.mark.parametrize("q", [2, 3, 4])
-def test_whittaker_read_off_falls_back_where_the_depth_bites(preset, bound, mu, q,
-                                                             translate_calls):
-    """At every depth below the default one, whittaker_action equals the
-    pointwise sum over translates at that depth, or raises the same error;
-    representatives whose diagonal exponent reaches the depth go through
-    translate."""
-    default = depth_for(preset, fq_oracle._hecke_window(preset, bound, mu))
-    fallbacks = []
-    for depth in range(1, default):
-        got = _outcome(whittaker_action, preset, bound, mu, q, depth)
-        fallbacks.append(len(translate_calls))
-        translate_calls.clear()
-        assert got == _outcome(_pointwise_whittaker_action, preset, bound, mu, q, depth), depth
-    assert fallbacks[0] and not fallbacks[-1]
+# GL2 sources lam + (k, k), k = 0..6, for the shift and no-translate tests;
+# (5, 5) with mu = (1, 0) used to end in a false singular lattice basis
+_GL2_SHIFTS = [((0, 0), (1, 0)), ((1, 0), (1, 0)), ((1, 0), (1, -1)), ((2, 0), (1, 0)),
+               ((1, -1), (2, 0))]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("lam,mu", _GL2_SHIFTS)
+def test_gl2_whittaker_action_commutes_with_central_shifts(lam, mu, q):
+    # t^(k, k) is central: the action on lam + (k, k) is the action on lam,
+    # with both indices moved by (k, k)
+    base = whittaker_action("GL2", lam, mu, q)
+    assert base
+    for k in range(7):
+        shifted = whittaker_action("GL2", (lam[0] + k, lam[1] + k), mu, q)
+        assert shifted == {((l0 + k, l1 + k), (n0 + k, n1 + k)): v
+                           for ((l0, l1), (n0, n1)), v in base.items()}, k
 
 
 def test_whittaker_action_builds_no_translate_at_the_default_depth(translate_calls):
+    """The read-off builds no translate, also on GL2 sources whose diagonal
+    exponents pass the cut of the old rule."""
     assert whittaker_action("PGL2", (3,), (3,), 9)
+    for lam, mu in _GL2_SHIFTS:
+        for k in range(7):
+            assert whittaker_action("GL2", (lam[0] + k, lam[1] + k), mu, 3)
     assert not translate_calls
+
+
+def test_depth_for_reads_the_central_part_of_a_gl2_bound():
+    # SL2 and PGL2 keep 2 (a - c + 1) + 2 on every bound; a GL2 bound whose
+    # diagonal (a, c) has min(a, c) > 0 cuts that much deeper
+    for preset in ("SL2", "PGL2"):
+        for b in range(-6, 7):
+            a, c = PRESETS[preset].diagonal(b)
+            assert depth_for(preset, (b,)) == 2 * (a - c + 1) + 2, (preset, b)
+    assert depth_for("GL2", (1, -1)) == depth_for("GL2", (0, -2)) == 8
+    assert depth_for("GL2", (5, 4)) == depth_for("GL2", (1, 0)) + 4 == 10
 
 
 def _generator_kind(name):

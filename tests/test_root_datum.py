@@ -110,6 +110,9 @@ _IRREDUCIBLE = {
     "A2": [[2, -1], [-1, 2]],
     "B2": [[2, -1], [-2, 2]],
     "G2": [[2, -1], [-3, 2]],
+    "A3": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+    "B3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+    "C3": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
 }
 
 
@@ -235,3 +238,43 @@ def test_coroot_coords_on_a_central_torus():
     assert rd.coroot_coords((2, 0)) is None
     with pytest.raises(RootDatumError, match="semisimple"):
         rd.from_adjoint_coords((1,))
+
+
+# ---- the dominance interval
+
+# the presets, and SL4, PGL4, Spin7 (B3) and Sp6 (C3)
+_RANK_THREE = [(("A3",), False), (("A3",), True), (("B3",), False), (("C3",), False)]
+_INTERVAL_DATA = [*(("preset", g) for g in PRESETS), *(("reducible", r) for r in _RANK_THREE)]
+_INTERVAL_IDS = PRESETS + ["A3-sc", "A3-adj", "B3-sc", "C3-sc"]
+
+
+def _box_dominant_below(rd, mu):
+    """The dominant mu - sum_j c_j alpha_j^vee over the box 0 <= c_j <= h + 1,
+    h = <2 rho, mu>: a dominant nu = mu - sum_j c_j alpha_j^vee has
+    2 sum_j c_j = <2 rho, mu - nu> <= h."""
+    cap = rd.pair(rd.two_rho, mu) + 1
+    out = set()
+    for c in itertools.product(range(cap + 1), repeat=rd.rank):
+        nu = tuple(m - s for m, s in zip(mu, _lattice_sum(c, rd.simple_coroots)))
+        if rd.is_dominant(nu):
+            out.add(nu)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("kind,spec", _INTERVAL_DATA, ids=_INTERVAL_IDS)
+def test_dominant_below_matches_box_scan(kind, spec):
+    rd = _datum(kind, spec)
+    if rd.rank == rd.char_lattice_rank:
+        tops = rd.dominant_window((2 if rd.rank < 3 else 1,) * rd.rank)
+    else:  # GL2: central parts from -2 to 4
+        tops = [(a, c) for a in range(-1, 3) for c in range(-1, a + 1)]
+    for mu in tops:
+        below = rd.dominant_below(mu)
+        assert below == _box_dominant_below(rd, mu), mu
+        assert all(rd.dominance_leq(nu, mu) for nu in below)
+        assert mu in below
+
+
+def test_dominant_below_rejects_a_non_dominant_coweight():
+    with pytest.raises(RootDatumError, match="not dominant"):
+        build_root_datum("SL3").dominant_below((1, 0))

@@ -10,8 +10,6 @@ from expflag.coefficients import QPoly
 from expflag.strata import (
     CellShape,
     StrataError,
-    dominance_leq,
-    dominant_coweights_below,
     double_coset_elements,
     finite_closure_strata,
     gr_cell_class,
@@ -82,7 +80,7 @@ def test_twisted_orbit_dims(W):
     d, d_closed = twisted_orbit_dims(W, zero)
     assert d == rd.pair(rd.two_rho, rd.rho_hat)
     assert d_closed == d - 1
-    for mu in dominant_coweights_below(rd, tuple(2 for _ in range(rd.rank))):
+    for mu in rd.dominant_below((2,) * rd.rank):
         d_mu, _ = twisted_orbit_dims(W, mu)
         assert d_mu == rd.pair(rd.two_rho, mu) + d
 
@@ -110,14 +108,14 @@ def test_double_coset_sizes(W):
     zero = tuple(0 for _ in range(rd.char_lattice_rank))
     assert len(double_coset_elements(W, zero)) == order
     # regular dominant mu gives the full product of two copies of W0
-    mu = dominant_coweights_below(rd, tuple(3 for _ in range(rd.char_lattice_rank)))[-1]
+    mu = rd.dominant_below((3,) * rd.char_lattice_rank)[-1]
     if all(rd.pair(a, mu) > 0 for a in rd.simple_roots):
         assert len(double_coset_elements(W, mu)) == order * order
 
 
 def test_gr_cell_class_matches_orbit_count(W):
     rd = W.rd
-    for mu in dominant_coweights_below(rd, tuple(1 for _ in range(rd.rank))):
+    for mu in rd.dominant_below((1,) * rd.rank):
         cls = gr_cell_class(W, mu)
         orbits = iwahori_orbits_in_spherical(W, mu)
         assert sum(cls.coeffs.values()) == len(orbits)
@@ -136,22 +134,22 @@ def test_gr_cell_class_sl2_values():
 
 def test_dominance_order(W):
     rd = W.rd
-    top = tuple(2 for _ in range(rd.char_lattice_rank))
-    below = dominant_coweights_below(rd, top)
+    top = (2,) * rd.char_lattice_rank
+    below = rd.dominant_below(top)
     for mu in below:
-        assert dominance_leq(rd, mu, top)
-        assert dominance_leq(rd, mu, mu)
-    assert not dominance_leq(rd, top, below[0]) or top == below[0]
+        assert rd.dominance_leq(mu, top)
+        assert rd.dominance_leq(mu, mu)
+    assert not rd.dominance_leq(top, below[0]) or top == below[0]
 
 
 def test_dominant_coweights_below_rank_one():
     # SL2 coweights sit in the coroot lattice with the coroot at 1, so every
     # step down is allowed; PGL2 has the coroot at 2 and keeps parity
     rd = build_root_datum("SL2")
-    assert dominant_coweights_below(rd, (3,)) == [(0,), (1,), (2,), (3,)]
+    assert rd.dominant_below((3,)) == [(0,), (1,), (2,), (3,)]
     rdp = build_root_datum("PGL2")
-    assert dominant_coweights_below(rdp, (4,)) == [(0,), (2,), (4,)]
-    assert dominant_coweights_below(rdp, (3,)) == [(1,), (3,)]
+    assert rdp.dominant_below((4,)) == [(0,), (2,), (4,)]
+    assert rdp.dominant_below((3,)) == [(1,), (3,)]
 
 
 ALL_PRESETS = ["SL2", "PGL2", "GL2", "SL3", "PGL3", "Sp4", "G2"]
