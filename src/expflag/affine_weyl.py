@@ -24,16 +24,19 @@ v(alpha_i) < 0.
 Right multiplication by a simple reflection s_i = t_{lam_i} u_i is
 t_lam v s_i = t_{lam + v lam_i} (v u_i); a table built at construction holds
 the pair (v lam_i, v u_i) for every v in W0 and every i.
-``sign_on_alcove`` evaluates an affine root exactly at a rational
-barycenter of a0; ``length_brute`` and ``is_left_w0_maximal_by_descents``
-are independent cross-checks of the closed forms.
+``sign_on_alcove`` reads the sign of alpha + n on a0 at the barycenter
+rho-hat / h, with h = 1 + the greatest height of a highest root theta; it
+lies in a0, as <alpha_i, rho-hat> = 1 and <theta, rho-hat> = ht(theta) < h.
+Scaled by 2h > 0 the value is the integer <alpha, 2 rho-hat> + 2h n, so
+the sign needs no rational. ``length_brute`` and
+``is_left_w0_maximal_by_descents`` are independent cross-checks of the
+closed forms.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, mul
 from typing import NamedTuple
 
@@ -134,11 +137,12 @@ class AffineWeyl:
         self.num_simples = len(self.simples)
 
     def _build_barycenter(self):
+        # the barycenter is rho-hat / h; sign_on_alcove scales by 2h > 0
         rd = self.rd
         h = 1 + max(
             (rd.height(t) for t in rd.highest_roots()), default=0
         )
-        self.barycenter = tuple(Fraction(a, h) for a in rd.rho_hat)
+        self._two_h = 2 * h
 
     # ---- group arithmetic
 
@@ -186,8 +190,9 @@ class AffineWeyl:
         return ar.finite_part in self.rd.positive_root_set
 
     def sign_on_alcove(self, ar: AffineRoot) -> int:
-        """Sign of the affine functional on the open base alcove."""
-        val = self.rd.pair_fractional(ar.finite_part, self.barycenter) + ar.level
+        """Sign of the affine functional on the open base alcove: that of
+        <alpha, 2 rho-hat> + 2h n, 2h times its value at rho-hat / h."""
+        val = self.rd.pair(ar.finite_part, self.rd.two_rho_hat) + self._two_h * ar.level
         if val > 0:
             return 1
         if val < 0:

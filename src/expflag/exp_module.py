@@ -227,7 +227,6 @@ class ExpModule:
         self.rd = rd
         self.adj = rd.adjoint()
         self.W = AffineWeyl(self.adj)
-        self.rho_hat_adj = tuple(1 for _ in range(rd.rank))
         self._action_cache = {}
 
     # ---- index conversion
@@ -239,12 +238,6 @@ class ExpModule:
                     f"index {tuple(mu)} is not a dominant coweight of {self.rd.name}"
                 )
 
-    def to_adj(self, mu):
-        return self.rd.to_adjoint_coords(mu)
-
-    def from_adj(self, v):
-        return self.rd.from_adjoint_coords(v)
-
     def dual_involution(self, mu):
         """mu* = -w0(mu), the dominant representative of -mu."""
         w0 = self.rd.longest_element()
@@ -254,7 +247,7 @@ class ExpModule:
 
     def closed_label(self, mu) -> ExpLabel:
         elt = self.W.translation(
-            tuple(a + 1 for a in self.to_adj(mu))
+            tuple(a + 1 for a in self.rd.to_adjoint_coords(mu))
         )
         return ExpLabel("coset", elt)
 
@@ -263,7 +256,7 @@ class ExpModule:
         if elt.v != self.adj.identity:
             return None
         shifted = tuple(a - 1 for a in elt.lam)
-        mu = self.from_adj(shifted)
+        mu = self.rd.from_adjoint_coords(shifted)
         if mu is None or not self.rd.is_dominant(mu):
             return None
         return mu
@@ -310,7 +303,7 @@ class ExpModule:
                         f"m_{tuple(lam)} is not right-W0-invariant under "
                         f"T_s{i} (acting by 1_{tuple(mu)})"
                     )
-            mu_star_adj = self.to_adj(self.dual_involution(mu))
+            mu_star_adj = self.rd.to_adjoint_coords(self.dual_involution(mu))
             self._action_cache[key] = self._apply_double_coset(big, mu_star_adj)
         return self._action_cache[key]
 

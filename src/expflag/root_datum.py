@@ -16,16 +16,16 @@ of roots and the left descents; multiplication and inversion are lookups.
 Coordinates are integers. Each root carries its simple-root coordinates
 from the reflection closure, which give positivity, height and the highest
 roots. Coroot and adjoint coordinates of a coweight read one integer
-adjugate of the Cartan matrix, computed at construction. ``Fraction`` is
-left only where a rational is the honest answer: the finite-type test of
-the Cartan matrix (``_check_cartan``, ``_det``) and rho-hat with
-``pair_fractional``, which the alcove-sign cross-check of the affine length
-evaluates.
+adjugate of the Cartan matrix, computed at construction. The finite-type
+test reads the leading principal minors of the Cartan matrix itself, and
+rho-hat is kept doubled, as the integer ``two_rho_hat``. ``Fraction`` is
+left only in ``_det``'s elimination and in ``pair_fractional``.
 
 The dominance order on coweights is enumerated here and only here:
 ``dominance_leq``, the interval ``dominant_below(mu)``, walked down the
 positive coroots, and the height window ``dominant_window(bound)`` that
-``expmod --rank-one``, ``verify`` and the F_q oracle work on.
+``expmod --rank-one``, ``verify`` and the F_q oracle work on. Each of these
+rejects a coweight without ``char_lattice_rank`` coordinates.
 """
 
 from __future__ import annotations
@@ -126,7 +126,14 @@ class RootDatum:
         """<chi, lambda> for chi in X*(T) (or Q-span), lambda in X_*(T)."""
         return sum(map(mul, chi, lam))
 
+    def _check_rank(self, lam):
+        if len(lam) != self.char_lattice_rank:
+            raise RootDatumError(
+                f"coweight {tuple(lam)} has {len(lam)} coordinates; "
+                f"{self.name} takes {self.char_lattice_rank} coordinates")
+
     def is_dominant(self, lam):
+        self._check_rank(lam)
         return all(self.pair(a, lam) >= 0 for a in self.simple_roots)
 
     def is_strictly_dominant(self, lam):
@@ -134,6 +141,8 @@ class RootDatum:
 
     def dominance_leq(self, nu, mu):
         """nu <= mu: mu - nu in the nonnegative span of the simple coroots."""
+        self._check_rank(nu)
+        self._check_rank(mu)
         coeffs = self.coroot_coords(_vec_sub(mu, nu))
         return coeffs is not None and min(coeffs) >= 0
 
@@ -169,6 +178,7 @@ class RootDatum:
         the cap, 0 included; on GL2 every lam keeps bound's central part.
         """
         bound = tuple(bound)
+        self._check_rank(bound)
         walk = [((), self.pair(self.two_rho, bound))]
         for i in range(self.rank):
             k = sum(self.root_coords[r][i] for r in self.positive_roots)
@@ -322,7 +332,8 @@ class RootDatum:
         raise RootDatumError(f"{root} is not a root")
 
     def _build_rho(self):
-        # 2 rho = sum of positive roots, in X*(T); rho-hat in Q tensor X_*(T)
+        # 2 rho = sum of positive roots in X*(T), 2 rho-hat = sum of positive
+        # coroots in X_*(T)
         n = self.char_lattice_rank
         total = [0] * n
         for r in self.positive_roots:
@@ -333,10 +344,9 @@ class RootDatum:
             c = self.coroot_of[r]
             totalc = [a + b for a, b in zip(totalc, c)]
         self.two_rho_hat = tuple(totalc)
-        self.rho_hat = tuple(Fraction(a, 2) for a in totalc)
 
     def pair_fractional(self, chi, lam):
-        """Pairing extended Q-bilinearly (for rho-hat), as a Fraction."""
+        """The pairing, as a Fraction."""
         return Fraction(self.pair(chi, lam))
 
     def highest_roots(self):
@@ -391,6 +401,7 @@ class RootDatum:
         <alpha_i, lam> = sum_j cartan[i][j] c_j, so c = adj <alpha, lam> / det;
         rebuilding lam rejects a coweight with a central part (GL2's (1, 1)).
         """
+        self._check_rank(lam)
         c = self._adj_apply(self.to_adjoint_coords(lam))
         if any(a % self._cartan_det for a in c):
             return None
@@ -416,21 +427,10 @@ def _check_cartan(cartan):
                     raise RootDatumError("Cartan off-diagonal must be <= 0")
                 if (cartan[i][j] == 0) != (cartan[j][i] == 0):
                     raise RootDatumError("Cartan zero pattern must be symmetric")
-    # positive definiteness of the symmetrization via leading principal minors
-    sym = [[Fraction(0)] * n for _ in range(n)]
-    # symmetrize with positive diagonal d: d_i a_ij = d_j a_ji
-    d = [Fraction(1)] * n
-    for _ in range(n):
-        for i in range(n):
-            for j in range(n):
-                if cartan[i][j] and d[i] * cartan[i][j] != d[j] * cartan[j][i]:
-                    d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
-    for i in range(n):
-        for j in range(n):
-            sym[i][j] = d[i] * cartan[i][j]
+    # finite type iff every leading principal minor is positive (Kac, ch. 4);
+    # a symmetrization D A with D positive diagonal has the same minor signs
     for k in range(1, n + 1):
-        minor = [row[:k] for row in sym[:k]]
-        if _det(minor) <= 0:
+        if _det([row[:k] for row in cartan[:k]]) <= 0:
             raise RootDatumError("Cartan matrix not of finite type")
 
 
@@ -463,36 +463,6 @@ def _det(m):
     return det
 
 
-_PRESETS = {}
-
-
-def _preset(name):
-    def reg(fn):
-        _PRESETS[name] = fn
-        return fn
-    return reg
-
-
-@_preset("SL2")
-def _sl2():
-    # X*(T) = Z with alpha = 2, X_*(T) = Z with alpha-check = 1
-    return {"name": "SL2", "simple_roots": [(2,)], "simple_coroots": [(1,)]}
-
-
-@_preset("PGL2")
-def _pgl2():
-    return {"name": "PGL2", "simple_roots": [(1,)], "simple_coroots": [(2,)]}
-
-
-@_preset("GL2")
-def _gl2():
-    return {
-        "name": "GL2",
-        "simple_roots": [(1, -1)],
-        "simple_coroots": [(1, -1)],
-    }
-
-
 def _simply_connected(name, cartan):
     r = len(cartan)
     return {
@@ -511,6 +481,10 @@ def _adjoint_preset(name, cartan):
     }
 
 
+_PRESETS = {}
+_PRESETS["SL2"] = lambda: _simply_connected("SL2", [[2]])
+_PRESETS["PGL2"] = lambda: _adjoint_preset("PGL2", [[2]])
+_PRESETS["GL2"] = lambda: {"name": "GL2", "simple_roots": [(1, -1)], "simple_coroots": [(1, -1)]}
 _PRESETS["SL3"] = lambda: _simply_connected("SL3", [[2, -1], [-1, 2]])
 _PRESETS["PGL3"] = lambda: _adjoint_preset("PGL3", [[2, -1], [-1, 2]])
 _PRESETS["Sp4"] = lambda: _simply_connected("Sp4", [[2, -1], [-2, 2]])

@@ -1,8 +1,14 @@
-"""Shapes and dimensions of exponential orbits, and Iwahori decompositions.
+"""Iwahori decompositions of spherical cells, and shapes of exponential orbits.
+
+``double_coset_elements`` lists W0 t_mu W0 and ``iwahori_orbits_in_spherical``
+its right-W0-minimal elements, one per Iwahori orbit in Gr^mu; the exponential
+module's spherical action sums over them.
 
 Every orbit in sight is a product of copies of A1, Gm, and Gm minus a point;
 CellShape records the multiplicities and hands back the class in Z[q] via the
-dictionary A1 -> q, Gm -> q - 1, Gm minus a point -> q - 2.
+dictionary A1 -> q, Gm -> q - 1, Gm minus a point -> q - 2. ``orbit_shape``
+and ``gr_cell_class`` are references that the tests check the engine
+against.
 """
 
 from __future__ import annotations
@@ -59,33 +65,6 @@ def orbit_shape(W: AffineWeyl, label: ExpLabel, f) -> CellShape:
     if maximal:
         return CellShape(l - 1, 0, 0)
     return CellShape(l, 0, 0)
-
-
-def twisted_orbit_dims(W: AffineWeyl, mu):
-    """(Iwahori cell dim, closed twisted exponential orbit dim) over t^mu."""
-    rd = W.rd
-    if not rd.is_dominant(mu):
-        raise StrataError("mu must be dominant")
-    shifted = tuple(m + r for m, r in zip(mu, rd.rho_hat))
-    d = rd.pair_fractional(rd.two_rho, shifted)
-    if d.denominator != 1:
-        raise StrataError("non-integral twisted dimension")
-    return int(d), int(d) - 1
-
-
-def finite_closure_strata(W: AffineWeyl):
-    """Strata of the closure of the closed top exponential orbit in G/B.
-
-    Returns (w0_label, low_cells): the coset-tagged label of the longest
-    finite element (the hyperplane orbit inside the big cell), plus all
-    finite Bruhat cells of codimension at least 2. Cells of codimension
-    exactly 1 never appear.
-    """
-    rd = W.rd
-    w0 = rd.longest_element()
-    cutoff = len(w0.word) - 2
-    low = [v for v in rd.weyl_elements() if len(v.word) <= cutoff]
-    return ExpLabel("coset", W.from_finite(w0)), low
 
 
 def iwahori_orbits_in_spherical(W: AffineWeyl, mu):

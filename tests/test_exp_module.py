@@ -308,7 +308,7 @@ def test_raw_action_is_full_double_coset_sum_over_poincare(name, pairs):
     for lam, mu in pairs:
         big = M.lift_closed(lam)
         full = BigExpVector(M.W, {})
-        for y in double_coset_elements(M.W, M.to_adj(M.dual_involution(mu))):
+        for y in double_coset_elements(M.W, M.rd.to_adjoint_coords(M.dual_involution(mu))):
             full = full + phi_element(big, y)
         assert full == M._raw_action(lam, mu).scale(P), (lam, mu)
 

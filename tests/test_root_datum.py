@@ -278,3 +278,104 @@ def test_dominant_below_matches_box_scan(kind, spec):
 def test_dominant_below_rejects_a_non_dominant_coweight():
     with pytest.raises(RootDatumError, match="not dominant"):
         build_root_datum("SL3").dominant_below((1, 0))
+
+
+# ---- the finite-type test of the Cartan matrix
+
+def _sc(cartan):
+    from expflag.root_datum import _simply_connected
+
+    return build_root_datum(_simply_connected("X", cartan))
+
+
+@pytest.mark.parametrize("cartan", [
+    [[2, -2], [-2, 2]],
+    [[2, -3], [-3, 2]],
+    [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+    [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]],
+    [[2, -1, 0], [-1, 2, -3], [0, -1, 2]],
+], ids=["affine-A1", "hyperbolic", "affine-A2", "non-symmetrizable", "affine-G2"])
+def test_cartan_matrix_not_of_finite_type_is_rejected(cartan):
+    with pytest.raises(RootDatumError, match=r"^Cartan matrix not of finite type$"):
+        _sc(cartan)
+
+
+@pytest.mark.parametrize("cartan,message", [
+    ([[3, -1], [-1, 2]], "Cartan diagonal must be 2"),
+    ([[2, 1], [1, 2]], "Cartan off-diagonal must be <= 0"),
+    ([[2, 0], [-1, 2]], "Cartan zero pattern must be symmetric"),
+], ids=["diagonal", "off-diagonal", "zero-pattern"])
+def test_cartan_matrix_axioms_are_checked(cartan, message):
+    with pytest.raises(RootDatumError, match=rf"^{message}$"):
+        _sc(cartan)
+
+
+@pytest.mark.parametrize("names,order", [(("A3",), 24), (("B3",), 48), (("G2", "A1"), 24)],
+                         ids=["A3", "B3", "G2xA1"])
+def test_cartan_matrix_of_finite_type_is_accepted(names, order):
+    rd = _sc(_block_cartan(*names))
+    assert len(rd.weyl_elements()) == order
+
+
+# ---- coweights of the wrong rank
+
+@pytest.mark.parametrize("name,good,short,long", [
+    ("SL3", (1, 1), (1,), (1, 1, -7)),
+    ("GL2", (1, 0), (1,), (1, 0, 0)),
+], ids=["SL3", "GL2"])
+def test_coweight_of_the_wrong_rank_is_rejected(name, good, short, long):
+    rd = build_root_datum(name)
+    takes = rf"takes {rd.char_lattice_rank} coordinates"
+    for bad in (short, long):
+        for call in (
+            lambda: rd.is_dominant(bad),
+            lambda: rd.dominant_below(bad),
+            lambda: rd.dominance_leq(good, bad),
+            lambda: rd.dominance_leq(bad, good),
+            lambda: rd.dominant_window(bad),
+            lambda: rd.coroot_coords(bad),
+        ):
+            with pytest.raises(RootDatumError, match=takes):
+                call()
+    assert rd.is_dominant(good)
+
+
+def test_wrong_rank_coweight_reaches_no_iwahori_orbit():
+    from expflag.affine_weyl import AffineWeyl
+    from expflag.strata import iwahori_orbits_in_spherical
+
+    W = AffineWeyl(build_root_datum("SL3"))
+    with pytest.raises(RootDatumError, match="takes 2 coordinates"):
+        iwahori_orbits_in_spherical(W, (1, 1, 3))
+
+
+# ---- the sign of an affine root on the base alcove
+
+def _sign_at_rational_barycenter(rd, ar):
+    """The sign of ar at rho-hat / h, with rho-hat the half-sum of the
+    positive coroots and h = 1 + the greatest height of a highest root,
+    evaluated in Fractions."""
+    from fractions import Fraction
+
+    h = 1 + max(rd.height(t) for t in rd.highest_roots())
+    rho_hat = [Fraction(sum(rd.coroot_of[r][k] for r in rd.positive_roots), 2)
+               for k in range(rd.char_lattice_rank)]
+    val = sum(a * Fraction(c, h) for a, c in zip(ar.finite_part, rho_hat)) + ar.level
+    return (val > 0) - (val < 0)
+
+
+@pytest.mark.parametrize("kind,spec", [
+    *(("preset", g) for g in PRESETS),
+    *(("reducible", ((n,), False)) for n in ("A3", "B3", "C3")),
+], ids=PRESETS + ["A3", "B3", "C3"])
+def test_sign_on_alcove_matches_the_rational_barycenter(kind, spec):
+    from expflag.affine_weyl import AffineRoot, AffineWeyl, AffineWeylError
+
+    rd = _datum(kind, spec)
+    W = AffineWeyl(rd)
+    for a in rd.roots:
+        for n in range(-6, 7):
+            ar = AffineRoot(a, n)
+            assert W.sign_on_alcove(ar) == _sign_at_rational_barycenter(rd, ar), ar
+    with pytest.raises(AffineWeylError, match="vanishes"):
+        W.sign_on_alcove(AffineRoot((0,) * rd.char_lattice_rank, 0))

@@ -11,11 +11,9 @@ from expflag.strata import (
     CellShape,
     StrataError,
     double_coset_elements,
-    finite_closure_strata,
     gr_cell_class,
     iwahori_orbits_in_spherical,
     orbit_shape,
-    twisted_orbit_dims,
 )
 
 
@@ -72,34 +70,6 @@ def test_orbit_shape_rejects_bad_labels(W):
     if not W.is_right_minimal(non_min, f0):
         with pytest.raises(StrataError):
             orbit_shape(W, ExpLabel("coset", non_min), f0)
-
-
-def test_twisted_orbit_dims(W):
-    rd = W.rd
-    zero = tuple(0 for _ in range(rd.char_lattice_rank))
-    d, d_closed = twisted_orbit_dims(W, zero)
-    assert d == rd.pair(rd.two_rho, rd.rho_hat)
-    assert d_closed == d - 1
-    for mu in rd.dominant_below((2,) * rd.rank):
-        d_mu, _ = twisted_orbit_dims(W, mu)
-        assert d_mu == rd.pair(rd.two_rho, mu) + d
-
-
-def test_twisted_orbit_dims_rejects_non_dominant():
-    W2 = AffineWeyl(build_root_datum("SL2"))
-    with pytest.raises(StrataError):
-        twisted_orbit_dims(W2, (-1,))
-
-
-def test_finite_closure_strata(W):
-    rd = W.rd
-    label, low = finite_closure_strata(W)
-    assert label.tag == "coset"
-    assert W.length(label.elt) == len(rd.longest_element().word)
-    n = len(rd.longest_element().word)
-    assert all(len(v.word) <= n - 2 for v in low)
-    # nothing in codimension one
-    assert not any(len(v.word) == n - 1 for v in low)
 
 
 def test_double_coset_sizes(W):
