@@ -21,16 +21,22 @@ their ``PRESETS`` entry: ``coords`` maps the Hermite diagonal exponents
 lattices are classes modulo global t-scaling; diagonal(coords(a, c))
 normalizes them to c = 0.
 
-Two read-offs skip the Hermite form where its answer is already known:
+Three read-offs skip the Hermite form where its answer is already known:
 
 * ``act`` returns the point itself when g stabilizes the lattice L, i.e.
   L^-1 g L lies in GL2(O) (``_fixes``): for x_plus, x_minus and diagonal
   elements with unit entries this is a test on a, c and val b, used only
-  where the bounded Hermite path below would run.
+  where the bounded Hermite path below would run. As the test reads only
+  that shape, the orbit search asks it once per shape and keeps a row of
+  the generators that move such a point; each point applies only those.
 * ``whittaker_action`` reads the label and character coefficient of
   t^nu times a coset representative straight off the two diagonals and b,
   with no point built, wherever ``_triangular_point`` would apply; the
   representatives of one diagonal add their trace counts at once.
+* ``hecke_operator`` reads x g for a coset representative g off the same
+  closed form: x's part is shifted once per diagonal of g and only g's
+  off-diagonal entry is merged per representative, with no GrPoint built
+  on SL2 and GL2, wherever ``_triangular_point`` would apply.
 
 Otherwise left (``act``) and right (``translate``) translates take one of
 three paths:
@@ -56,8 +62,11 @@ three paths:
 ``test_bounded_hnf_*`` and the ``test_stabilizer_shortcut_*`` tests check
 each fast path against ``_hnf_point(preset, q, mat, cut)`` with four
 arguments, the full-precision form of the full product: same point, or the
-same error. ``test_whittaker_counts_match_pointwise_psi_sum`` checks the
-Whittaker read-off against a sum over translates.
+same error. ``test_whittaker_counts_match_pointwise_psi_sum`` and
+``test_hecke_read_off_matches_a_sum_over_translates`` check the Whittaker
+and Hecke read-offs against sums over translates, and
+``test_stabilizer_rows_match_a_search_that_acts_by_every_generator`` the
+orbit search against one that calls ``act`` for every generator.
 
 The cut of a window follows from its bound alone (``depth_for``); the
 Whittaker read-off needs none.
@@ -445,24 +454,24 @@ def _fixes(point: GrPoint, mat, cut):
     return diff is None or diff + v >= a
 
 
-def act(point: GrPoint, mat, cut):
-    """Left translate of a point by a group element."""
-    if _fixes(point, mat, cut):
-        return point
-    out = _triangular_point(point, mat, cut, left=True)
+def _product_point(point: GrPoint, mat, cut, left):
+    """g L (left) or L g: the closed form where it applies, else the
+    Hermite form of the product."""
+    out = _triangular_point(point, mat, cut, left)
     if out is not None:
         return out
-    prod, v = _point_product(point, mat, cut, left=True)
+    prod, v = _point_product(point, mat, cut, left)
     return _hnf_point(point.preset, point.q, prod, cut, v)
+
+
+def act(point: GrPoint, mat, cut):
+    """Left translate of a point by a group element."""
+    return point if _fixes(point, mat, cut) else _product_point(point, mat, cut, True)
 
 
 def translate(point: GrPoint, mat, cut):
     """Right translate x -> x g, as in convolution by a coset sum."""
-    out = _triangular_point(point, mat, cut, left=False)
-    if out is not None:
-        return out
-    prod, v = _point_product(point, mat, cut, left=False)
-    return _hnf_point(point.preset, point.q, prod, cut, v)
+    return _product_point(point, mat, cut, False)
 
 
 # ---------------------------------------------------------------------------
@@ -668,16 +677,35 @@ def _orbit_bfs(seeds, gens, cut, p, window=None):
     records an image outside it: such a boundary orbit is truncated and
     must carry no function values downstream. A free search raises
     WindowTooLarge past _WINDOW_CAP points.
+
+    _fixes reads only the shape (a, c, val b) of a point, so each shape
+    gets one row: the generators that move its points, which each point
+    applies through the rest of act, and whether a stabilizing generator
+    has a psi-exponent nonzero mod p. Such a generator leads back to the
+    point with another label, so it clears consistent.
     """
     labels = dict.fromkeys(seeds, 0)
     frontier = list(labels)
     partial, consistent = False, True
+    rows = {}
     while frontier:
         nxt = []
         for x in frontier:
+            shape = (x.a, x.c, x.b[0][0] if x.b else None)
+            row = rows.get(shape)
+            if row is None:
+                moving, loops = [], False
+                for mat, e, _name in gens:
+                    if not _fixes(x, mat, cut):
+                        moving.append((mat, e))
+                    elif e % p:
+                        loops = True
+                row = rows[shape] = moving, loops
+            moving, loops = row
+            consistent = consistent and not loops
             ex = labels[x]
-            for mat, e, _name in gens:
-                im = act(x, mat, cut)
+            for mat, e in moving:
+                im = _product_point(x, mat, cut, True)
                 val = (e + ex) % p
                 old = labels.get(im)
                 if old is not None:
@@ -814,20 +842,49 @@ def hecke_operator(f: FqFunction, mu, domain_points, depth=None):
     (f * 1_mu)(x) = sum over g in K mu K / K of f(x g), evaluated on the
     given domain. Raises SupportEscapesWindow if the result is nonzero at
     a point whose type is not below the window bound of f.
+
+    A representative g = [[t^a', b'], [0, t^c']] takes x = [[t^a, b],
+    [0, t^c]] to [[t^(a+a'), (t^c' b + t^a b') mod t^(a+a')], [0, t^(c+c')]],
+    the closed form of translate. So the representatives are grouped by
+    diagonal (a', c'), x's part is shifted once per diagonal and only b'
+    is merged per representative. Where max(a+a', c+c', 0) reaches the cut
+    translate runs instead, giving the same point or the same error.
     """
     preset, q = f.preset, f.q
     bound = _hecke_window(preset, f.window, mu)
     cut = depth if depth is not None else depth_for(preset, bound)
-    reps = coset_reps(preset, mu, q, cut)
+    F = gf(q)
+    shapes = {}
+    for g in _coset_points(preset, mu, q):
+        shapes.setdefault((g.a, g.c), []).append(g)
+    projective = preset in _PROJECTIVE
     out = {}
     rd = _rd(preset)
     for x in domain_points:
         acc = 0
-        for g in reps:
-            y = translate(x, g, cut)
-            v = f.values.get(y)
-            if v is not None:
-                acc = acc + v if acc != 0 else v
+        for (a1, c1), reps in shapes.items():
+            a, c = x.a + a1, x.c + c1
+            if max(a, c, 0) >= cut:
+                ys = [translate(x, g.matrix(), cut) for g in reps]
+            else:
+                shifted = {e + c1: co for e, co in x.b if e + c1 < a}
+                ys = []
+                for g in reps:
+                    b = dict(shifted)
+                    for e, co in g.b:
+                        e += x.a
+                        co = F.add(b[e], co) if e in b else co
+                        if co:
+                            b[e] = co
+                        else:
+                            del b[e]
+                    # a GrPoint hashes and compares as its plain tuple
+                    ys.append(_canonical_point(preset, q, a, c, b) if projective
+                              else (preset, q, a, c, tuple(sorted(b.items()))))
+            for y in ys:
+                v = f.values.get(y)
+                if v is not None:
+                    acc = acc + v if acc != 0 else v
         if acc != 0 and not _is_cyc_zero(acc):
             if not rd.dominance_leq(x.coweight(), f.window):
                 raise SupportEscapesWindow(
@@ -1042,11 +1099,12 @@ def gm_averaging(f: FqFunction, points):
     preset, q = f.preset, f.q
     F = gf(q)
     cut = depth_for(preset, _window_bound(points))
+    tori = [d_torus(preset, q, cc) for cc in F.units()]
     vals = {}
     for x in points:
         acc = CycNum.integer(0, F.p, q)
-        for cc in F.units():
-            v = f.values.get(act(x, d_torus(preset, q, cc), cut))
+        for d in tori:
+            v = f.values.get(act(x, d, cut))
             if v is not None:
                 acc = acc + v
         if not acc.is_zero():

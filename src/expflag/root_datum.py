@@ -137,6 +137,7 @@ class RootDatum:
         return all(self.pair(a, lam) >= 0 for a in self.simple_roots)
 
     def is_strictly_dominant(self, lam):
+        self._check_rank(lam)
         return all(self.pair(a, lam) > 0 for a in self.simple_roots)
 
     def dominance_leq(self, nu, mu):
@@ -379,6 +380,7 @@ class RootDatum:
 
     def to_adjoint_coords(self, lam):
         """X_*(T) -> X_*(T_adj): lambda -> (<alpha_i, lambda>)_i."""
+        self._check_rank(lam)
         return tuple(self.pair(a, lam) for a in self.simple_roots)
 
     def from_adjoint_coords(self, v):
@@ -390,6 +392,10 @@ class RootDatum:
         if self.rank != self.char_lattice_rank:
             raise RootDatumError(
                 f"from_adjoint_coords needs a semisimple datum; {self.name} is not semisimple")
+        if len(v) != self.rank:
+            raise RootDatumError(
+                f"adjoint coordinates {tuple(v)} have {len(v)} entries; "
+                f"{self.name} takes {self.rank} coordinates")
         lam = self._coroot_sum(self._adj_apply(v))
         if any(a % self._cartan_det for a in lam):
             return None
@@ -401,7 +407,6 @@ class RootDatum:
         <alpha_i, lam> = sum_j cartan[i][j] c_j, so c = adj <alpha, lam> / det;
         rebuilding lam rejects a coweight with a central part (GL2's (1, 1)).
         """
-        self._check_rank(lam)
         c = self._adj_apply(self.to_adjoint_coords(lam))
         if any(a % self._cartan_det for a in c):
             return None

@@ -499,6 +499,29 @@ def test_stored_labels_match_character_labeling(preset, bound, q):
                 assert all((stored[x] - labels[x]) % p == shift for x in labels)
 
 
+def _reference_orbit_bfs(seeds, gens, cut, p, window=None):
+    """_orbit_bfs with act called on every generator at every point."""
+    labels = dict.fromkeys(seeds, 0)
+    frontier = list(labels)
+    partial, consistent = False, True
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for mat, e, _name in gens:
+                im = act(x, mat, cut)
+                val = (e + labels[x]) % p
+                old = labels.get(im)
+                if old is not None:
+                    consistent = consistent and old == val
+                elif window is not None and im not in window:
+                    partial = True
+                else:
+                    labels[im] = val
+                    nxt.append(im)
+        frontier = nxt
+    return labels, partial, consistent
+
+
 @pytest.mark.parametrize("group_spec", ["U_twisted", "U_rtimes_Gm_twisted"])
 @pytest.mark.parametrize("preset,q", [("SL2", 2), ("SL2", 3), ("PGL2", 3)])
 def test_orbit_closure_matches_free_bfs(preset, q, group_spec):
@@ -506,19 +529,9 @@ def test_orbit_closure_matches_free_bfs(preset, q, group_spec):
     cut = depth_for(preset, bound)
     gens = twisted_generators(preset, group_spec, q, 2 * bound[0] + 2)
     seeds = [torus_point(preset, q, (nu,)) for nu in (-1, 0, 1)]
-    seen = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g, _e, _name in gens:
-                im = act(x, g, cut)
-                if im not in seen:
-                    seen.add(im)
-                    nxt.append(im)
-        frontier = nxt
+    labels, _partial, _consistent = _reference_orbit_bfs(seeds, gens, cut, gf(q).p)
     got = orbit_closure(preset, q, seeds, group_spec, bound)
-    assert got == sorted(seen, key=_point_key)
+    assert got == sorted(labels, key=_point_key)
 
 
 def test_partition_cache_keeps_the_most_recently_used_windows(monkeypatch):
@@ -774,3 +787,122 @@ def test_stabilizer_shortcut_leaves_a_short_cut_to_the_full_path():
     assert want == GrPoint("SL2", 2, 0, 0, ((-3, 1), (-1, 1)))
     assert act(p, g, cut) == want
     assert act(p, g, cut + 2) == p
+
+
+# a window per preset and the torus coweights that seed the free searches
+_ROW_CASES = {
+    "SL2": ((2,), [(-1,), (0,), (1,)]),
+    "PGL2": ((2,), [(-1,), (0,), (1,)]),
+    "GL2": ((2, 0), [(0, 0), (1, 0), (0, 1)]),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(_ROW_CASES))
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_stabilizer_rows_match_a_search_that_acts_by_every_generator(preset, q):
+    """The stabilizer rows of _orbit_bfs change no label, no label order and
+    neither flag: inside a window, seeded as orbit_partition seeds it, and
+    free, from torus points, for all four group specs."""
+    bound, free_seeds = _ROW_CASES[preset]
+    p = gf(q).p
+    pts = enumerate_gr_window(preset, bound, q)
+    window = set(pts)
+    cut = depth_for(preset, bound)
+    seen = set()
+    for spec in _SPECS:
+        gens = fq_oracle._window_generators(preset, spec, q, bound)
+        done = set()
+        for seed in [x for x in pts if x.is_torus_point()] + pts:
+            if seed in done:
+                continue
+            got = fq_oracle._orbit_bfs([seed], gens, cut, p, window)
+            want = _reference_orbit_bfs([seed], gens, cut, p, window)
+            assert list(got[0].items()) == list(want[0].items()), (spec, seed)
+            assert got[1:] == want[1:], (spec, seed)
+            done |= set(got[0])
+            seen.add(("partial", got[1]))
+            seen.add(("consistent", got[2]))
+        seeds = [torus_point(preset, q, lam) for lam in free_seeds]
+        got = fq_oracle._orbit_bfs(seeds, gens, cut, p)
+        want = _reference_orbit_bfs(seeds, gens, cut, p)
+        assert list(got[0].items()) == list(want[0].items()), spec
+        assert got[1:] == want[1:], spec
+    # the windows hold a truncated orbit and one the character cannot live on
+    assert {("partial", True), ("consistent", False)} <= seen
+
+
+def _pointwise_hecke_operator(f, mu, domain_points, cut):
+    """hecke_operator as one translate per domain point and coset
+    representative: sum over g of f(translate(x, g, cut))."""
+    rd = build_root_datum(f.preset)
+    out = {}
+    for x in domain_points:
+        found = [f.values[y] for y in (translate(x, g, cut) for g in coset_reps(f.preset, mu, f.q))
+                 if y in f.values]
+        acc = sum(found[1:], found[0]) if found else 0
+        if not fq_oracle._is_cyc_zero(acc):
+            if not rd.dominance_leq(x.coweight(), f.window):
+                raise SupportEscapesWindow(x)
+            out[x] = acc
+    return out
+
+
+# the bounds of the windows that hold f and the domain, mu and the declared
+# support bound of f * 1_mu; None is the chain window. The support bound of
+# the second SL2 case is too small for the result.
+_HECKE_CASES = [
+    ("SL2", None, (1,), None, (3,)),
+    ("SL2", (2,), (1,), (2,), (0,)),
+    ("PGL2", (3,), (1,), (2,), (2,)),
+    ("GL2", (2, 0), (1, 0), (1, 0), (1, 0)),
+    ("GL2", (2, -1), (1, -1), (2, -1), (2, -1)),
+    ("GL2", (-1, -3), (0, -1), (-1, -2), (-1, -2)),
+]
+
+
+@pytest.mark.parametrize("preset,f_bound,mu,domain_bound,support", _HECKE_CASES)
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("kind", ["int", "CycNum"])
+def test_hecke_read_off_matches_a_sum_over_translates(
+        preset, f_bound, mu, domain_bound, support, q, kind):
+    """hecke_operator equals the sum over translates at its default depth and
+    at every depth below it: the same values, or the same error."""
+    import random
+
+    rng = random.Random(q)
+    p = gf(q).p
+
+    def window(bound):
+        return _chain_window(q) if bound is None else enumerate_gr_window(preset, bound, q)
+
+    def value():
+        if kind == "int":
+            return rng.randint(-2, 2)
+        return CycNum.make(p, q, [rng.randint(-2, 2) for _ in range(p - 1)], rng.randint(0, 1))
+
+    f = FqFunction(preset, q, support, {x: value() for x in window(f_bound) if rng.random() < 0.5})
+    pts = window(domain_bound)
+    default = depth_for(preset, fq_oracle._hecke_window(preset, support, mu))
+
+    def read_off(*depth):
+        got = _outcome(hecke_operator, f, mu, pts, *depth)
+        return got if isinstance(got, type) else got.values
+
+    outcomes = []
+    for cut in range(-1, default + 1):
+        want = _outcome(_pointwise_hecke_operator, f, mu, pts, cut)
+        assert read_off(cut) == want, cut
+        outcomes.append(want)
+    assert read_off() == want
+    # the shallow depths reach the translates' errors, the default one a
+    # nonzero result or, in the second SL2 case, its escape from the window
+    assert any(isinstance(w, type) for w in outcomes[:-1])
+    assert want == SupportEscapesWindow if support == (0,) else want
+
+
+def test_hecke_operator_builds_no_translate_on_the_chain_windows(translate_calls):
+    for q in (2, 3, 4, 5):
+        pts = _chain_window(q)
+        f = FqFunction("SL2", q, (3,), {x: 1 for x in pts})
+        assert hecke_operator(f, (1,), pts).values
+    assert not translate_calls

@@ -334,9 +334,14 @@ def test_coweight_of_the_wrong_rank_is_rejected(name, good, short, long):
             lambda: rd.dominance_leq(bad, good),
             lambda: rd.dominant_window(bad),
             lambda: rd.coroot_coords(bad),
+            lambda: rd.is_strictly_dominant(bad),
+            lambda: rd.to_adjoint_coords(bad),
         ):
             with pytest.raises(RootDatumError, match=takes):
                 call()
+        # adjoint coordinates take rank entries; GL2 is refused as not semisimple
+        with pytest.raises(RootDatumError, match=takes if rd.rank == len(good) else "semisimple"):
+            rd.from_adjoint_coords(bad)
     assert rd.is_dominant(good)
 
 
