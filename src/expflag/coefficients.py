@@ -460,14 +460,8 @@ class CycNum:
 
     @staticmethod
     def zeta_power(k, p, q):
-        """zeta_p^k, reduced: zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))."""
-        k %= p
-        poly = [0] * (p - 1)
-        if k < p - 1:
-            poly[k] = 1
-        else:
-            poly = [-1] * (p - 1)
-        return CycNum.make(p, q, poly, 0)
+        """zeta_p^k, one of the p values _zeta_powers builds once per (p, q)."""
+        return _zeta_powers(p, q)[k % p]
 
     def is_zero(self):
         return all(c == 0 for c in self.poly)
@@ -531,6 +525,14 @@ class CycNum:
 
     def __repr__(self):
         return f"CycNum(p={self.p}, {list(self.poly)}/q^{self.den_exp})"
+
+
+@lru_cache(maxsize=None)
+def _zeta_powers(p, q):
+    """zeta_p^0, ..., zeta_p^(p-1), reduced: zeta^(p-1) is
+    -(1 + zeta + ... + zeta^(p-2))."""
+    return tuple(CycNum.make(p, q, [-1] * (p - 1) if k == p - 1 else
+                             [int(i == k) for i in range(p - 1)]) for k in range(p))
 
 
 def psi_value(a, q) -> CycNum:

@@ -22,65 +22,36 @@ lattices are classes modulo global t-scaling; diagonal(coords(a, c))
 normalizes them to c = 0.
 
 Three read-offs skip the Hermite form where its answer is already known:
+``act`` returns the point when its element stabilizes the lattice
+(``_fixes``, a test on the shape (a, c, val b)); ``whittaker_action``
+reads labels and character coefficients off the two diagonals, with no
+point built; ``hecke_operator`` reads x g for a coset representative g off
+the triangular closed form, with no GrPoint built on SL2 and GL2.
 
-* ``act`` returns the point itself when g stabilizes the lattice L, i.e.
-  L^-1 g L lies in GL2(O) (``_fixes``): for x_plus, x_minus and diagonal
-  elements with unit entries this is a test on a, c and val b, used only
-  where the bounded Hermite path below would run. As the test reads only
-  that shape, the orbit search asks it once per shape and keeps a row of
-  the generators that move such a point; each point applies only those.
-* ``whittaker_action`` reads the label and character coefficient of
-  t^nu times a coset representative straight off the two diagonals and b,
-  with no point built, wherever ``_triangular_point`` would apply; the
-  representatives of one diagonal add their trace counts at once.
-* ``hecke_operator`` reads x g for a coset representative g off the same
-  closed form: x's part is shifted once per diagonal of g and only g's
-  off-diagonal entry is merged per representative, with no GrPoint built
-  on SL2 and GL2, wherever ``_triangular_point`` would apply.
+Otherwise a translate takes a closed form: ``_triangular_point`` for an
+upper-triangular element (coset representatives, x_plus, the Gm, torus and
+t>j generators) and ``_lower_point`` for x_minus. For any other element,
+and wherever the cut could reach a term they keep (``_reduced``), the
+full-precision Hermite form ``_hnf_point`` runs instead: their reference,
+which raises the same errors as ever. No twisted generator reaches it on
+the windows of the averaging chain. The cut of a window follows from its
+bound alone (``depth_for``); the Whittaker read-off needs none.
 
-Otherwise left (``act``) and right (``translate``) translates take one of
-three paths:
-
-* An upper-triangular element with monomial diagonal
-  [[d0 t^e0, g01], [0, d1 t^e1]] leaves the Hermite form triangular, so the
-  translate is computed in closed form (``_triangular_point``): every coset
-  representative, ``x_plus``, ``d_torus`` and the torus of the twisted
-  Iwahori take this path.
-* ``x_minus``, the SL2 ``t>j`` generators and any other non-monomial
-  diagonal go through ``_hnf_point`` with the determinant valuation
-  v = a + c + val det g of the product, which ``_point_product`` builds
-  from the point's entries (only g b or b g is a series product). The
-  pivot gives c, so a = v - c, and the pivot unit is inverted only to the
-  terms that the off-diagonal entry b (mod t^a) needs.
-* The full-precision Hermite form, which expands the pivot inverse to the
-  cut, runs wherever the cut could reach a kept exponent: the exact product
-  has an exponent at the cut, a, c or that number of inverse terms reaches
-  the cut, det g = 0, or a diagonal exponent of the closed form reaches
-  the cut. It raises the same errors as ever.
-
-``test_closed_form_translates_match_general_hnf``, the
-``test_bounded_hnf_*`` and the ``test_stabilizer_shortcut_*`` tests check
-each fast path against ``_hnf_point(preset, q, mat, cut)`` with four
-arguments, the full-precision form of the full product: same point, or the
-same error. ``test_whittaker_counts_match_pointwise_psi_sum`` and
-``test_hecke_read_off_matches_a_sum_over_translates`` check the Whittaker
-and Hecke read-offs against sums over translates, and
-``test_stabilizer_rows_match_a_search_that_acts_by_every_generator`` the
-orbit search against one that calls ``act`` for every generator.
-
-The cut of a window follows from its bound alone (``depth_for``); the
-Whittaker read-off needs none.
-
-One search, ``_orbit_bfs``, finds every orbit, inside a window or free,
-and transports the baby character along it: ``orbit_partition`` stores
-each orbit's character labels and consistency flag, which the baby basis
-and the averaging (linear per orbit: one sum of zeta^-c(y) f(y)) read.
+One search, ``_Window.search``, finds every orbit, inside a window or
+free, and transports the baby character along it. ``orbit_partition``
+keeps one ``_Window`` per window over the twisted Iwahori's generators, of
+which every group spec's are a subsequence, so all specs share the
+stabilizer test per shape and the translate per point and generator. Each
+orbit keeps its character labels and consistency flag, which the baby
+basis and the averaging (linear per orbit: one sum of zeta^-c(y) f(y))
+read.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -271,21 +242,13 @@ class GrPoint(NamedTuple):
         }
 
 
-def _hnf_point(preset, q, mat, cut, v=None):
+def _hnf_point(preset, q, mat, cut):
     """Canonical form of the lattice spanned by the columns of mat.
 
-    The full-precision path truncates every series at cut: it scales the
-    pivot column by the inverse of its bottom entry to exponents < cut,
-    clears the other bottom entry by a column operation and reads a off the
-    result.
-
-    v, when given, is the valuation of det mat, from a caller that built mat
-    with nothing dropped at cut. Then a = v - c is known once the pivot
-    gives c, and b = m01 u^-1 mod t^a (u the pivot unit) needs only the
-    n = a - val(m01) lowest terms of u^-1. The full path's truncations move
-    only exponents >= min(cut, val(m01) + cut), so while a, c and n are all
-    below cut both paths give the same point; otherwise the full path runs.
-    (At n = cut the column operation can change the coefficient of t^a.)
+    Truncates every series at cut: it scales the pivot column by the
+    inverse of its bottom entry to exponents < cut, clears the other bottom
+    entry by a column operation and reads a off the result. The closed
+    forms below fall back to it, and the tests check them against it.
     """
     F = gf(q)
     (m00, m01), (m10, m11) = mat
@@ -295,14 +258,8 @@ def _hnf_point(preset, q, mat, cut, v=None):
     if not m11:
         raise OracleError("singular lattice basis")
     c = _s_val(m11)
-    unit = _s_shift(m11, -c)
-    if v is not None:
-        a = v - c
-        n = a - _s_val(m01) if m01 else 0
-        if max(a, c, n) < cut:
-            return _canonical_point(preset, q, a, c, _s_mul(F, m01, _s_inv(F, unit, n), a))
     # scale the pivot column so its bottom entry is exactly t^c
-    m01 = _s_mul(F, m01, _s_inv(F, unit, cut), cut)
+    m01 = _s_mul(F, m01, _s_inv(F, _s_shift(m11, -c), cut), cut)
     if m10:
         # val(m10) >= c by the pivot choice, so this is an O-column operation
         factor = {e - c: F.neg(co) for e, co in m10.items()}
@@ -311,106 +268,122 @@ def _hnf_point(preset, q, mat, cut, v=None):
         raise OracleError("singular lattice basis")
     a = _s_val(m00)
     # reduce the off-diagonal entry modulo t^a
-    b = {e: co for e, co in m01.items() if e < a}
+    b = tuple((e, co) for e, co in sorted(m01.items()) if e < a)
     return _canonical_point(preset, q, a, c, b)
 
 
 def _canonical_point(preset, q, a, c, b):
-    """The point [[t^a, b], [0, t^c]], rescaled by a global power of t to
-    the diagonal diagonal(coords(a, c)) of its preset."""
+    """The point [[t^a, b], [0, t^c]] for a sorted tuple of terms b,
+    rescaled by a global power of t to the diagonal diagonal(coords(a, c))
+    of its preset."""
     if preset in _PROJECTIVE:
         P = PRESETS[preset]
         a, c0 = P.diagonal(*P.coords(a, c))
         if c0 != c:
-            b = {e + c0 - c: co for e, co in b.items()}
+            b = tuple((e + c0 - c, co) for e, co in b)
             c = c0
-    return GrPoint(preset, q, a, c, tuple(sorted(b.items())))
+    return GrPoint(preset, q, a, c, b)
+
+
+def _add_terms(F, xs, ys, hi):
+    """Sum of two sorted sequences of (exponent, coefficient) terms, as a
+    sorted tuple without the terms at or above hi: each term of ys, which
+    is short, goes into xs by bisection."""
+    out = list(xs) if not xs or xs[-1][0] < hi else [t for t in xs if t[0] < hi]
+    for e, co in ys:
+        if e < hi:
+            k = bisect_left(out, (e,))
+            if k == len(out) or out[k][0] != e:
+                out.insert(k, (e, co))
+            elif co := F.add(out[k][1], co):
+                out[k] = (e, co)
+            else:
+                del out[k]
+    return tuple(out)
+
+
+def _reduced(point: GrPoint, a, c, top, unit, cut):
+    """The point [[t^a, top u^-1 mod t^a], [0, t^c]], u the unit series
+    whose inverse the Hermite form of a product scales by, or None.
+
+    top u^-1 mod t^a needs the n = a - val(top) lowest terms of u^-1.
+    _hnf_point truncates the product at cut, keeping the terms of u below
+    cut - c, and expands u^-1 to cut terms. While a and c are below cut and
+    n < cut - max(c, 0) every term it reads for a and b is exact, so both
+    give this point (at n = cut - max(c, 0) its column operation can change
+    the coefficient of t^a); otherwise this returns None.
+    """
+    n = a - min(top) if top else 0
+    if max(a, c, 0) >= cut or n >= cut - max(c, 0):
+        return None
+    F = gf(point.q)
+    b = _s_mul(F, top, _s_inv(F, unit, n), a)
+    return _canonical_point(point.preset, point.q, a, c, tuple(sorted(b.items())))
 
 
 def _triangular_point(point: GrPoint, mat, cut, left):
     """Closed-form Hermite form of g L (left) or L g, or None.
 
-    Applies when g = [[d0 t^e0, g01], [0, d1 t^e1]] with d0, d1 nonzero.
-    With L = [[t^a, b], [0, t^c]] the product is already triangular with
-    diagonal d0 t^(a+e0), d1 t^(c+e1), so its Hermite form only rescales
-    the second column by 1/d1 and reduces its top entry modulo t^(a+e0).
-    The top entry is d0 t^e0 b + t^c g01 for g L and t^a g01 + d1 t^e1 b
-    for L g. Every kept exponent is below a + e0 < cut, so dropping the
-    terms at or above cut, as _s_mul does, changes nothing.
+    Applies when g = [[g00, g01], [0, g11]] with g00, g11 nonzero. With
+    L = [[t^a, b], [0, t^c]] the product stays triangular, with diagonal
+    exponents a' = a + val g00 and c' = c + val g11, so its Hermite form
+    scales the second column by the inverse of u, the unit of g11, and
+    reduces its top entry m mod t^a': b' = m u^-1 mod t^a', where
+    m = g00 b + t^c g01 for g L and t^a g01 + b g11 for L g.
 
-    Returns None, leaving the work to _hnf_point, for any other g and when
-    a diagonal exponent reaches cut (the general path then raises) or
-    cut <= 0 (it then also drops the 1/d1 scaling).
+    With a monomial diagonal u^-1 is a constant and b' merges two sorted
+    term lists, every kept exponent below a' < cut, where the full path's
+    truncation changes nothing; with unit series _reduced gives b' or
+    declines. Returns None for any other g, when a' or c' reaches cut and
+    when cut <= 0 (the full path then raises or drops the scaling).
     """
     (g00, g01), (g10, g11) = mat
-    if g10 or len(g00) != 1 or len(g11) != 1:
+    if g10 or not g00 or not g11:
         return None
-    ((e0, d0),) = g00.items()
-    ((e1, d1),) = g11.items()
+    e0, e1 = min(g00), min(g11)
     a, c = point.a + e0, point.c + e1
-    if not (d0 and d1) or max(a, c, 0) >= cut:
+    if max(a, c, 0) >= cut:
         return None
     F = gf(point.q)
-    u = 1 if d1 == 1 else F.inv(d1)
-    if left:
-        parts = ((e0, d0 if u == 1 else F.mul(d0, u), point.b),
-                 (point.c, u, g01.items()))
-    else:
-        parts = ((e1, 1, point.b), (point.a, u, g01.items()))
-    b = {}
-    for shift, scale, terms in parts:
-        for e, co in terms:
-            e += shift
-            if e >= a:
-                continue
-            if scale != 1:
-                co = F.mul(co, scale)
-            if e in b:
-                co = F.add(b[e], co)
-            if co:
-                b[e] = co
-            else:
-                b.pop(e, None)
-    return _canonical_point(point.preset, point.q, a, c, b)
+    if len(g00) == 1 and len(g11) == 1:
+        u = 1 if g11[e1] == 1 else F.inv(g11[e1])
+        if left:
+            shift, scale, at = e0, g00[e0] if u == 1 else F.mul(g00[e0], u), point.c
+        else:
+            shift, scale, at = e1, 1, point.a
+        xs = point.b
+        if shift or scale != 1:
+            xs = [(e + shift, co if scale == 1 else F.mul(co, scale)) for e, co in xs]
+        ys = [(e + at, co if u == 1 else F.mul(co, u)) for e, co in g01.items()]
+        if len(ys) > 1:
+            ys.sort()
+        return _canonical_point(point.preset, point.q, a, c, _add_terms(F, xs, ys, a))
+    at = point.c if left else point.a
+    m = _s_add(F, _s_mul(F, g00 if left else g11, dict(point.b), a),
+               {e + at: co for e, co in g01.items() if e + at < a})
+    return _reduced(point, a, c, m, _s_shift(g11, -e1), cut)
 
 
-def _det_val(F, g):
-    """Valuation of det g, or None when det g = 0."""
-    (g00, g01), (g10, g11) = g
-    if g01 and g10:
-        minus = {e: F.neg(co) for e, co in g01.items()}
-        return _s_val(_s_add(F, _s_mul(F, g00, g11, math.inf), _s_mul(F, minus, g10, math.inf)))
-    return _s_val(g00) + _s_val(g11) if g00 and g11 else None
+def _lower_point(point: GrPoint, mat, cut):
+    """Closed-form Hermite form of x_-(s) L = [[1, 0], [s, 1]] L, or None.
 
-
-def _point_product(point: GrPoint, g, cut, left):
-    """g L (left) or L g for L = [[t^a, b], [0, t^c]], truncated at cut.
-
-    The t^a and t^c entries of L are shifts, so only g b or b g is a series
-    product; the result equals _m_mul with point.matrix(). Also returns the
-    valuation a + c + val det g of its determinant when no exponent of the
-    exact product reaches cut, and None otherwise.
+    With L = [[t^a, b], [0, t^c]] the product's bottom row is
+    (s t^a, s b + t^c). The pivot is the entry of lower valuation c' (the
+    second on a tie, as in _hnf_point), the determinant t^(a+c) gives
+    a' = a + c - c', and b' is the top entry of the pivot's column times
+    the inverse of the pivot's unit, mod t^a' (_reduced, which may
+    decline). Returns None for any other g.
     """
+    (g00, g01), (s, g11) = mat
+    if g01 or not s or g00 != {0: 1} or g11 != {0: 1}:
+        return None
     F = gf(point.q)
     a, c, b = point.a, point.c, dict(point.b)
-    (g00, g01), (g10, g11) = g
-
-    def shift(s, k):
-        return {e + k: co for e, co in s.items() if e + k < cut}
-
-    if left:
-        prod = ((shift(g00, a), _s_add(F, _s_mul(F, g00, b, cut), shift(g01, c))),
-                (shift(g10, a), _s_add(F, _s_mul(F, g10, b, cut), shift(g11, c))))
-    else:
-        prod = ((_s_add(F, shift(g00, a), _s_mul(F, b, g10, cut)),
-                 _s_add(F, shift(g01, a), _s_mul(F, b, g11, cut))),
-                (shift(g10, c), shift(g11, c)))
-    # b has exponents below a, so every entry of L has exponents <= max(a, c)
-    top = max((max(s) for s in (g00, g01, g10, g11) if s), default=None)
-    dv = None
-    if top is not None and top + max(a, c, 0) < cut:
-        dv = _det_val(F, g)
-    return prod, None if dv is None else a + c + dv
+    low = {e + a: co for e, co in s.items()}
+    high = _s_add(F, _s_mul(F, s, b, math.inf), {c: 1})
+    pivot, top = (low, {a: 1}) if not high or min(low) < min(high) else (high, b)
+    c1 = min(pivot)
+    return _reduced(point, a + c - c1, c1, top, _s_shift(pivot, -c1), cut)
 
 
 def _fixes(point: GrPoint, mat, cut):
@@ -424,9 +397,10 @@ def _fixes(point: GrPoint, mat, cut):
     * diag(u0, u1) with unit entries: L^-1 g L = [[u0, (u0 - u1) b t^-a],
       [0, u1]], integral iff b = 0 or val(u0 - u1) + v >= a. In
       characteristic 2 the t>j generators have val(u0 - u1) = 2j, not j.
-    Decides only where the bounded Hermite path of act would run (every
-    exponent of the exact product below cut, and a - v inverse terms), so
-    a False leaves the same point or error to the general paths.
+    Decides only where the Hermite form of the product truncated at cut is
+    exact (every exponent of the exact product below cut, and fewer than
+    cut inverse terms), so a False leaves the same point or error to the
+    other paths.
     """
     (g00, g01), (g10, g11) = mat
     if (g01 and g10) or not (g00 and g11):
@@ -455,13 +429,16 @@ def _fixes(point: GrPoint, mat, cut):
 
 
 def _product_point(point: GrPoint, mat, cut, left):
-    """g L (left) or L g: the closed form where it applies, else the
-    Hermite form of the product."""
+    """g L (left) or L g: a closed form where one applies, else the Hermite
+    form of the product truncated at cut."""
     out = _triangular_point(point, mat, cut, left)
-    if out is not None:
-        return out
-    prod, v = _point_product(point, mat, cut, left)
-    return _hnf_point(point.preset, point.q, prod, cut, v)
+    if out is None and left:
+        out = _lower_point(point, mat, cut)
+    if out is None:
+        F, m = gf(point.q), point.matrix()
+        prod = _m_mul(F, mat, m, cut) if left else _m_mul(F, m, mat, cut)
+        out = _hnf_point(point.preset, point.q, prod, cut)
+    return out
 
 
 def act(point: GrPoint, mat, cut):
@@ -507,6 +484,13 @@ def _dominant(rd, preset, lam, name):
     if not rd.is_dominant(lam):
         raise InvalidCoweight(f"{name} must be dominant, got {lam}")
     return lam
+
+
+def _check_points(points, preset, q):
+    """Raise OracleError unless every point is a preset point over F_q."""
+    for x in points:
+        if x.preset != preset or x.q != q:
+            raise OracleError(f"a {x.preset} point over F_{x.q} among {preset} points over F_{q}")
 
 
 def depth_for(preset, bound):
@@ -611,6 +595,22 @@ def coset_reps(preset, mu, q, depth=None):
 # twisted unipotent generators
 
 
+# names each spec drops from the twisted Iwahori's generators. U_twisted has
+# no Gm factor, so the level -1 character survives as a character of it.
+_DROPS = {
+    "Iwahori_twisted": (),
+    "U_twisted": ("gm", "torus"),
+    "U_exp_twisted": ("x+-1", "torus"),
+    "U_rtimes_Gm_twisted": ("torus",),
+}
+
+
+def _drops(group_spec):
+    if group_spec not in _DROPS:
+        raise OracleError(f"unknown group spec {group_spec}")
+    return _DROPS[group_spec]
+
+
 def twisted_generators(preset, group_spec, q, level_hi):
     """Generators (matrix, psi-exponent, name) of the rho-hat-twisted groups.
 
@@ -620,44 +620,25 @@ def twisted_generators(preset, group_spec, q, level_hi):
     of the baby Whittaker datum: nontrivial exactly on the level -1 simple
     root subgroup.
     """
-    if group_spec not in (
-        "Iwahori_twisted",
-        "U_twisted",
-        "U_exp_twisted",
-        "U_rtimes_Gm_twisted",
-    ):
-        raise OracleError(f"unknown group spec {group_spec}")
+    drops = _drops(group_spec)
     F = gf(q)
-    gens = []
     # additive generators suffice for the filtered unipotent families
     add_gens = (1,) if F.k == 1 else (1, F.p)
-    lo_plus = 0 if group_spec == "U_exp_twisted" else -1
-    for n in range(lo_plus, level_hi + 1):
-        for a in add_gens:
-            gens.append((x_plus(q, a, n), F.trace(a) if n == -1 else 0, f"x+{n}"))
-    for n in range(2, level_hi + 1):
-        for a in add_gens:
-            gens.append((x_minus(q, a, n), 0, f"x-{n}"))
+    gens = [(x_plus(q, a, n), F.trace(a) if n == -1 else 0, f"x+{n}")
+            for n in range(-1, level_hi + 1) for a in add_gens]
+    gens += [(x_minus(q, a, n), 0, f"x-{n}") for n in range(2, level_hi + 1) for a in add_gens]
     for j in range(1, level_hi + 1):
         for cc in add_gens:
             u = {0: 1, j: cc}
             if _preset(preset).det_one:
-                mat = ((u, {}), ({}, _s_inv(F, u, level_hi + 2)))
-                gens.append((mat, 0, f"t>{j}"))
+                gens.append((((u, {}), ({}, _s_inv(F, u, level_hi + 2))), 0, f"t>{j}"))
             else:
                 gens.append((((u, {}), ({}, {0: 1})), 0, f"t>{j}a"))
                 gens.append(((({0: 1}, {}), ({}, u)), 0, f"t>{j}b"))
-    if group_spec in ("U_exp_twisted", "U_rtimes_Gm_twisted", "Iwahori_twisted"):
-        # U_twisted is the bare twisted pro-unipotent radical: no Gm factor,
-        # so the level -1 character survives as a character of the group
-        for cc in F.units():
-            if cc != 1:
-                gens.append((d_torus(preset, q, cc), 0, "gm"))
-    if group_spec == "Iwahori_twisted":
-        for cc in F.units():
-            if cc != 1:
-                gens.append((_m_scalar(F, 1, cc), 0, "torus"))
-    return gens
+    units = [cc for cc in F.units() if cc != 1]
+    gens += [(d_torus(preset, q, cc), 0, "gm") for cc in units]
+    gens += [(_m_scalar(F, 1, cc), 0, "torus") for cc in units]
+    return [g for g in gens if g[2] not in drops]
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +646,111 @@ def twisted_generators(preset, group_spec, q, level_hi):
 
 _partition_cache = {}
 _PARTITION_CACHE_SIZE = 4
+
+
+class _Window:
+    """Points and their left translates by a generator list, shared by the
+    orbit searches over them, which work with the points' positions.
+
+    Filled as the searches need them: fixes holds the _fixes verdict of
+    every generator per shape (a, c, val b), all that _fixes reads; rows,
+    per group spec (None for all) and shape, the generators that move the
+    shape and whether a fixing one has a psi-exponent nonzero mod p (it
+    leads back with another label); images[j] maps a generator to the
+    position of point j's image; partitions holds finished partitions.
+    """
+
+    def __init__(self, points, gens, cut, free):
+        self.points = list(dict.fromkeys(points))
+        self.index = {x: j for j, x in enumerate(self.points)}
+        self.images = [{} for _ in self.points]
+        self.gens, self.cut, self.free = gens, cut, free
+        self.fixes, self.rows, self.partitions = {}, {}, {}
+
+    def image(self, j, i):
+        """The position of point j's image under generator i: None outside a
+        closed window; a free one takes it in, up to _WINDOW_CAP points."""
+        seen = self.images[j]
+        if i not in seen:
+            im = _product_point(self.points[j], self.gens[i][0], self.cut, True)
+            k = self.index.get(im)
+            if k is None and self.free:
+                k = self.index[im] = len(self.points)
+                self.points.append(im)
+                self.images.append({})
+                if k >= _WINDOW_CAP:
+                    raise WindowTooLarge(k + 1)
+            seen[i] = k
+        return seen[i]
+
+    def search(self, seeds, spec, p):
+        """_orbit_bfs over positions, by the generators of the spec."""
+        drops = _drops(spec) if spec else ()
+        mine = [(i, e) for i, (_mat, e, name) in enumerate(self.gens) if name not in drops]
+        rows = self.rows.setdefault(spec, {})
+        labels = dict.fromkeys(seeds, 0)
+        frontier = list(labels)
+        partial, consistent = False, True
+        while frontier:
+            nxt = []
+            for j in frontier:
+                x = self.points[j]
+                shape = (x.a, x.c, x.b[0][0] if x.b else None)
+                row = rows.get(shape)
+                if row is None:
+                    fixes = self.fixes.get(shape)
+                    if fixes is None:
+                        fixes = self.fixes[shape] = [
+                            _fixes(x, mat, self.cut) for mat, _e, _name in self.gens]
+                    row = rows[shape] = ([(i, e) for i, e in mine if not fixes[i]],
+                                         any(fixes[i] and e % p for i, e in mine))
+                moving, loops = row
+                consistent = consistent and not loops
+                ex, seen = labels[j], self.images[j]
+                for i, e in moving:
+                    k = seen[i] if i in seen else self.image(j, i)
+                    val = (e + ex) % p
+                    if k is None:
+                        partial = True
+                        continue
+                    old = labels.get(k)
+                    if old is not None:
+                        consistent = consistent and old == val
+                    else:
+                        labels[k] = val
+                        nxt.append(k)
+            frontier = nxt
+        return labels, partial, consistent
+
+    def partition(self, group_spec):
+        """The orbits of a closed window, as orbit_partition returns them."""
+        pts = self.points
+        preset, q = pts[0].preset, pts[0].q
+        assignment, orbits = {}, []
+        # seed from torus points so every orbit gets a well-defined label
+        for seed in [j for j, x in enumerate(pts) if x.is_torus_point()] + list(range(len(pts))):
+            if pts[seed] in assignment:
+                continue
+            found, partial, consistent = self.search([seed], group_spec, gf(q).p)
+            labels = {pts[k]: v for k, v in found.items()}
+            orbit = frozenset(labels)
+            torus = sorted(x.torus_coweight() for x in orbit if x.is_torus_point())
+            assignment.update(dict.fromkeys(orbit, len(orbits)))
+            orbits.append({"label": torus[0] if torus else None, "tag": "single",
+                           "points": orbit, "partial": partial, "labels": labels,
+                           "consistent": consistent})
+        if group_spec == "U_exp_twisted":
+            # of a split orbit, the closed piece holds t^lam, the open x_+(t^-1) t^lam
+            rd = _rd(preset)
+            for k, lam in [(k, o["label"]) for k, o in enumerate(orbits)]:
+                if lam is None or not rd.is_dominant(lam):
+                    continue
+                other = assignment.get(act(torus_point(preset, q, lam), x_plus(q, 1, -1), self.cut))
+                if other in (None, k) or orbits[k]["partial"] or orbits[other]["partial"]:
+                    continue
+                orbits[k]["tag"], orbits[other]["tag"] = "closed", "open"
+                orbits[other]["label"] = lam
+        return assignment, orbits
 
 
 def _orbit_bfs(seeds, gens, cut, p, window=None):
@@ -677,48 +763,10 @@ def _orbit_bfs(seeds, gens, cut, p, window=None):
     records an image outside it: such a boundary orbit is truncated and
     must carry no function values downstream. A free search raises
     WindowTooLarge past _WINDOW_CAP points.
-
-    _fixes reads only the shape (a, c, val b) of a point, so each shape
-    gets one row: the generators that move its points, which each point
-    applies through the rest of act, and whether a stabilizing generator
-    has a psi-exponent nonzero mod p. Such a generator leads back to the
-    point with another label, so it clears consistent.
     """
-    labels = dict.fromkeys(seeds, 0)
-    frontier = list(labels)
-    partial, consistent = False, True
-    rows = {}
-    while frontier:
-        nxt = []
-        for x in frontier:
-            shape = (x.a, x.c, x.b[0][0] if x.b else None)
-            row = rows.get(shape)
-            if row is None:
-                moving, loops = [], False
-                for mat, e, _name in gens:
-                    if not _fixes(x, mat, cut):
-                        moving.append((mat, e))
-                    elif e % p:
-                        loops = True
-                row = rows[shape] = moving, loops
-            moving, loops = row
-            consistent = consistent and not loops
-            ex = labels[x]
-            for mat, e in moving:
-                im = _product_point(x, mat, cut, True)
-                val = (e + ex) % p
-                old = labels.get(im)
-                if old is not None:
-                    consistent = consistent and old == val
-                elif window is not None and im not in window:
-                    partial = True
-                else:
-                    labels[im] = val
-                    nxt.append(im)
-                    if window is None and len(labels) > _WINDOW_CAP:
-                        raise WindowTooLarge(len(labels))
-        frontier = nxt
-    return labels, partial, consistent
+    win = _Window([*seeds, *(window or ())], gens, cut, window is None)
+    labels, partial, consistent = win.search(range(len(set(seeds))), None, p)
+    return {win.points[j]: v for j, v in labels.items()}, partial, consistent
 
 
 def orbit_partition(points, group_spec, q):
@@ -730,52 +778,29 @@ def orbit_partition(points, group_spec, q):
     for an unsplit orbit, ``closed``/``open`` for the two exponential
     pieces of a split one), ``points``, ``partial`` (the orbit leaves the
     window), and ``labels``/``consistent``, the character transport of
-    _orbit_bfs from the orbit's first point. The last few partitions are
-    cached.
+    _orbit_bfs from the orbit's first point.
+
+    The last few windows are cached, each as one _Window over the twisted
+    Iwahori's generators at the window's cut and level: the searches of
+    every group spec share its stabilizer verdicts and translates.
     """
     if not points:
         return {}, []
-    preset, q0 = points[0].preset, points[0].q
-    if q != q0:
-        raise OracleError("q mismatch")
-    key = (preset, q, group_spec, frozenset(points))
-    cached = _partition_cache.pop(key, None)
-    if cached is not None:
-        _partition_cache[key] = cached
-        return cached
-    bound = _window_bound(points)
-    cut = depth_for(preset, bound)
-    gens = _window_generators(preset, group_spec, q, bound)
-    index = set(points)
-    assignment = {}
-    orbits = []
-    # seed from torus points so every orbit gets a well-defined label
-    seeds = [p for p in points if p.is_torus_point()] + list(points)
-    for seed in seeds:
-        if seed in assignment:
-            continue
-        labels, partial, consistent = _orbit_bfs([seed], gens, cut, gf(q).p, index)
-        orbit = frozenset(labels)
-        torus = sorted(p.torus_coweight() for p in orbit if p.is_torus_point())
-        idx = len(orbits)
-        for p in orbit:
-            assignment[p] = idx
-        orbits.append(
-            {
-                "label": torus[0] if torus else None,
-                "tag": "single",
-                "points": orbit,
-                "partial": partial,
-                "labels": labels,
-                "consistent": consistent,
-            }
-        )
-    if group_spec == "U_exp_twisted":
-        _tag_exponential(preset, q, orbits, assignment, cut)
-    _partition_cache[key] = (assignment, orbits)
+    preset = points[0].preset
+    key = (preset, q, frozenset(points))
+    win = _partition_cache.pop(key, None)
+    if win is None:
+        _check_points(points, preset, q)
+        bound = _window_bound(points)
+        win = _Window(points, _window_generators(preset, "Iwahori_twisted", q, bound),
+                      depth_for(preset, bound), False)
+    _partition_cache[key] = win
     if len(_partition_cache) > _PARTITION_CACHE_SIZE:
         del _partition_cache[next(iter(_partition_cache))]
-    return assignment, orbits
+    found = win.partitions.get(group_spec)
+    if found is None:
+        found = win.partitions[group_spec] = win.partition(group_spec)
+    return found
 
 
 def orbit_closure(preset, q, seeds, group_spec, bound):
@@ -799,27 +824,6 @@ def _window_bound(points):
     hi = max(p.gl_type()[0] for p in points)
     lo = min(p.gl_type()[1] for p in points)
     return (hi, lo)
-
-
-def _tag_exponential(preset, q, orbits, assignment, cut):
-    """Tag exponential suborbits of split twisted-Iwahori orbits."""
-    rd = _rd(preset)
-    by_label = {}
-    for i, o in enumerate(orbits):
-        if o["label"] is not None:
-            by_label.setdefault(tuple(o["label"]), []).append(i)
-    for lam, idxs in by_label.items():
-        if not rd.is_dominant(lam):
-            continue
-        open_pt = act(torus_point(preset, q, lam), x_plus(q, 1, -1), cut)
-        open_idx = assignment.get(open_pt)
-        if open_idx is None or open_idx in idxs:
-            continue
-        if orbits[idxs[0]]["partial"] or orbits[open_idx]["partial"]:
-            continue
-        orbits[idxs[0]]["tag"] = "closed"
-        orbits[open_idx]["tag"] = "open"
-        orbits[open_idx]["label"] = lam
 
 
 # ---------------------------------------------------------------------------
@@ -851,6 +855,7 @@ def hecke_operator(f: FqFunction, mu, domain_points, depth=None):
     translate runs instead, giving the same point or the same error.
     """
     preset, q = f.preset, f.q
+    _check_points(domain_points, preset, q)
     bound = _hecke_window(preset, f.window, mu)
     cut = depth if depth is not None else depth_for(preset, bound)
     F = gf(q)
@@ -867,20 +872,13 @@ def hecke_operator(f: FqFunction, mu, domain_points, depth=None):
             if max(a, c, 0) >= cut:
                 ys = [translate(x, g.matrix(), cut) for g in reps]
             else:
-                shifted = {e + c1: co for e, co in x.b if e + c1 < a}
+                shifted = [(e + c1, co) for e, co in x.b if e + c1 < a]
                 ys = []
                 for g in reps:
-                    b = dict(shifted)
-                    for e, co in g.b:
-                        e += x.a
-                        co = F.add(b[e], co) if e in b else co
-                        if co:
-                            b[e] = co
-                        else:
-                            del b[e]
+                    b = _add_terms(F, shifted, [(e + x.a, co) for e, co in g.b], a)
                     # a GrPoint hashes and compares as its plain tuple
                     ys.append(_canonical_point(preset, q, a, c, b) if projective
-                              else (preset, q, a, c, tuple(sorted(b.items()))))
+                              else (preset, q, a, c, b))
             for y in ys:
                 v = f.values.get(y)
                 if v is not None:
@@ -928,6 +926,7 @@ def whittaker_space(preset, bound, q, domain_points):
     One function per dominant lam in the window, supported on the
     semi-infinite orbit of t^lam, with value psi(a_-1) at u t^lam.
     """
+    _check_points(domain_points, preset, q)
     bound = tuple(bound)
     basis = {lam: FqFunction(preset, q, bound, {})
              for lam in _rd(preset).dominant_window(bound)}
@@ -1029,6 +1028,7 @@ def baby_basis(preset, bound, q, points):
     character exponent e. Non-dominant labels admit no such function.
     """
     rd = _rd(preset)
+    _check_points(points, preset, q)
     assignment, orbits = orbit_partition(points, "U_twisted", q)
     F = gf(q)
     basis = {}

@@ -2,9 +2,11 @@
 
 ``perfbench/workloads.py`` lists the benchmark's tasks and
 ``perfbench/expected/<workload>.json`` holds each task's answer byte for
-byte. Running the two cheaper workloads here means a change to any byte
-of an answer (a JSON field, a key order, a flag) fails the test suite
-before it fails a benchmark run. This test only reads ``perfbench/``.
+byte. Running all three workloads here, each in a fraction of a second
+per cycle, means a change to any byte of an answer (a JSON field, a key
+order, a flag) or a failed check of the program's own fails the test
+suite before it fails a benchmark run. This test only reads
+``perfbench/``.
 """
 
 import importlib.util
@@ -30,7 +32,7 @@ def _workloads():
 WORKLOADS = _workloads()
 
 
-@pytest.mark.parametrize("workload", ["generic_rank2", "oracle_verify"])
+@pytest.mark.parametrize("workload", ["generic_rank2", "oracle_chain", "oracle_verify"])
 def test_benchmark_answers_match_their_captures(workload):
     expected = json.loads((PERFBENCH / "expected" / f"{workload}.json").read_text())
     tasks = WORKLOADS.tasks_for(workload, 0)

@@ -364,27 +364,40 @@ def test_bounded_hnf_falls_back_where_the_cut_bites(preset, q):
 
 
 def test_bounded_hnf_needs_fewer_inverse_terms_than_the_cut():
-    """The full path's column operation can move a when a - val(m01), the
-    number of inverse terms b needs, equals the cut: here (GL2, q = 3,
-    cut 1) it gives a = -1 where v - c reads -2, so that case falls back."""
-    F, cut = gf(3), 1
+    """The full path's column operation can move a when n, the number of
+    inverse terms b needs, reaches cut - max(c', 0). For x_minus(2 t) L,
+    L = [[t, t^-2 + t^-1], [0, t^-1]] over F_3, n = 2: at cut 2 the full
+    path gives a = 1 where a + c - c' reads 0, so the x_minus closed form
+    falls back to it; at cut 3 the closed form applies. A general element
+    (GL2, q = 3, cut 1, where the full path gives a = -1 while the
+    determinant reads -2) takes the full path directly."""
+    F = gf(3)
+    p = GrPoint("SL2", 3, 1, -1, ((-2, 1), (-1, 1)))
+    g = x_minus(3, 2, 1)
+    want = _hnf_point("SL2", 3, _m_mul(F, g, p.matrix(), 2), 2)
+    assert (want.a, want.c) == (1, 0)
+    assert fq_oracle._lower_point(p, g, 2) is None
+    assert act(p, g, 2) == want
+    exact = fq_oracle._lower_point(p, g, 3)
+    assert (exact.a, exact.c) == (0, 0)
+    assert exact == _hnf_point("SL2", 3, _m_mul(F, g, p.matrix(), 3), 3) == act(p, g, 3)
     p = GrPoint("GL2", 3, 0, 0, ())
     g = (({0: 2, -3: 2}, {-1: 2, -3: 2}), ({-3: 1}, {-3: 1, -2: 1}))
-    want = _hnf_point("GL2", 3, _m_mul(F, g, p.matrix(), cut), cut)
+    want = _hnf_point("GL2", 3, _m_mul(F, g, p.matrix(), 1), 1)
     assert (want.a, want.c) == (-1, -3)
-    assert act(p, g, cut) == want
+    assert act(p, g, 1) == want
 
 
 def test_bounded_hnf_pivot_cancellation():
     """x_minus(1, 2) L for L = [[1, 2t^-2 + t^-1], [0, 1]] over F_3 has
-    lower-right entry t^2 b + 1 = t: the pivot is t, c = 1, and a = v - c
-    = -1 with v = 0 the valuation of the determinant."""
+    lower-right entry t^2 b + 1 = t: the pivot is t, c' = 1, and the x_minus
+    closed form reads a' = a + c - c' = -1 off the determinant t^0."""
     F, cut = gf(3), depth_for("SL2", (2,))
     p = GrPoint("SL2", 3, 0, 0, ((-2, 2), (-1, 1)))
     g = x_minus(3, 1, 2)
     want = GrPoint("SL2", 3, -1, 1, ((-2, 2),))
     assert _hnf_point("SL2", 3, _m_mul(F, g, p.matrix(), cut), cut) == want
-    assert _hnf_point("SL2", 3, _m_mul(F, g, p.matrix(), cut), cut, 0) == want
+    assert fq_oracle._lower_point(p, g, cut) == want
     assert act(p, g, cut) == want
 
 
@@ -567,7 +580,7 @@ def test_preset_maps_are_inverse(preset):
     if preset == "PGL2":
         # lattice classes modulo global t-scaling: [[t^3, t], [0, t^2]] is
         # t^2 [[t, t^-1], [0, 1]]
-        p = _canonical_point(preset, 3, 3, 2, {1: 1})
+        p = _canonical_point(preset, 3, 3, 2, ((1, 1),))
         assert (p.a, p.c, p.b) == (1, 0, ((-1, 1),))
 
 
@@ -646,19 +659,23 @@ def test_whittaker_row_does_not_depend_on_the_bound(preset, q):
             assert set(row) <= set(inside), (lam, mu)
 
 
-@pytest.fixture()
-def translate_calls(monkeypatch):
-    """The arguments of every call to fq_oracle.translate made through the
-    module (the helpers here call the name imported above)."""
+def _count_calls(monkeypatch, name):
+    """The arguments of every call to fq_oracle.<name> made through the
+    module (the helpers here call the names imported above)."""
     calls = []
-    translate_ = fq_oracle.translate
+    fn = getattr(fq_oracle, name)
 
     def counting(*args):
         calls.append(args)
-        return translate_(*args)
+        return fn(*args)
 
-    monkeypatch.setattr(fq_oracle, "translate", counting)
+    monkeypatch.setattr(fq_oracle, name, counting)
     return calls
+
+
+@pytest.fixture()
+def translate_calls(monkeypatch):
+    return _count_calls(monkeypatch, "translate")
 
 
 def _pointwise_whittaker_action(preset, bound, mu, q):
@@ -906,3 +923,137 @@ def test_hecke_operator_builds_no_translate_on_the_chain_windows(translate_calls
         f = FqFunction("SL2", q, (3,), {x: 1 for x in pts})
         assert hecke_operator(f, (1,), pts).values
     assert not translate_calls
+
+
+@pytest.mark.parametrize("preset,q", [("SL2", 2), ("SL2", 3), ("SL2", 4), ("SL2", 5),
+                                      ("PGL2", 2), ("PGL2", 3), ("PGL2", 4),
+                                      ("GL2", 2), ("GL2", 3), ("GL2", 4)])
+def test_no_twisted_generator_reaches_the_full_hermite_form(preset, q, monkeypatch):
+    """act by every twisted generator takes a closed form or the stabilizer
+    shortcut, never _hnf_point: on the SL2 chain windows at the cut and
+    level of orbit_partition and of the chain's orbit_closure, and on the
+    PGL2 and GL2 bound-2 windows at their own."""
+    if preset == "SL2":
+        pts = _chain_window(q)
+        bounds = [fq_oracle._window_bound(pts), (3,)]
+    else:
+        pts = enumerate_gr_window(preset, _BOUND_AND_MU[preset][0], q)
+        bounds = [fq_oracle._window_bound(pts)]
+    calls = _count_calls(monkeypatch, "_hnf_point")
+    for bound in bounds:
+        cut = depth_for(preset, bound)
+        gens = {repr(g): g for spec in _SPECS
+                for g, _e, _name in fq_oracle._window_generators(preset, spec, q, bound)}
+        for p in pts:
+            for g in gens.values():
+                act(p, g, cut)
+    assert not calls
+
+
+def _reference_partition(points, spec, q):
+    """orbit_partition with one _reference_orbit_bfs per orbit, by the
+    spec's own generators, and the exponential tags read off act."""
+    preset = points[0].preset
+    bound = fq_oracle._window_bound(points)
+    cut = depth_for(preset, bound)
+    gens = fq_oracle._window_generators(preset, spec, q, bound)
+    assignment, orbits = {}, []
+    for seed in [x for x in points if x.is_torus_point()] + points:
+        if seed in assignment:
+            continue
+        labels, partial, consistent = _reference_orbit_bfs([seed], gens, cut, gf(q).p, set(points))
+        torus = sorted(x.torus_coweight() for x in labels if x.is_torus_point())
+        assignment.update(dict.fromkeys(labels, len(orbits)))
+        orbits.append({"label": torus[0] if torus else None, "tag": "single",
+                       "points": frozenset(labels), "partial": partial,
+                       "labels": labels, "consistent": consistent})
+    if spec == "U_exp_twisted":
+        rd = build_root_datum(preset)
+        for k, o in enumerate(orbits):
+            lam = o["label"]
+            if lam is None or not rd.is_dominant(lam) or o["partial"]:
+                continue
+            other = assignment.get(act(torus_point(preset, q, lam), x_plus(q, 1, -1), cut))
+            if other is not None and other != k and not orbits[other]["partial"]:
+                o["tag"], orbits[other]["tag"], orbits[other]["label"] = "closed", "open", lam
+    return assignment, orbits
+
+
+def _partition_view(partition):
+    assignment, orbits = partition
+    return assignment, [(o["label"], o["tag"], o["points"], o["partial"], o["consistent"],
+                         list(o["labels"].items())) for o in orbits]
+
+
+@pytest.mark.parametrize("preset", sorted(_ROW_CASES))
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_window_table_leaks_nothing_between_specs(preset, q, monkeypatch):
+    """Each spec's partition of a window equals the one built on
+    _reference_orbit_bfs (labels and their order, both flags, tags and
+    points), on a cold window and on one each other spec has warmed."""
+    pts = enumerate_gr_window(preset, _ROW_CASES[preset][0], q)
+    tags = set()
+    for spec in _SPECS:
+        want = _partition_view(_reference_partition(pts, spec, q))
+        tags |= {o[1] for o in want[1]}
+        for warm in [None] + [s for s in _SPECS if s != spec]:
+            monkeypatch.setattr(fq_oracle, "_partition_cache", {})
+            if warm:
+                orbit_partition(pts, warm, q)
+            assert _partition_view(orbit_partition(pts, spec, q)) == want, (spec, warm)
+    assert tags == {"single", "closed", "open"}
+
+
+def test_window_table_translates_each_pair_once(monkeypatch):
+    """Across the U_twisted and U_exp_twisted partitions of a chain window,
+    the orbit searches compute each (point, generator) translate once and
+    ask each (shape, generator) stabilizer test once. The exponential tags
+    come from act by x_+(t^-1) on torus points, counted apart."""
+    from collections import Counter
+
+    monkeypatch.setattr(fq_oracle, "_partition_cache", {})
+    pts = _chain_window(3)
+    translates, tests, acting = Counter(), Counter(), []
+    product, fixes, act_ = fq_oracle._product_point, fq_oracle._fixes, fq_oracle.act
+
+    def counting_product(point, mat, cut, left):
+        translates[point, repr(mat)] += not acting
+        return product(point, mat, cut, left)
+
+    def counting_fixes(point, mat, cut):
+        tests[(point.a, point.c, point.b[:1] and point.b[0][0]), repr(mat)] += not acting
+        return fixes(point, mat, cut)
+
+    def flagged_act(*args):
+        acting.append(args)
+        try:
+            return act_(*args)
+        finally:
+            acting.pop()
+
+    monkeypatch.setattr(fq_oracle, "_product_point", counting_product)
+    monkeypatch.setattr(fq_oracle, "_fixes", counting_fixes)
+    monkeypatch.setattr(fq_oracle, "act", flagged_act)
+    for spec in ("U_twisted", "U_exp_twisted"):
+        orbit_partition(pts, spec, 3)
+    assert translates and max(translates.values()) == 1
+    assert tests and max(tests.values()) == 1
+
+
+def _sl2_window(q):
+    return enumerate_gr_window("SL2", (1,), q)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: orbit_partition(_sl2_window(3) + _sl2_window(2), "U_twisted", 3),
+    lambda: hecke_operator(FqFunction("SL2", 3, (1,), dict.fromkeys(_sl2_window(3), 1)),
+                           (1,), _sl2_window(2)),
+    lambda: fq_oracle.whittaker_space("SL2", (1,), 3, _sl2_window(2)),
+    lambda: fq_oracle.baby_basis("PGL2", (1,), 3, enumerate_gr_window("SL2", (2,), 3)),
+], ids=["orbit_partition", "hecke_operator", "whittaker_space", "baby_basis"])
+def test_points_of_another_field_or_preset_are_oracle_errors(call, monkeypatch):
+    # these used to return orbits, values or a basis over the wrong points,
+    # or end in a bare KeyError
+    monkeypatch.setattr(fq_oracle, "_partition_cache", {})
+    with pytest.raises(OracleError, match="among"):
+        call()
