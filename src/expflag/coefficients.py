@@ -252,6 +252,14 @@ def qpoly_interpolate(samples, degree_bound: int) -> QPoly:
     return poly
 
 
+def check_same_datum(x, y):
+    """Raise ValueError unless x and y, root data or AffineWeyls (read as
+    their root data), have the same simple roots and simple coroots."""
+    x, y = getattr(x, "rd", x), getattr(y, "rd", y)
+    if x is not y and (x.simple_roots, x.simple_coroots) != (y.simple_roots, y.simple_coroots):
+        raise ValueError(f"operands on different root data: {x.name} and {y.name}")
+
+
 class QVector:
     """Finitely supported map from a basis to Z[q]; zero coefficients are
     never stored.
@@ -292,6 +300,8 @@ class QVector:
         return out
 
     def __add__(self, other):
+        if other.ctx is not self.ctx:
+            check_same_datum(self.ctx, other.ctx)
         out = dict(self.support)
         for key, c in other.support.items():
             out[key] = out[key] + c if key in out else c

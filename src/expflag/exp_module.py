@@ -18,7 +18,7 @@ applied from its last letter to its first.
 from __future__ import annotations
 
 from .affine_weyl import AffineWeyl, AffineWeylElement, ExpLabel
-from .coefficients import QPoly, QVector, Q_ONE, Q_ZERO
+from .coefficients import QPoly, QVector, Q_ONE, Q_ZERO, check_same_datum
 from .root_datum import RootDatum
 from .spherical import NormalizationFailure
 from .strata import iwahori_orbits_in_spherical
@@ -321,6 +321,7 @@ class ExpModule:
         return ExpModVector(self.rd, out)
 
     def spherical_action(self, v: ExpModVector, mu) -> ExpModVector:
+        check_same_datum(self.rd, v.ctx)
         out = ExpModVector(self.rd, {})
         for lam, c in v.support.items():
             out = out + self.spherical_action_basis(lam, mu).scale(c)

@@ -21,30 +21,30 @@ their ``PRESETS`` entry: ``coords`` maps the Hermite diagonal exponents
 lattices are classes modulo global t-scaling; diagonal(coords(a, c))
 normalizes them to c = 0.
 
-Three read-offs skip the Hermite form where its answer is already known:
-``act`` returns the point when its element stabilizes the lattice
-(``_fixes``, a test on the shape (a, c, val b)); ``whittaker_action``
-reads labels and character coefficients off the two diagonals, with no
-point built; ``hecke_operator`` reads x g for a coset representative g off
-the triangular closed form, with no GrPoint built on SL2 and GL2.
+Two read-offs skip the Hermite form where its answer is already known:
+``whittaker_action`` reads labels and character coefficients off the two
+diagonals, with no point built; ``hecke_operator`` reads x g for a coset
+representative g off the triangular closed form, with no GrPoint built on
+SL2 and GL2.
 
-Otherwise a translate takes a closed form: ``_triangular_point`` for an
+``act`` and ``translate`` take a closed form: ``_triangular_point`` for an
 upper-triangular element (coset representatives, x_plus, the Gm, torus and
 t>j generators) and ``_lower_point`` for x_minus. For any other element,
-and wherever the cut could reach a term they keep (``_reduced``), the
+and wherever the cut could reach a term they keep (``_exact``), the
 full-precision Hermite form ``_hnf_point`` runs instead: their reference,
 which raises the same errors as ever. No twisted generator reaches it on
 the windows of the averaging chain. The cut of a window follows from its
 bound alone (``depth_for``); the Whittaker read-off needs none.
 
 One search, ``_Window.search``, finds every orbit, inside a window or
-free, and transports the baby character along it. ``orbit_partition``
-keeps one ``_Window`` per window over the twisted Iwahori's generators, of
-which every group spec's are a subsequence, so all specs share the
-stabilizer test per shape and the translate per point and generator. Each
-orbit keeps its character labels and consistency flag, which the baby
-basis and the averaging (linear per orbit: one sum of zeta^-c(y) f(y))
-read.
+free, and transports the baby character along it; it applies no
+generator that stabilizes a point's shape (a, c, val b) (``_fixes``).
+``orbit_partition`` keeps one ``_Window`` per window over the twisted
+Iwahori's generators, of which every group spec's are a subsequence, so
+all specs share the verdicts per shape and the translate per point and
+generator. Each orbit keeps its character labels and consistency flag,
+which the baby basis and the averaging (linear per orbit: one sum of
+zeta^-c(y) f(y)) read.
 """
 
 from __future__ import annotations
@@ -302,19 +302,21 @@ def _add_terms(F, xs, ys, hi):
     return tuple(out)
 
 
+def _exact(a, c, n, cut):
+    """Whether _hnf_point at cut reads a, c and n lowest terms of a unit's
+    inverse exactly: it keeps the unit's terms below cut - c, and at
+    n = cut - max(c, 0) its column operation can change t^a's coefficient.
+    The n = 0 case is tested inline in _triangular_point and hecke_operator."""
+    return max(a, c, 0) < cut and n < cut - max(c, 0)
+
+
 def _reduced(point: GrPoint, a, c, top, unit, cut):
     """The point [[t^a, top u^-1 mod t^a], [0, t^c]], u the unit series
-    whose inverse the Hermite form of a product scales by, or None.
-
-    top u^-1 mod t^a needs the n = a - val(top) lowest terms of u^-1.
-    _hnf_point truncates the product at cut, keeping the terms of u below
-    cut - c, and expands u^-1 to cut terms. While a and c are below cut and
-    n < cut - max(c, 0) every term it reads for a and b is exact, so both
-    give this point (at n = cut - max(c, 0) its column operation can change
-    the coefficient of t^a); otherwise this returns None.
-    """
+    whose inverse the Hermite form of a product scales by, where _hnf_point
+    reads the n = a - val(top) lowest terms of u^-1 it needs exactly
+    (_exact), so both give this point; otherwise None."""
     n = a - min(top) if top else 0
-    if max(a, c, 0) >= cut or n >= cut - max(c, 0):
+    if not _exact(a, c, n, cut):
         return None
     F = gf(point.q)
     b = _s_mul(F, top, _s_inv(F, unit, n), a)
@@ -397,22 +399,18 @@ def _fixes(point: GrPoint, mat, cut):
     * diag(u0, u1) with unit entries: L^-1 g L = [[u0, (u0 - u1) b t^-a],
       [0, u1]], integral iff b = 0 or val(u0 - u1) + v >= a. In
       characteristic 2 the t>j generators have val(u0 - u1) = 2j, not j.
-    Decides only where the Hermite form of the product truncated at cut is
-    exact (every exponent of the exact product below cut, and fewer than
-    cut inverse terms), so a False leaves the same point or error to the
-    other paths.
+    A True answer is given only where the closed forms of g L are exact
+    (_exact with n = a - v inverse terms, or none when b = 0), so there
+    _product_point returns L itself. It reads only the shape (a, c, v).
     """
     (g00, g01), (g10, g11) = mat
     if (g01 and g10) or not (g00 and g11):
         return False
     a, c, b = point.a, point.c, point.b
     v = b[0][0] if b else None
-    if v is not None and a - v >= cut:
+    if not _exact(a, c, 0 if v is None else a - v, cut):
         return False
     off = g01 or g10
-    top = max(max(g00), max(g11), max(off, default=0), 0)
-    if max(a, c, 0) + top >= cut:
-        return False
     if off:
         if g00 != {0: 1} or g11 != {0: 1}:
             return False
@@ -443,7 +441,7 @@ def _product_point(point: GrPoint, mat, cut, left):
 
 def act(point: GrPoint, mat, cut):
     """Left translate of a point by a group element."""
-    return point if _fixes(point, mat, cut) else _product_point(point, mat, cut, True)
+    return _product_point(point, mat, cut, True)
 
 
 def translate(point: GrPoint, mat, cut):
@@ -653,11 +651,9 @@ class _Window:
     orbit searches over them, which work with the points' positions.
 
     Filled as the searches need them: fixes holds the _fixes verdict of
-    every generator per shape (a, c, val b), all that _fixes reads; rows,
-    per group spec (None for all) and shape, the generators that move the
-    shape and whether a fixing one has a psi-exponent nonzero mod p (it
-    leads back with another label); images[j] maps a generator to the
-    position of point j's image; partitions holds finished partitions.
+    every generator per shape (a, c, val b), all that _fixes reads;
+    images[j] maps a generator to the position of point j's image;
+    partitions holds finished partitions.
     """
 
     def __init__(self, points, gens, cut, free):
@@ -665,7 +661,7 @@ class _Window:
         self.index = {x: j for j, x in enumerate(self.points)}
         self.images = [{} for _ in self.points]
         self.gens, self.cut, self.free = gens, cut, free
-        self.fixes, self.rows, self.partitions = {}, {}, {}
+        self.fixes, self.partitions = {}, {}
 
     def image(self, j, i):
         """The position of point j's image under generator i: None outside a
@@ -684,10 +680,11 @@ class _Window:
         return seen[i]
 
     def search(self, seeds, spec, p):
-        """_orbit_bfs over positions, by the generators of the spec."""
+        """_orbit_bfs over positions, by the generators of the spec. One
+        that fixes a point leads back to it, with another label exactly
+        when its psi-exponent is nonzero mod p."""
         drops = _drops(spec) if spec else ()
         mine = [(i, e) for i, (_mat, e, name) in enumerate(self.gens) if name not in drops]
-        rows = self.rows.setdefault(spec, {})
         labels = dict.fromkeys(seeds, 0)
         frontier = list(labels)
         partial, consistent = False, True
@@ -696,18 +693,15 @@ class _Window:
             for j in frontier:
                 x = self.points[j]
                 shape = (x.a, x.c, x.b[0][0] if x.b else None)
-                row = rows.get(shape)
-                if row is None:
-                    fixes = self.fixes.get(shape)
-                    if fixes is None:
-                        fixes = self.fixes[shape] = [
-                            _fixes(x, mat, self.cut) for mat, _e, _name in self.gens]
-                    row = rows[shape] = ([(i, e) for i, e in mine if not fixes[i]],
-                                         any(fixes[i] and e % p for i, e in mine))
-                moving, loops = row
-                consistent = consistent and not loops
+                fixes = self.fixes.get(shape)
+                if fixes is None:
+                    fixes = self.fixes[shape] = [
+                        _fixes(x, mat, self.cut) for mat, _e, _name in self.gens]
                 ex, seen = labels[j], self.images[j]
-                for i, e in moving:
+                for i, e in mine:
+                    if fixes[i]:
+                        consistent = consistent and not e % p
+                        continue
                     k = seen[i] if i in seen else self.image(j, i)
                     val = (e + ex) % p
                     if k is None:
@@ -819,6 +813,8 @@ def orbit_closure(preset, q, seeds, group_spec, bound):
 
 def _window_bound(points):
     """Least bound of the window's types; (max m1, min m2) in rank two."""
+    if not points:
+        raise OracleError("empty window: no points to bound")
     if len(points[0].coweight()) == 1:
         return (max(p.coweight()[0] for p in points),)
     hi = max(p.gl_type()[0] for p in points)
@@ -1034,6 +1030,8 @@ def baby_basis(preset, bound, q, points):
     basis = {}
     for lam in rd.dominant_window(bound):
         seed = torus_point(preset, q, lam)
+        if seed not in assignment:
+            raise OracleError(f"the window lacks the torus point t^{lam}")
         orbit = orbits[assignment[seed]]
         if orbit["partial"]:
             raise OracleError(f"window too small for the orbit of {lam}")

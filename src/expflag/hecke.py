@@ -9,7 +9,7 @@ is literal convolution of Iwahori double cosets with vol(I) = 1.
 from __future__ import annotations
 
 from .affine_weyl import AffineWeyl, AffineWeylElement
-from .coefficients import QPoly, QVector, Q_ONE
+from .coefficients import QPoly, QVector, Q_ONE, check_same_datum
 
 
 class HeckeElement(QVector):
@@ -71,6 +71,7 @@ def omega_mul(W: AffineWeyl, tau: AffineWeylElement, x: HeckeElement) -> HeckeEl
 def hecke_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     """Product in the Hecke algebra; b is decomposed into reduced words."""
     W = a.ctx
+    check_same_datum(W, b.ctx)
     out = HeckeElement(W, {})
     for w, c in b.support.items():
         tau, word = W.reduced_word(w)

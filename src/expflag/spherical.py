@@ -12,7 +12,7 @@ W0 w, and re-expands the result in the 1-basis.
 from __future__ import annotations
 
 from .affine_weyl import AffineWeyl
-from .coefficients import QPoly, QVector, Q_ONE
+from .coefficients import QPoly, QVector, Q_ONE, check_same_datum
 from .hecke import HeckeElement, hecke_mul, t_simple_mul
 from .strata import double_coset_elements
 
@@ -117,6 +117,7 @@ def spherical_mul(a: SphericalElement, b: SphericalElement) -> SphericalElement:
     hypothesis under which P_W0(q) factors out.
     """
     W = a.ctx
+    check_same_datum(W, b.ctx)
     la = lift(a)
     q = QPoly({1: 1})
     for i in range(W.rd.rank):

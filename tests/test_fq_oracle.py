@@ -229,6 +229,37 @@ def test_checked_in_window_fixtures_are_current():
         assert got == want
 
 
+def test_checked_in_partition_fixture_is_current(monkeypatch):
+    """Each line of ``tests/fixtures/partitions.jsonl`` is one orbit of
+    ``orbit_partition`` at q = 3, in order, for the SL2 (2,), PGL2 (2,) and
+    GL2 (2, 0) windows and each group spec in ``_SPECS`` order: the spec,
+    label, tag, both flags and the (point, label) pairs in insertion order,
+    a point written [a, c, b], as ``json.dumps(record, sort_keys=True)``."""
+    import json
+    from pathlib import Path
+
+    monkeypatch.setattr(fq_oracle, "_partition_cache", {})
+    got = []
+    for preset, bound in (("SL2", (2,)), ("PGL2", (2,)), ("GL2", (2, 0))):
+        pts = enumerate_gr_window(preset, bound, 3)
+        for spec in _SPECS:
+            for o in orbit_partition(pts, spec, 3)[1]:
+                got.append({
+                    "preset": preset, "bound": list(bound), "q": 3, "spec": spec,
+                    "label": o["label"] and list(o["label"]), "tag": o["tag"],
+                    "partial": o["partial"], "consistent": o["consistent"],
+                    "labels": [[[x.a, x.c, [list(t) for t in x.b]], v]
+                               for x, v in o["labels"].items()]})
+    path = Path(__file__).parent / "fixtures" / "partitions.jsonl"
+    want = [json.loads(line) for line in path.read_text().splitlines()]
+    assert got == want
+    # every window holds a truncated, an inconsistent and a split orbit
+    for preset in ("SL2", "PGL2", "GL2"):
+        mine = [r for r in want if r["preset"] == preset]
+        assert any(r["partial"] for r in mine) and not all(r["consistent"] for r in mine)
+        assert {"closed", "open"} <= {r["tag"] for r in mine}
+
+
 def _outcome(fn, *args):
     """fn(*args), or the class of the OracleError it raises."""
     try:
@@ -513,7 +544,8 @@ def test_stored_labels_match_character_labeling(preset, bound, q):
 
 
 def _reference_orbit_bfs(seeds, gens, cut, p, window=None):
-    """_orbit_bfs with act called on every generator at every point."""
+    """_orbit_bfs with act, the plain product, called on every generator at
+    every point: no stabilizer shortcut."""
     labels = dict.fromkeys(seeds, 0)
     frontier = list(labels)
     partial, consistent = False, True
@@ -759,50 +791,94 @@ def _generator_kind(name):
     return name if name in ("gm", "torus") else name[:2]
 
 
+def _stabilizer_window(preset, q):
+    """The SL2 chain window, or the PGL2/GL2 bound-2 window."""
+    if preset == "SL2":
+        return _chain_window(q)
+    return enumerate_gr_window(preset, _BOUND_AND_MU[preset][0], q)
+
+
 @pytest.mark.parametrize("preset,q", [("SL2", 2), ("SL2", 3), ("SL2", 4), ("PGL2", 2),
                                       ("PGL2", 3), ("GL2", 2), ("GL2", 3)])
 def test_stabilizer_shortcut_matches_full_hnf(preset, q, monkeypatch):
     """act by every generator of the four twisted groups equals the
     four-argument _hnf_point of the full product, at the window's cut and
     at cut 2, on the SL2 chain windows and the PGL2/GL2 bound windows; and
-    the stabilizer shortcut answers for every generator kind."""
+    the window searches' stabilizer shortcut answers for every generator
+    kind."""
     F = gf(q)
-    if preset == "SL2":
-        pts = _chain_window(q)
-    else:
-        pts = enumerate_gr_window(preset, _BOUND_AND_MU[preset][0], q)
+    pts = _stabilizer_window(preset, q)
     bound = fq_oracle._window_bound(pts)
     gens = {repr(g): (g, _generator_kind(name)) for spec in _SPECS
             for g, _e, name in fq_oracle._window_generators(preset, spec, q, bound)}
-    kinds = {id(g): kind for g, kind in gens.values()}
+    for cut in (depth_for(preset, bound), 2):
+        for p in pts:
+            for g, _kind in gens.values():
+                want = _outcome(_hnf_point, preset, q, _m_mul(F, g, p.matrix(), cut), cut)
+                assert _outcome(act, p, g, cut) == want, (p, g, cut)
     fired = set()
     fixes = fq_oracle._fixes
 
     def spy(point, mat, cut):
         out = fixes(point, mat, cut)
         if out:
-            fired.add(kinds[id(mat)])
+            fired.add(gens[repr(mat)][1])
         return out
 
+    monkeypatch.setattr(fq_oracle, "_partition_cache", {})
     monkeypatch.setattr(fq_oracle, "_fixes", spy)
-    for cut in (depth_for(preset, bound), 2):
-        for p in pts:
-            for g, _kind in gens.values():
-                want = _outcome(_hnf_point, preset, q, _m_mul(F, g, p.matrix(), cut), cut)
-                assert _outcome(act, p, g, cut) == want, (p, g, cut)
+    for spec in _SPECS:
+        orbit_partition(pts, spec, q)
     assert fired == {kind for _g, kind in gens.values()}
+
+
+@pytest.mark.parametrize("preset,q", [(preset, q) for preset in ("SL2", "PGL2", "GL2")
+                                      for q in (2, 3, 4, 5)])
+def test_window_searches_translate_no_point_to_itself(preset, q, monkeypatch):
+    """The searches apply only generators that move the point: across the
+    free search that builds an SL2 chain window and the four specs'
+    partitions of it, or of the PGL2/GL2 bound-2 window, no computed
+    translate is the point itself. And every generator that _fixes marks
+    as fixing a shape leaves each window point of that shape where it is
+    under the product."""
+    computed = []
+    product = fq_oracle._product_point
+
+    def spy(point, mat, cut, left):
+        out = product(point, mat, cut, left)
+        computed.append(out == point)
+        return out
+
+    monkeypatch.setattr(fq_oracle, "_partition_cache", {})
+    monkeypatch.setattr(fq_oracle, "_product_point", spy)
+    pts = _stabilizer_window(preset, q)
+    for spec in _SPECS:
+        orbit_partition(pts, spec, q)
+    assert computed and not any(computed)
+    bound = fq_oracle._window_bound(pts)
+    cut = depth_for(preset, bound)
+    fixed = 0
+    for mat, _e, _name in fq_oracle._window_generators(preset, "Iwahori_twisted", q, bound):
+        for x in pts:
+            if fq_oracle._fixes(x, mat, cut):
+                assert product(x, mat, cut, True) == x, (x, mat)
+                fixed += 1
+    assert fixed
 
 
 def test_stabilizer_shortcut_leaves_a_short_cut_to_the_full_path():
     """(1 + t) I fixes every lattice, but over F_2 at cut 2 the lattice
     L = [[1, t^-3], [0, 1]] needs a - v = 3 inverse terms, past the cut:
-    act then equals the full-precision form, truncation term t^-1 and all."""
+    _fixes declines there, and act equals the full-precision form,
+    truncation term t^-1 and all."""
     F, cut = gf(2), 2
     p = GrPoint("SL2", 2, 0, 0, ((-3, 1),))
     g = (({0: 1, 1: 1}, {}), ({}, {0: 1, 1: 1}))
     want = _hnf_point("SL2", 2, _m_mul(F, g, p.matrix(), cut), cut)
     assert want == GrPoint("SL2", 2, 0, 0, ((-3, 1), (-1, 1)))
+    assert not fq_oracle._fixes(p, g, cut)
     assert act(p, g, cut) == want
+    assert fq_oracle._fixes(p, g, cut + 2)
     assert act(p, g, cut + 2) == p
 
 
@@ -817,9 +893,9 @@ _ROW_CASES = {
 @pytest.mark.parametrize("preset", sorted(_ROW_CASES))
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_stabilizer_rows_match_a_search_that_acts_by_every_generator(preset, q):
-    """The stabilizer rows of _orbit_bfs change no label, no label order and
-    neither flag: inside a window, seeded as orbit_partition seeds it, and
-    free, from torus points, for all four group specs."""
+    """The stabilizer verdicts of _orbit_bfs change no label, no label order
+    and neither flag: inside a window, seeded as orbit_partition seeds it,
+    and free, from torus points, for all four group specs."""
     bound, free_seeds = _ROW_CASES[preset]
     p = gf(q).p
     pts = enumerate_gr_window(preset, bound, q)
@@ -1056,4 +1132,18 @@ def test_points_of_another_field_or_preset_are_oracle_errors(call, monkeypatch):
     # or end in a bare KeyError
     monkeypatch.setattr(fq_oracle, "_partition_cache", {})
     with pytest.raises(OracleError, match="among"):
+        call()
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: fq_oracle.gm_averaging(FqFunction("SL2", 3, (1,), {}), []), "empty window"),
+    (lambda: fq_oracle.exp_action_matrix("SL2", (1,), (1,), 3, []), "empty window"),
+    (lambda: fq_oracle.baby_basis("SL2", (1,), 3, []), r"torus point t\^\(0,\)"),
+    (lambda: fq_oracle.baby_basis("GL2", (1, 0), 3, enumerate_gr_window("GL2", (1, -1), 3)),
+     r"torus point t\^\(1, 0\)"),
+], ids=["gm_averaging", "exp_action_matrix", "baby_basis-empty", "baby_basis-GL2"])
+def test_empty_windows_and_missing_torus_points_are_oracle_errors(call, match, monkeypatch):
+    # these used to end in a bare IndexError or KeyError
+    monkeypatch.setattr(fq_oracle, "_partition_cache", {})
+    with pytest.raises(OracleError, match=match):
         call()

@@ -6,10 +6,10 @@ import pytest
 
 from expflag.affine_weyl import AffineWeyl, ExpLabel
 from expflag.coefficients import QPoly, Q_ZERO
-from expflag.exp_module import BigExpVector, ExpModuleError, ExpModVector
-from expflag.hecke import HeckeElement
+from expflag.exp_module import BigExpVector, ExpModule, ExpModuleError, ExpModVector
+from expflag.hecke import HeckeElement, hecke_mul
 from expflag.root_datum import build_root_datum
-from expflag.spherical import SphericalElement
+from expflag.spherical import SphericalElement, spherical_mul, unit_indicator
 
 RD = build_root_datum("SL2")
 W = AffineWeyl(RD)
@@ -90,3 +90,44 @@ def test_dominant_bases_reject_non_dominant_indices():
     # indices are stored as tuples and may be looked up as lists
     assert SphericalElement(W, {(1,): A}).coefficient([1]) == A
     assert ExpModVector(RD, {(1,): A}).coefficient([1]) == A
+
+
+# a second build of the SL2 datum, and the PGL2 datum, whose simple roots
+# and coroots swap SL2's
+RD2 = build_root_datum("SL2")
+W2 = AffineWeyl(RD2)
+PGL = AffineWeyl(build_root_datum("PGL2"))
+
+
+def test_spherical_mul_rejects_mixed_root_data():
+    # this used to return the SL2 product (q^2+q) 1_0 + (q-1) 1_1 + 1_2
+    want = spherical_mul(unit_indicator(W, (1,)), unit_indicator(W, (1,)))
+    assert spherical_mul(unit_indicator(W, (1,)), unit_indicator(W2, (1,))) == want
+    with pytest.raises(ValueError, match="different root data: SL2 and PGL2"):
+        spherical_mul(unit_indicator(W, (1,)), unit_indicator(PGL, (1,)))
+
+
+def test_hecke_mul_rejects_mixed_root_data():
+    # this used to multiply on SL2's affine Weyl group
+    t1 = W.translation((1,))
+    want = hecke_mul(HeckeElement(W, {t1: A}), HeckeElement(W, {t1: B}))
+    assert hecke_mul(HeckeElement(W, {t1: A}), HeckeElement(W2, {W2.translation((1,)): B})) == want
+    with pytest.raises(ValueError, match="different root data"):
+        hecke_mul(HeckeElement(W, {t1: A}), HeckeElement(PGL, {PGL.translation((1,)): B}))
+
+
+def test_vector_sum_rejects_mixed_root_data():
+    assert (SphericalElement(W, {(1,): A}) + SphericalElement(W2, {(1,): B})).support == {
+        (1,): A + B}
+    with pytest.raises(ValueError, match="different root data"):
+        SphericalElement(W, {(1,): A}) + SphericalElement(PGL, {(1,): B})
+    with pytest.raises(ValueError, match="different root data"):
+        ExpModVector(RD, {(1,): A}) + ExpModVector(PGL.rd, {(1,): B})
+
+
+def test_spherical_action_rejects_mixed_root_data():
+    M = ExpModule(RD)
+    want = M.spherical_action(ExpModVector(RD, {(1,): A}), (1,))
+    assert M.spherical_action(ExpModVector(RD2, {(1,): A}), (1,)) == want
+    with pytest.raises(ValueError, match="different root data"):
+        M.spherical_action(ExpModVector(PGL.rd, {(1,): A}), (1,))
