@@ -9,14 +9,12 @@ Conventions pinned here and used everywhere else:
     an irreducible component is s_{-theta+1} = t_{-theta-check} s_theta.
 
 For w = t_lam v, w^-1(alpha + n) = v^-1(alpha) + n - <alpha, lam>. The
-length and left-W0-maximality and minimality read this with integers and the
-W0 tables:
+length and left-W0-maximality read this with integers and the W0 tables:
   - l(w) = sum over alpha > 0 of |<alpha, lam> + d|, with d = 1 if
     v^-1(alpha) < 0 and d = 0 otherwise;
   - w is maximal in W0 w iff w^-1(alpha_i) < 0 for every simple alpha_i,
     i.e. iff <alpha_i, lam> >= 1, or <alpha_i, lam> = 0 and i is a left
-    descent of v (v^-1(alpha_i) < 0);
-  - w is minimal in W0 w iff every w^-1(alpha_i) > 0, the mirror condition.
+    descent of v (v^-1(alpha_i) < 0).
 A right descent is one sign (l(w s) < l(w) iff w(alpha_s) < 0): for the
 simple affine root alpha_i + n_i, i is a right descent iff the level
 n_i + <v(alpha_i), lam> of w(alpha_i + n_i) is < 0, or is 0 with
@@ -149,9 +147,6 @@ class AffineWeyl:
     def translation(self, lam) -> AffineWeylElement:
         return AffineWeylElement(tuple(lam), self.rd.identity)
 
-    def from_finite(self, v: FiniteWeylElement) -> AffineWeylElement:
-        return AffineWeylElement(self.identity.lam, v)
-
     def mul(self, x: AffineWeylElement, y: AffineWeylElement) -> AffineWeylElement:
         # (t_lam v)(t_mu u) = t_{lam + v mu} (v u)
         lam = tuple(map(add, x.lam, x.v.apply_coweight(y.lam)))
@@ -167,8 +162,8 @@ class AffineWeyl:
         shift, u = self._right_table[x.v.index][i]
         return AffineWeylElement(tuple(map(add, x.lam, shift)), u)
 
-    def word_to_element(self, word, omega=None) -> AffineWeylElement:
-        w = omega if omega is not None else self.identity
+    def word_to_element(self, word) -> AffineWeylElement:
+        w = self.identity
         for i in word:
             if not 0 <= i < self.num_simples:
                 raise AffineWeylError(
@@ -362,20 +357,6 @@ class AffineWeyl:
                 return False
         return True
 
-    def is_left_w0_minimal(self, w: AffineWeylElement) -> bool:
-        """w = t_lam v of minimal length in W0 w.
-
-        That holds iff w^-1(alpha_i) > 0 for every simple alpha_i: so iff
-        each <alpha_i, lam> <= -1, or = 0 with i not a left descent of v.
-        """
-        rd = self.rd
-        desc = rd.left_descents[w.v.index]
-        for i, a in enumerate(rd.simple_roots):
-            p = rd.pair(a, w.lam)
-            if p > 0 or (p == 0 and i in desc):
-                return False
-        return True
-
     def is_left_w0_maximal_by_descents(self, w: AffineWeylElement) -> bool:
         """Same predicate via left descents; independent implementation."""
         lw = self.length(w)
@@ -383,11 +364,6 @@ class AffineWeyl:
             self.length(self.mul(self.simples[i], w)) < lw
             for i in range(self.rd.rank)
         )
-
-    def zero_W_membership(self, w: AffineWeylElement, f) -> bool:
-        if not self.is_right_minimal(w, f):
-            raise AffineWeylError("element is not minimal in its right coset")
-        return self.is_left_w0_maximal(w)
 
     def enumerate_elements(self, length_bound: int):
         """All w with l(w) <= bound, BFS by length from Omega.
@@ -420,13 +396,11 @@ class AffineWeyl:
             depth += 1
         return out
 
-    def enumerate_exp_labels(self, f, length_bound: int):
+    def enumerate_exp_labels(self, length_bound: int):
         if length_bound < 0:
             raise AffineWeylError("length bound must be nonnegative")
         labels = []
         for w in self.enumerate_elements(length_bound):
-            if not self.is_right_minimal(w, f):
-                continue
             labels.append(ExpLabel("coset", w))
             if self.is_left_w0_maximal(w):
                 labels.append(ExpLabel("zero", w))

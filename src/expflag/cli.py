@@ -14,8 +14,8 @@ import click
 
 from .root_datum import build_root_datum
 from .affine_weyl import AffineWeyl, AffineWeylError, ExpLabel
-from .coefficients import FIELD_SIZES, QPoly
-from .hecke import HeckeElement, hecke_mul, t_basis
+from .coefficients import FIELD_SIZES
+from .hecke import hecke_mul, t_basis
 from .spherical import spherical_mul, unit_indicator
 from .exp_module import ExpModule, NonDominantIndex, apply_word, basis_vector
 from . import fq_oracle
@@ -144,7 +144,7 @@ def weyl(group, fmt, out, facet, bound, what):
         raise click.UsageError(str(e))
     rows = []
     for w in elements:
-        in_0w = W.is_right_minimal(w, f) and W.zero_W_membership(w, f)
+        in_0w = W.is_right_minimal(w, f) and W.is_left_w0_maximal(w)
         if what == "0W" and not in_0w:
             continue
         tau, word = W.reduced_word(w)
@@ -243,7 +243,7 @@ def fiber(group, fmt, out, source, word, targets):
     conv, _ = _word(W, word)
     length_cap = W.length(src.elt) + len(conv) + 1
     try:
-        labels = W.enumerate_exp_labels(W.facet_a0(), length_cap)
+        labels = W.enumerate_exp_labels(length_cap)
     except AffineWeylError as e:
         raise click.UsageError(str(e))
     # the word letter by letter: it need not be reduced
@@ -380,7 +380,7 @@ def verify(group, fmt, out, bound, q_text, seed):
             c = W.is_left_w0_maximal_by_descents(w)
             if a != c:
                 raise AssertionError(f"maximality criteria differ at {W.to_json(w)}")
-            in_0w = W.is_right_minimal(w, f0) and W.zero_W_membership(w, f0)
+            in_0w = W.is_right_minimal(w, f0) and W.is_left_w0_maximal(w)
             if in_0w != W.strictly_dominant_translation(w):
                 raise AssertionError(f"0W_f0 mismatch at {W.to_json(w)}")
             n += 1

@@ -19,7 +19,6 @@ the Hecke, spherical and exponential-module bases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -226,27 +225,21 @@ def qpoly_interpolate(samples, degree_bound: int) -> QPoly:
     if len(pts) < degree_bound + 1:
         raise ValueError("not enough samples for the degree bound")
     base = pts[: degree_bound + 1]
-    # Lagrange interpolation in exact rationals
-    coeffs = [Fraction(0)] * (degree_bound + 1)
-    for qi, vi in base:
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for qj, _ in base:
-            if qj == qi:
-                continue
-            # multiply num by (x - qj)
-            num = [0] + num
-            num = [num[k] - qj * (num[k + 1] if k + 1 < len(num) else 0)
-                   for k in range(len(num))]
-            num = [Fraction(c) for c in num]
-            den *= qi - qj
-        for k in range(len(coeffs)):
-            if k < len(num):
-                coeffs[k] += Fraction(vi) * num[k] / den
-    if any(c.denominator != 1 for c in coeffs):
-        raise NonIntegral(f"interpolant {coeffs} is not integral")
-    poly = QPoly({k: int(c) for k, c in enumerate(coeffs)})
-    for q, v in pts:
+    xs, dd = [q for q, _ in base], [v for _, v in base]
+    # Newton divided differences: at integer nodes all are integers exactly
+    # when the interpolant has integer coefficients
+    for j in range(1, degree_bound + 1):
+        for i in range(degree_bound, j - 1, -1):
+            num, r = divmod(dd[i] - dd[i - 1], xs[i] - xs[i - j])
+            if r:
+                raise NonIntegral(f"interpolant through {base} is not integral")
+            dd[i] = num
+    # Horner on the Newton form, coefficients lowest first: p -> p (q - x) + d
+    coeffs = [dd[-1]]
+    for x, d in zip(reversed(xs[:-1]), reversed(dd[:-1])):
+        coeffs = [a - x * b for a, b in zip([d] + coeffs, coeffs + [0])]
+    poly = QPoly(dict(enumerate(coeffs)))
+    for q, v in pts[degree_bound + 1:]:
         if poly.specialize(q) != v:
             raise Inconsistent(f"sample ({q}, {v}) off the interpolant {poly}")
     return poly
@@ -409,10 +402,6 @@ class GF:
 
     def units(self):
         return range(1, self.q)
-
-    def from_int(self, n):
-        """Image of an integer under Z -> F_p -> F_q."""
-        return n % self.p
 
     def trace(self, a):
         """Trace to F_p, as an integer 0..p-1: a0 + a1 x has trace

@@ -178,20 +178,10 @@ def phi_element(v: BigExpVector, y: AffineWeylElement) -> BigExpVector:
     return apply_word(v, tau, word)
 
 
-def fiber_class(v0: ExpLabel, word_spec, target: ExpLabel, W: AffineWeyl) -> QPoly:
+def fiber_class(v0: ExpLabel, word, target: ExpLabel, W: AffineWeyl) -> QPoly:
     """Class of the fiber over target's basepoint of the convolution of the
-    orbit of v0 with the Iwahori orbit of tau * s_1 ... s_r.
-
-    word_spec is (tau, [indices]) with tau of length zero, or just a list of
-    indices.
-    """
-    if isinstance(word_spec, (list, tuple)) and (
-        not word_spec or isinstance(word_spec[0], int)
-    ):
-        tau, word = W.identity, word_spec
-    else:
-        tau, word = word_spec
-    return apply_word(basis_vector(W, v0), tau, word).coefficient(target)
+    orbit of v0 with the Iwahori orbit of s_1 ... s_r, word = [indices]."""
+    return apply_word(basis_vector(W, v0), W.identity, word).coefficient(target)
 
 
 class ExpModVector(QVector):
@@ -326,9 +316,6 @@ class ExpModule:
         for lam, c in v.support.items():
             out = out + self.spherical_action_basis(lam, mu).scale(c)
         return out
-
-    def unit_vector(self, mu) -> ExpModVector:
-        return ExpModVector(self.rd, {tuple(mu): Q_ONE})
 
     # ---- convolution fiber classes over twisted basepoints
 

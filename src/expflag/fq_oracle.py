@@ -34,7 +34,8 @@ and wherever the cut could reach a term they keep (``_exact``), the
 full-precision Hermite form ``_hnf_point`` runs instead: their reference,
 which raises the same errors as ever. No twisted generator reaches it on
 the windows of the averaging chain. The cut of a window follows from its
-bound alone (``depth_for``); the Whittaker read-off needs none.
+bound alone (``depth_for``), that of ``hecke_operator`` from f.window and
+mu; the Whittaker read-off needs none.
 
 One search, ``_Window.search``, finds every orbit, inside a window or
 free, and transports the baby character along it; it applies no
@@ -181,7 +182,7 @@ def _m_mul(F, m1, m2, cut):
     )
 
 
-def _m_scalar(F, diag0, diag1):
+def _m_scalar(diag0, diag1):
     return (({0: diag0} if diag0 else {}, {}), ({}, {0: diag1} if diag1 else {}))
 
 
@@ -515,11 +516,6 @@ def torus_point(preset, q, lam):
     return GrPoint(preset, q, a, c, ())
 
 
-def torus_matrix(preset, lam):
-    a, c = _diagonal(preset, lam)
-    return (({a: 1}, {}), ({}, {c: 1}))
-
-
 def x_plus(q, a, n):
     """Upper root subgroup element x_alpha(a t^n)."""
     return (({0: 1}, {n: a} if a else {}), ({}, {0: 1}))
@@ -529,9 +525,9 @@ def x_minus(q, a, n):
     return (({0: 1}, {}), ({n: a} if a else {}, {0: 1}))
 
 
-def d_torus(preset, q, c):
+def d_torus(c):
     """Lift of rho-hat(c): the Gm of the exponential group."""
-    return _m_scalar(gf(q), c, 1)
+    return _m_scalar(c, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -634,8 +630,8 @@ def twisted_generators(preset, group_spec, q, level_hi):
                 gens.append((((u, {}), ({}, {0: 1})), 0, f"t>{j}a"))
                 gens.append(((({0: 1}, {}), ({}, u)), 0, f"t>{j}b"))
     units = [cc for cc in F.units() if cc != 1]
-    gens += [(d_torus(preset, q, cc), 0, "gm") for cc in units]
-    gens += [(_m_scalar(F, 1, cc), 0, "torus") for cc in units]
+    gens += [(d_torus(cc), 0, "gm") for cc in units]
+    gens += [(_m_scalar(1, cc), 0, "torus") for cc in units]
     return [g for g in gens if g[2] not in drops]
 
 
@@ -805,7 +801,7 @@ def orbit_closure(preset, q, seeds, group_spec, bound):
     bound, so the BFS terminates. The bound only sizes the generator
     levels and the t-adic depth; it is not enforced pointwise.
     """
-    bound = tuple(bound)
+    _check_points(seeds, preset, q)
     gens = _window_generators(preset, group_spec, q, bound)
     labels, _partial, _consistent = _orbit_bfs(seeds, gens, depth_for(preset, bound), gf(q).p)
     return sorted(labels, key=lambda p: (p.a, p.c, p.b))
@@ -836,7 +832,7 @@ class FqFunction:
     values: dict
 
 
-def hecke_operator(f: FqFunction, mu, domain_points, depth=None):
+def hecke_operator(f: FqFunction, mu, domain_points):
     """Right convolution with the K-double-coset indicator of mu.
 
     (f * 1_mu)(x) = sum over g in K mu K / K of f(x g), evaluated on the
@@ -847,13 +843,13 @@ def hecke_operator(f: FqFunction, mu, domain_points, depth=None):
     [0, t^c]] to [[t^(a+a'), (t^c' b + t^a b') mod t^(a+a')], [0, t^(c+c')]],
     the closed form of translate. So the representatives are grouped by
     diagonal (a', c'), x's part is shifted once per diagonal and only b'
-    is merged per representative. Where max(a+a', c+c', 0) reaches the cut
-    translate runs instead, giving the same point or the same error.
+    is merged per representative. The cut is depth_for(_hecke_window(f.window,
+    mu)); where max(a+a', c+c', 0) reaches it translate runs instead, giving
+    the same point or the same error.
     """
     preset, q = f.preset, f.q
     _check_points(domain_points, preset, q)
-    bound = _hecke_window(preset, f.window, mu)
-    cut = depth if depth is not None else depth_for(preset, bound)
+    cut = depth_for(preset, _hecke_window(preset, f.window, mu))
     F = gf(q)
     shapes = {}
     for g in _coset_points(preset, mu, q):
@@ -1011,6 +1007,7 @@ def character_labeling(orbit_points, preset, q, group_spec, level_hi, seed, cut)
     so no equivariant function lives on this orbit. orbit_partition keeps
     the same transport for each of its orbits.
     """
+    _check_points([seed, *orbit_points], preset, q)
     gens = twisted_generators(preset, group_spec, q, level_hi)
     labels, _partial, consistent = _orbit_bfs([seed], gens, cut, gf(q).p, orbit_points)
     return labels, consistent
@@ -1024,6 +1021,7 @@ def baby_basis(preset, bound, q, points):
     character exponent e. Non-dominant labels admit no such function.
     """
     rd = _rd(preset)
+    bound = _dominant(rd, preset, bound, "bound")
     _check_points(points, preset, q)
     assignment, orbits = orbit_partition(points, "U_twisted", q)
     F = gf(q)
@@ -1042,7 +1040,7 @@ def baby_basis(preset, bound, q, points):
         shift = orbit["labels"][seed]
         vals = {p: CycNum.zeta_power(e - shift, F.p, q)
                 for p, e in orbit["labels"].items()}
-        basis[lam] = FqFunction(preset, q, tuple(bound), vals)
+        basis[lam] = FqFunction(preset, q, bound, vals)
     return basis
 
 
@@ -1056,6 +1054,7 @@ def baby_averaging(f: FqFunction, points):
     character.
     """
     preset, q = f.preset, f.q
+    _check_points(points, preset, q)
     F = gf(q)
     _assignment, orbits = orbit_partition(points, "U_twisted", q)
     out = {}
@@ -1095,9 +1094,10 @@ def gm_averaging(f: FqFunction, points):
     under the full twisted group (open = -closed, unsplit orbits die).
     """
     preset, q = f.preset, f.q
+    _check_points(points, preset, q)
     F = gf(q)
     cut = depth_for(preset, _window_bound(points))
-    tori = [d_torus(preset, q, cc) for cc in F.units()]
+    tori = [d_torus(cc) for cc in F.units()]
     vals = {}
     for x in points:
         acc = CycNum.integer(0, F.p, q)
@@ -1117,6 +1117,7 @@ def exponential_class(f: FqFunction, points):
     Checks constancy on the twisted exponential orbits and returns
     {lam: closed coefficient - open coefficient} over split orbits.
     """
+    _check_points(points, f.preset, f.q)
     _assignment, orbits = orbit_partition(points, "U_exp_twisted", f.q)
     coeff = {}
     for orbit in orbits:
@@ -1144,7 +1145,8 @@ def exp_action_matrix(preset, bound, mu, q, points):
     (closed-orbit indicator of lam) * 1_mu.
     """
     rd = _rd(preset)
-    cut = depth_for(preset, _window_bound(points))
+    if not points:
+        raise OracleError("empty window: no points to act on")
     _assignment, orbits = orbit_partition(points, "U_exp_twisted", q)
     closed = {tuple(o["label"]): o for o in orbits if o["tag"] == "closed"}
     out = {}
@@ -1157,7 +1159,7 @@ def exp_action_matrix(preset, bound, mu, q, points):
             if nu not in closed:
                 raise OracleError(f"window too small for the closed orbit of {nu}")
         f = FqFunction(preset, q, window, {p: 1 for p in closed[lam]["points"]})
-        h = hecke_operator(f, mu, points, cut)
+        h = hecke_operator(f, mu, points)
         for nu, v in exponential_class(h, points).items():
             out[(lam, nu)] = v
     return out

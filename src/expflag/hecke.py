@@ -83,12 +83,3 @@ def hecke_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
         out = out + term
     return out
 
-
-def specialize_hecke(a: HeckeElement, q: int):
-    """Coefficientwise specialization: map AffineWeylElement -> nonzero integer."""
-    out = {}
-    for w, c in a.support.items():
-        v = c.specialize(q)
-        if v:
-            out[w] = v
-    return out

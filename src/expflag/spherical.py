@@ -14,7 +14,7 @@ from __future__ import annotations
 from .affine_weyl import AffineWeyl
 from .coefficients import QPoly, QVector, Q_ONE, check_same_datum
 from .hecke import HeckeElement, hecke_mul, t_simple_mul
-from .strata import double_coset_elements
+from .strata import double_coset_elements, iwahori_orbits_in_spherical
 
 
 class NormalizationFailure(ArithmeticError):
@@ -126,9 +126,12 @@ def spherical_mul(a: SphericalElement, b: SphericalElement) -> SphericalElement:
                 f"spherical_mul on {W.rd.name}: lift of {sorted(a.support)} "
                 f"is not right-W0-invariant under T_s{i}"
             )
+    # the left-W0-minimal elements of W0 t_mu W0 are the inverses of the
+    # right-W0-minimal ones of W0 t_mu* W0, mu* = -w0 mu
+    w0 = W.rd.longest_element()
     right = {}
     for mu, c in b.support.items():
-        for w in double_coset_elements(W, mu):
-            if W.is_left_w0_minimal(w):
-                right[w] = c
+        mu_star = tuple(-a for a in w0.apply_coweight(mu))
+        for y in iwahori_orbits_in_spherical(W, mu_star):
+            right[W.inverse(y)] = c
     return hecke_to_spherical(W, hecke_mul(la, HeckeElement(W, right)))

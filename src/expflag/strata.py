@@ -2,7 +2,8 @@
 
 ``double_coset_elements`` lists W0 t_mu W0 and ``iwahori_orbits_in_spherical``
 its right-W0-minimal elements, one per Iwahori orbit in Gr^mu; the exponential
-module's spherical action sums over them.
+module's spherical action sums over them, and spherical_mul over their
+inverses.
 
 Every orbit in sight is a product of copies of A1, Gm, and Gm minus a point;
 CellShape records the multiplicities and hands back the class in Z[q] via the
@@ -32,10 +33,6 @@ class CellShape:
     def __post_init__(self):
         if self.a < 0 or self.b < 0 or self.c < 0:
             raise StrataError("negative shape exponent")
-
-    @property
-    def dimension(self):
-        return self.a + self.b + self.c
 
     def class_in_q(self) -> QPoly:
         q = QPoly({1: 1})
@@ -70,13 +67,16 @@ def orbit_shape(W: AffineWeyl, label: ExpLabel, f) -> CellShape:
 def iwahori_orbits_in_spherical(W: AffineWeyl, mu):
     """Right-W0-minimal representatives of the Iwahori orbits inside Gr^mu.
 
-    These are the right-W0-minimal elements of double_coset_elements(W, mu),
-    one for each coset t_kappa W0, in the same order.
+    One per coset t_kappa W0 of W0 t_mu W0, kappa in the W0-orbit of mu:
+    the right_minimal of t_kappa, sorted by W.sort_key as
+    double_coset_elements sorts.
     """
     if not W.rd.is_dominant(mu):
         raise StrataError("mu must be dominant")
     f0 = W.facet_f0()
-    return [y for y in double_coset_elements(W, mu) if W.is_right_minimal(y, f0)]
+    orbit = {v.apply_coweight(mu) for v in W.rd.weyl_elements()}
+    return sorted((W.right_minimal(W.translation(kappa), f0) for kappa in orbit),
+                  key=W.sort_key)
 
 
 def double_coset_elements(W: AffineWeyl, mu):

@@ -74,7 +74,7 @@ def test_zero_w_f0_is_strictly_dominant_translations(name):
     W = _ctx(name)
     f0 = W.facet_f0()
     for w in W.enumerate_elements(6):
-        member = W.is_right_minimal(w, f0) and W.zero_W_membership(w, f0)
+        member = W.is_right_minimal(w, f0) and W.is_left_w0_maximal(w)
         assert member == W.strictly_dominant_translation(w)
 
 
@@ -205,8 +205,8 @@ def test_partition_invariant_sums_to_q(name):
     W = _ctx(name)
     q = QPoly({1: 1})
     bound = 5 if W.rd.rank == 1 else 3
-    labels = W.enumerate_exp_labels(W.facet_a0(), bound)
-    label_set = W.enumerate_exp_labels(W.facet_a0(), bound + 2)
+    labels = W.enumerate_exp_labels(bound)
+    label_set = W.enumerate_exp_labels(bound + 2)
     for w in labels:
         for i in range(len(W.simples)):
             total = QPoly({})
@@ -298,10 +298,11 @@ def test_interpolation_recovers_generic_polynomials(preset):
 
 def test_enumerated_exponential_model_matches_generic():
     # direct point-count confirmation, independent of the Iwasawa shortcut
-    for preset, q, mu in [("SL2", 2, (1,)), ("PGL2", 3, (1,))]:
+    cases = [("SL2", 2, (1,), (1,)), ("PGL2", 3, (1,), (1,))]
+    cases += [("PGL2", q, bound, mu) for q in (2, 4) for bound, mu in (((2,), (1,)), ((1,), (2,)))]
+    for preset, q, bound, mu in cases:
         rd = build_root_datum(preset)
         M = ExpModule(rd)
-        bound = (1,)
         amb = bound[0] + mu[0] + 2
         pts = enumerate_gr_window(preset, (amb,), q)
         if preset == "PGL2":
@@ -314,7 +315,7 @@ def test_enumerated_exponential_model_matches_generic():
                     iv = cyc_as_int(v)
                     if iv:
                         got[nu] = iv
-            assert got == _specialized_action(M, lam, mu, q), (preset, q, lam)
+            assert got == _specialized_action(M, lam, mu, q), (preset, q, lam, mu)
 
 
 # -- criterion 7: rank-one freeness -----------------------------------------

@@ -51,7 +51,7 @@ def test_length_is_word_length(W):
         tau, word = W.reduced_word(w)
         assert W.length(w) == len(word)
         assert W.length(tau) == 0
-        assert W.word_to_element(word, tau) == w
+        assert W.mul(tau, W.word_to_element(word)) == w
 
 
 def _enumerable(W):
@@ -105,7 +105,7 @@ def test_descents_detect_length_drop(W_tables):
             assert W.is_right_descent(W.inverse(w), i) == (W.length(W.mul(s, w)) < lw)
         tau, word = W.reduced_word(w)
         assert len(word) == lw
-        assert W.word_to_element(word, tau) == w
+        assert W.mul(tau, W.word_to_element(word)) == w
         assert W.reduced_word(w) == (tau, word)
 
 

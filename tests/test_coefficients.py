@@ -2,6 +2,9 @@
 cyclotomic integers with inverted q.
 """
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +14,7 @@ from expflag.coefficients import (
     FIELD_SIZES,
     GF,
     Inconsistent,
+    NonIntegral,
     QPoly,
     gf,
     psi_value,
@@ -68,6 +72,51 @@ def test_interpolation_rejects_non_polynomial_data():
     with pytest.raises(Inconsistent):
         # 2^q is not a polynomial of degree 2 in q
         qpoly_interpolate([(q, 2**q) for q in range(2, 6)], 2)
+
+
+def _lagrange_interpolate(samples, degree_bound):
+    """Reference: Lagrange interpolation in exact rationals through the first
+    degree_bound + 1 samples, then every sample checked."""
+    base = samples[: degree_bound + 1]
+    coeffs = [Fraction(0)] * (degree_bound + 1)
+    for qi, vi in base:
+        num, den = [Fraction(1)], Fraction(1)
+        for qj, _ in base:
+            if qj != qi:
+                # num times (x - qj)
+                num = [a - qj * b for a, b in zip([Fraction(0)] + num, num + [0])]
+                den *= qi - qj
+        for k, c in enumerate(num):
+            coeffs[k] += vi * c / den
+    if any(c.denominator != 1 for c in coeffs):
+        raise NonIntegral(coeffs)
+    poly = QPoly({k: int(c) for k, c in enumerate(coeffs)})
+    if any(poly.specialize(q) != v for q, v in samples):
+        raise Inconsistent(poly)
+    return poly
+
+
+def test_interpolation_matches_rational_lagrange():
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(1500):
+        deg = rng.randint(0, 4)
+        xs = rng.sample(range(-3, 12), deg + 1 + rng.randint(0, 2))
+        if rng.random() < 0.4:
+            p = QPoly({k: rng.randint(-5, 5) for k in range(deg + 1)})
+            vals = [p.specialize(x) + (rng.random() < 0.3) for x in xs]
+        else:
+            vals = [rng.randint(-20, 20) for _ in xs]
+        samples = list(zip(xs, vals))
+        outcomes = []
+        for fn in (qpoly_interpolate, _lagrange_interpolate):
+            try:
+                outcomes.append(fn(samples, deg))
+            except (NonIntegral, Inconsistent) as e:
+                outcomes.append(type(e))
+        assert outcomes[0] == outcomes[1], (samples, deg)
+        seen.add(outcomes[0] if isinstance(outcomes[0], type) else QPoly)
+    assert seen == {QPoly, NonIntegral, Inconsistent}
 
 
 def test_json_round_trip():

@@ -29,7 +29,6 @@ from expflag.fq_oracle import (
     interpolate_structure_constants,
     orbit_closure,
     orbit_partition,
-    torus_matrix,
     torus_point,
     translate,
     twisted_generators,
@@ -83,7 +82,7 @@ def test_hnf_is_stable_under_unimodular_action():
     q = 3
     cut = depth_for("SL2", (2,))
     pts = enumerate_gr_window("SL2", (2,), q)
-    gens = [x_plus(q, 1, 0), x_minus(q, 1, 1), torus_matrix("SL2", (0,))]
+    gens = [x_plus(q, 1, 0), x_minus(q, 1, 1), torus_point("SL2", q, (0,)).matrix()]
     for p in pts[:30]:
         for g in gens:
             moved = act(p, g, cut)
@@ -95,7 +94,7 @@ def test_translation_changes_type_and_action_does_not():
     q = 2
     cut = depth_for("SL2", (3,))
     base = torus_point("SL2", q, (0,))
-    g = torus_matrix("SL2", (1,))
+    g = torus_point("SL2", q, (1,)).matrix()
     assert translate(base, g, cut).coweight() == (1,)
     assert act(base, x_plus(q, 1, 0), cut) == base
 
@@ -646,6 +645,12 @@ def test_non_dominant_whittaker_input_is_oracle_error(preset, lam, mu):
         whittaker_action(preset, lam, mu, 3)
 
 
+def test_non_dominant_baby_bound_is_oracle_error():
+    # used to return an empty basis
+    with pytest.raises(OracleError, match="bound must be dominant"):
+        fq_oracle.baby_basis("SL2", (-1,), 3, _sl2_window(3))
+
+
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("lam", [(0, 0), (1, 0), (2, -1)])
 def test_gl2_central_coweight_acts_as_a_shift(q, lam):
@@ -942,7 +947,9 @@ def _pointwise_hecke_operator(f, mu, domain_points, cut):
 
 # the bounds of the windows that hold f and the domain, mu and the declared
 # support bound of f * 1_mu; None is the chain window. The support bound of
-# the second SL2 case is too small for the result.
+# the second SL2 case is too small for the result. The domain of the last
+# case lies past the cut (8) of its support bound, so every translate of its
+# points reaches the cut.
 _HECKE_CASES = [
     ("SL2", None, (1,), None, (3,)),
     ("SL2", (2,), (1,), (2,), (0,)),
@@ -950,6 +957,7 @@ _HECKE_CASES = [
     ("GL2", (2, 0), (1, 0), (1, 0), (1, 0)),
     ("GL2", (2, -1), (1, -1), (2, -1), (2, -1)),
     ("GL2", (-1, -3), (0, -1), (-1, -2), (-1, -2)),
+    ("GL2", (1, 0), (1, 0), (9, 8), (1, 0)),
 ]
 
 
@@ -957,9 +965,10 @@ _HECKE_CASES = [
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("kind", ["int", "CycNum"])
 def test_hecke_read_off_matches_a_sum_over_translates(
-        preset, f_bound, mu, domain_bound, support, q, kind):
-    """hecke_operator equals the sum over translates at its default depth and
-    at every depth below it: the same values, or the same error."""
+        preset, f_bound, mu, domain_bound, support, q, kind, translate_calls):
+    """hecke_operator equals the sum over translates at its cut, the depth
+    of the support bound of f * 1_mu: the same values, or the same error.
+    It falls back to translate only where a translate reaches the cut."""
     import random
 
     rng = random.Random(q)
@@ -975,22 +984,18 @@ def test_hecke_read_off_matches_a_sum_over_translates(
 
     f = FqFunction(preset, q, support, {x: value() for x in window(f_bound) if rng.random() < 0.5})
     pts = window(domain_bound)
-    default = depth_for(preset, fq_oracle._hecke_window(preset, support, mu))
-
-    def read_off(*depth):
-        got = _outcome(hecke_operator, f, mu, pts, *depth)
-        return got if isinstance(got, type) else got.values
-
-    outcomes = []
-    for cut in range(-1, default + 1):
-        want = _outcome(_pointwise_hecke_operator, f, mu, pts, cut)
-        assert read_off(cut) == want, cut
-        outcomes.append(want)
-    assert read_off() == want
-    # the shallow depths reach the translates' errors, the default one a
-    # nonzero result or, in the second SL2 case, its escape from the window
-    assert any(isinstance(w, type) for w in outcomes[:-1])
-    assert want == SupportEscapesWindow if support == (0,) else want
+    cut = depth_for(preset, fq_oracle._hecke_window(preset, support, mu))
+    got = _outcome(hecke_operator, f, mu, pts)
+    want = _outcome(_pointwise_hecke_operator, f, mu, pts, cut)
+    assert (got if isinstance(got, type) else got.values) == want
+    past_cut = domain_bound == (9, 8)
+    assert bool(translate_calls) == past_cut
+    # past the cut both reach the translates' error; otherwise the result is
+    # nonzero or, in the second SL2 case, escapes the window
+    if past_cut:
+        assert want is OracleError and cut == 8
+    else:
+        assert want == SupportEscapesWindow if support == (0,) else want
 
 
 def test_hecke_operator_builds_no_translate_on_the_chain_windows(translate_calls):
@@ -1120,16 +1125,32 @@ def _sl2_window(q):
     return enumerate_gr_window("SL2", (1,), q)
 
 
+def _pgl2_window(q):
+    return enumerate_gr_window("PGL2", (1,), q)
+
+
+_SL2_ZERO = FqFunction("SL2", 3, (1,), {})
+
+
 @pytest.mark.parametrize("call", [
     lambda: orbit_partition(_sl2_window(3) + _sl2_window(2), "U_twisted", 3),
     lambda: hecke_operator(FqFunction("SL2", 3, (1,), dict.fromkeys(_sl2_window(3), 1)),
                            (1,), _sl2_window(2)),
     lambda: fq_oracle.whittaker_space("SL2", (1,), 3, _sl2_window(2)),
     lambda: fq_oracle.baby_basis("PGL2", (1,), 3, enumerate_gr_window("SL2", (2,), 3)),
-], ids=["orbit_partition", "hecke_operator", "whittaker_space", "baby_basis"])
+    lambda: baby_averaging(_SL2_ZERO, _pgl2_window(3)),
+    lambda: fq_oracle.gm_averaging(_SL2_ZERO, _pgl2_window(3)),
+    lambda: fq_oracle.exponential_class(_SL2_ZERO, _pgl2_window(3)),
+    lambda: character_labeling(_pgl2_window(3), "SL2", 3, "U_twisted", 8,
+                               torus_point("PGL2", 3, (0,)), depth_for("SL2", (1,))),
+    lambda: orbit_closure("SL2", 2, [torus_point("SL2", 3, (0,))], "U_twisted", (1,)),
+    lambda: orbit_closure("SL2", 3, [torus_point("PGL2", 3, (0,))], "U_twisted", (1,)),
+], ids=["orbit_partition", "hecke_operator", "whittaker_space", "baby_basis",
+        "baby_averaging", "gm_averaging", "exponential_class", "character_labeling",
+        "orbit_closure-field", "orbit_closure-preset"])
 def test_points_of_another_field_or_preset_are_oracle_errors(call, monkeypatch):
-    # these used to return orbits, values or a basis over the wrong points,
-    # or end in a bare KeyError
+    # these used to return orbits, values, classes or a basis over the wrong
+    # points, or end in a bare KeyError
     monkeypatch.setattr(fq_oracle, "_partition_cache", {})
     with pytest.raises(OracleError, match="among"):
         call()

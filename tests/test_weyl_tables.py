@@ -2,9 +2,10 @@
 
 The tables of ``RootDatum`` (products, inverses, the action on roots, left
 descents) are checked against the matrices that define them, and the
-closed forms of ``AffineWeyl`` (length, left-W0-maximality and
-minimality) against the brute-force inversion count, left descents and the
-sign of w^-1(alpha_i) on the base alcove.
+closed forms of ``AffineWeyl`` (length and left-W0-maximality) against the
+brute-force inversion count, left descents and the sign of w^-1(alpha_i) on
+the base alcove, and the coset representatives of W0 t_mu W0 against its
+ascents.
 """
 
 import itertools
@@ -13,6 +14,7 @@ import pytest
 
 from expflag.affine_weyl import AffineRoot, AffineWeyl, AffineWeylElement
 from expflag.root_datum import _mat_mul, build_root_datum
+from expflag.strata import double_coset_elements, iwahori_orbits_in_spherical
 
 PRESETS = ["SL2", "PGL2", "GL2", "SL3", "PGL3", "Sp4", "G2"]
 # a length bound that reaches left-W0-maximal elements beyond the finite ones
@@ -148,16 +150,22 @@ def test_closed_form_maximality_matches_descents_and_alcove_sign(name):
 
 @pytest.mark.parametrize("name", PRESETS)
 def test_closed_form_minimality_matches_left_ascents(name):
+    """One element per W0-coset of W0 t_mu W0, as the spherical sums take
+    them: iwahori_orbits_in_spherical lists the elements with no finite right
+    descent, and its inverses at mu* = -w0 mu (spherical_mul) are the ones
+    with no finite left descent."""
     W = AffineWeyl(build_root_datum(name))
-    minimal = 0
-    for w in _sample(W, name):
-        lw = W.length(w)
-        closed = W.is_left_w0_minimal(w)
-        assert closed == all(
-            W.length(W.mul(W.simples[i], w)) > lw for i in range(W.rd.rank)
-        ), w
-        minimal += closed and lw > 0
-    assert minimal > 0
+    rd = W.rd
+    finite = W.simples[: rd.rank]
+    w0 = rd.longest_element()
+    box = itertools.product(range(-3, 4), repeat=rd.char_lattice_rank)
+    for mu in [m for m in box if rd.is_dominant(m) and max(map(abs, m)) > 0]:
+        coset = double_coset_elements(W, mu)
+        right = [y for y in coset if all(W.length(W.mul(y, s)) > W.length(y) for s in finite)]
+        left = {w for w in coset if all(W.length(W.mul(s, w)) > W.length(w) for s in finite)}
+        assert iwahori_orbits_in_spherical(W, mu) == right, mu
+        mu_star = tuple(-a for a in w0.apply_coweight(mu))
+        assert {W.inverse(y) for y in iwahori_orbits_in_spherical(W, mu_star)} == left, mu
 
 
 @pytest.mark.parametrize("name", ["SL3", "PGL3", "Sp4", "G2"])
