@@ -44,24 +44,19 @@ def _q_list(text, bound):
 
 def _emit(fmt, out, doc):
     if fmt == "tsv":
-        lines = []
-        if isinstance(doc, dict):
-            rows = doc.get("rows", [doc])
-        else:
-            rows = doc
-        for row in rows:
-            if isinstance(row, dict):
-                lines.append("\t".join(str(v) for v in row.values()))
-            else:
-                lines.append("\t".join(str(v) for v in row))
+        lines = ("\t".join(str(v) for v in row.values())
+                 for row in doc.get("rows", [doc]))
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out == "-":
         click.echo(text, nl=False)
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise click.UsageError(f"cannot write --out {out}: {e.strerror}")
 
 
 def _violation(report):

@@ -5,8 +5,8 @@ Three coefficient domains are implemented here:
 * ``QPoly``: sparse polynomials in Z[q], the generic parameter q, with
   arbitrary precision integer coefficients and no negative exponents.
   This is the coefficient ring of every generic computation.
-* ``GF``: the finite fields F_q for q = p^k with p <= 7, k <= 2, with a
-  fixed irreducible polynomial per (p, k) so that all runs are reproducible.
+* ``GF``: the finite fields F_q, q = p^k, p <= 7, k <= 2, with a fixed
+  irreducible quadratic per p; arithmetic is table lookup, built once per field.
 * ``CycNum``: elements of Z[zeta_p, 1/q], the coefficient ring of the
   psi-twisted (Whittaker) oracle computations.
 
@@ -44,7 +44,7 @@ class QPoly:
     Stored as a map exponent -> nonzero int coefficient.
     """
 
-    __slots__ = ("coeffs", "_hash")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
         clean = {}
@@ -55,7 +55,6 @@ class QPoly:
         if any(e < 0 for e in clean):
             raise ValueError("negative exponent in a polynomial of Z[q]")
         object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "_hash", None)
 
     @staticmethod
     def _of(clean):
@@ -63,7 +62,6 @@ class QPoly:
         coefficients at nonnegative int exponents."""
         out = object.__new__(QPoly)
         object.__setattr__(out, "coeffs", clean)
-        object.__setattr__(out, "_hash", None)
         return out
 
     def __setattr__(self, *a):
@@ -134,11 +132,10 @@ class QPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(
-                self, "_hash", hash(frozenset(self.coeffs.items()))
-            )
-        return self._hash
+        # a constant equals its int, so it hashes as that int
+        if self.coeffs.keys() <= {0}:
+            return hash(self.coeffs.get(0, 0))
+        return hash(frozenset(self.coeffs.items()))
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -344,53 +341,44 @@ FIELD_SIZES = tuple(sorted(_FIELDS))
 
 
 class GF:
-    """F_q with elements encoded as integers 0..q-1.
+    """F_q with elements encoded as integers 0..q-1; arithmetic is table
+    lookup, the tables built once per field.
 
-    For q = p the encoding is the residue; for q = p^2 the element
-    a0 + a1*x is encoded as a0 + a1*p where x is the fixed generator.
+    Element a has digits (a0, a1) = (a % p, a // p) and stands for
+    a0 + a1 x, where x^2 = c1 x + c0 in F_p^2. For q = p every a1 is 0,
+    so one formula builds the tables of both field sizes.
     """
 
     def __init__(self, q):
         if q not in _FIELDS:
             raise ValueError(f"unsupported field size {q}")
         p, k = _FIELDS[q]
-        self.q = q
-        self.p = p
-        self.k = k
-        if k == 2:
-            self._c = _IRRED2[p]
-        # one brute-force pass here (q <= 49) makes inv a lookup
-        self._inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self.mul(a, b) == 1:
-                    self._inv[a] = b
-                    break
-            else:
-                raise AssertionError("unit without inverse")
+        self.q, self.p, self.k = q, p, k
+        self._c = c0, c1 = _IRRED2[p] if k == 2 else (0, 0)
+        digits = [(a % p, a // p) for a in range(q)]
+        self._add = [[(a0 + b0) % p + (a1 + b1) % p * p for b0, b1 in digits]
+                     for a0, a1 in digits]
+        self._neg = [-a0 % p + -a1 % p * p for a0, a1 in digits]
+        # (a0 + a1 x)(b0 + b1 x) with x^2 = c1 x + c0
+        self._mul = [[(a0 * b0 + a1 * b1 * c0) % p
+                      + (a0 * b1 + a1 * b0 + a1 * b1 * c1) % p * p
+                      for b0, b1 in digits]
+                     for a0, a1 in digits]
+        # the trace to F_p: k a0 + a1 c1, since x + x^p = c1
+        self._trace = [(k * a0 + a1 * c1) % p for a0, a1 in digits]
+        # a^-1 is where 1 sits in a's row; a row without 1 is a zero divisor
+        if any(1 not in row for row in self._mul[1:]):
+            raise ValueError(f"x^2 - {c1} x - {c0} is reducible over F_{p}")
+        self._inv = [None] + [row.index(1) for row in self._mul[1:]]
 
     def add(self, a, b):
-        p = self.p
-        if self.k == 1:
-            return (a + b) % p
-        return (a % p + b % p) % p + (((a // p + b // p) % p) * p)
+        return self._add[a][b]
 
     def neg(self, a):
-        p = self.p
-        if self.k == 1:
-            return (-a) % p
-        return (-a) % p + ((-(a // p)) % p) * p
+        return self._neg[a]
 
     def mul(self, a, b):
-        p = self.p
-        if self.k == 1:
-            return (a * b) % p
-        a0, a1 = a % p, a // p
-        b0, b1 = b % p, b // p
-        c0, c1 = self._c
-        # (a0 + a1 x)(b0 + b1 x) with x^2 = c1 x + c0
-        hi = a1 * b1
-        return ((a0 * b0 + hi * c0) % p) + (((a0 * b1 + a1 * b0 + hi * c1) % p) * p)
+        return self._mul[a][b]
 
     def inv(self, a):
         if a == 0:
@@ -404,12 +392,8 @@ class GF:
         return range(1, self.q)
 
     def trace(self, a):
-        """Trace to F_p, as an integer 0..p-1: a0 + a1 x has trace
-        2 a0 + a1 c1, since x + x^p = c1 for x^2 = c1 x + c0."""
-        if self.k == 1:
-            return a
-        p = self.p
-        return (2 * (a % p) + (a // p) * self._c[1]) % p
+        """Trace to F_p, as an integer 0..p-1."""
+        return self._trace[a]
 
 
 @lru_cache(maxsize=None)

@@ -18,8 +18,8 @@ from the reflection closure, which give positivity, height and the highest
 roots. Coroot and adjoint coordinates of a coweight read one integer
 adjugate of the Cartan matrix, computed at construction. The finite-type
 test reads the leading principal minors of the Cartan matrix itself, and
-rho-hat is kept doubled, as the integer ``two_rho_hat``. ``Fraction`` is
-left only in ``_det``'s elimination and in ``pair_fractional``.
+rho-hat is kept doubled, as the integer ``two_rho_hat``. ``_det`` is Bareiss
+elimination over Z, and ``Fraction`` is left only in ``pair_fractional``.
 
 The dominance order on coweights is enumerated here and only here:
 ``dominance_leq``, the interval ``dominant_below(mu)``, walked down the
@@ -113,7 +113,7 @@ class RootDatum:
         ]
         _check_cartan(self.cartan)
         # cartan^-1 = adj / det, over Z
-        self._cartan_det = int(_det(self.cartan))
+        self._cartan_det = _det(self.cartan)
         self._cartan_adj = _adjugate(self.cartan)
 
         self._build_roots()
@@ -443,29 +443,29 @@ def _adjugate(m):
     """adj m, with m adj m = det(m) I: adj[i][j] is the (j, i) cofactor."""
     n = len(m)
     return [
-        [(-1) ** (i + j) * int(_det([row[:i] + row[i + 1:] for k, row in enumerate(m) if k != j]))
+        [(-1) ** (i + j) * _det([row[:i] + row[i + 1:] for k, row in enumerate(m) if k != j])
          for j in range(n)]
         for i in range(n)
     ]
 
 
 def _det(m):
-    m = [row[:] for row in m]
+    """det m over Z by Bareiss elimination, whose divisions are all exact."""
+    m = [list(row) for row in m]
     n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            f = Fraction(m[r][col], m[col][col])
-            for c in range(col, n):
-                m[r][c] -= f * m[col][c]
-    return det
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
 
 
 def _simply_connected(name, cartan):

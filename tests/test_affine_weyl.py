@@ -3,7 +3,6 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from expflag.root_datum import _adjoint_preset, _simply_connected, build_root_datum
 from expflag.affine_weyl import AffineWeyl, AffineWeylError, ExpLabel
@@ -122,6 +121,12 @@ def test_exp_label_tag_is_checked():
     W = AffineWeyl(build_root_datum("SL2"))
     with pytest.raises(AffineWeylError, match="bad tag 'open'"):
         ExpLabel("open", W.identity)
+
+
+def test_negative_label_length_bound_is_an_error():
+    W = AffineWeyl(build_root_datum("SL2"))
+    with pytest.raises(AffineWeylError, match="nonnegative"):
+        W.enumerate_exp_labels(-1)
 
 
 def test_equal_labels_are_one_key():

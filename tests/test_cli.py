@@ -287,6 +287,25 @@ def test_out_file(runner, tmp_path):
     assert doc["rows"]
 
 
+def test_unwritable_out_is_config_error(runner, tmp_path):
+    # a path that cannot be opened used to exit 1 with a bare traceback
+    target = tmp_path / "missing" / "x.json"
+    res = runner.invoke(
+        main,
+        ["spherical", "--group", "SL2", "--lam", "1", "--mu", "1", "--out", str(target)],
+    )
+    assert res.exit_code == 2, res.output
+    assert str(target) in res.output
+
+
+def test_fiber_bad_source_tag_is_config_error(runner):
+    res = runner.invoke(
+        main, ["fiber", "--group", "SL2", "--source", "bad:1", "--word", "0"]
+    )
+    assert res.exit_code == 2, res.output
+    assert "bad source tag 'bad'" in res.output
+
+
 def test_verify_rejects_non_semisimple_group(runner):
     # weyl and fiber enumerate the length-zero subgroup, which needs a
     # semisimple group just as verify does

@@ -2,13 +2,17 @@
 cyclotomic integers with inverted q.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from expflag import coefficients
 from expflag.coefficients import (
+    Q_ONE,
+    Q_ZERO,
     CycNum,
     DivisionNotExact,
     FIELD_SIZES,
@@ -136,6 +140,15 @@ def test_qpoly_is_z_q_only():
         qpoly_exact_div(QPoly({0: 1}), q)
 
 
+def test_constant_qpoly_hashes_as_its_int():
+    # QPoly equals an int exactly when it is that constant, so the two must
+    # be one key in a set or a dict
+    assert Q_ONE == 1 and len({1, Q_ONE}) == 1
+    assert {1: "a"}.get(Q_ONE) == "a"
+    assert hash(Q_ZERO) == hash(0)
+    assert QPoly.__slots__ == ("coeffs",)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 25, 49])
 def test_gf_field_axioms(q):
     F = gf(q)
@@ -187,6 +200,77 @@ def test_gf_sizes_are_p_and_p_squared_for_p_at_most_7():
     for q in (0, 1, 6, 8, 11, 27):
         with pytest.raises(ValueError):
             GF(q)
+
+
+class _PerDegreeGF:
+    """Reference: F_q arithmetic by one formula per degree k, with x^2 =
+    c1 x + c0 in F_p^2, and inverses by search."""
+
+    def __init__(self, q):
+        self.p, self.k = coefficients._FIELDS[q]
+        self.c = coefficients._IRRED2[self.p]
+
+    def add(self, a, b):
+        p = self.p
+        if self.k == 1:
+            return (a + b) % p
+        return (a % p + b % p) % p + (((a // p + b // p) % p) * p)
+
+    def neg(self, a):
+        p = self.p
+        if self.k == 1:
+            return (-a) % p
+        return (-a) % p + ((-(a // p)) % p) * p
+
+    def mul(self, a, b):
+        p = self.p
+        if self.k == 1:
+            return (a * b) % p
+        a0, a1 = a % p, a // p
+        b0, b1 = b % p, b // p
+        c0, c1 = self.c
+        hi = a1 * b1
+        return ((a0 * b0 + hi * c0) % p) + (((a0 * b1 + a1 * b0 + hi * c1) % p) * p)
+
+    def inv(self, a):
+        return next(b for b in range(1, self.p**self.k) if self.mul(a, b) == 1)
+
+    def trace(self, a):
+        if self.k == 1:
+            return a
+        p = self.p
+        return (2 * (a % p) + (a // p) * self.c[1]) % p
+
+
+@pytest.mark.parametrize("q", FIELD_SIZES)
+def test_gf_tables_match_the_per_degree_formulas(q):
+    F, ref = gf(q), _PerDegreeGF(q)
+    for a in F.elements():
+        assert F.neg(a) == ref.neg(a)
+        assert F.trace(a) == ref.trace(a)
+        if a:
+            assert F.inv(a) == ref.inv(a)
+        for b in F.elements():
+            assert F.add(a, b) == ref.add(a, b)
+            assert F.mul(a, b) == ref.mul(a, b)
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_gf_ring_laws_hold_exhaustively(q):
+    F = gf(q)
+    els = F.elements()
+    for a, b, c in itertools.product(els, els, els):
+        assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
+        assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
+        assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+
+
+def test_gf_rejects_a_reducible_quadratic(monkeypatch):
+    # x^2 = x + 0, i.e. x (x - 1) = 0: F_3[x] / (x^2 - x) has zero divisors
+    monkeypatch.setitem(coefficients._IRRED2, 3, (0, 1))
+    with pytest.raises(ValueError, match="reducible over F_3"):
+        GF(9)
+    GF(3)  # F_3 itself does not read the quadratic
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])

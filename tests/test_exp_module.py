@@ -15,11 +15,7 @@ from expflag.spherical import (
     spherical_mul,
     unit_indicator,
 )
-from expflag.strata import (
-    CellShape,
-    double_coset_elements,
-    orbit_shape,
-)
+from expflag.strata import CellShape, double_coset_elements
 from expflag.exp_module import (
     BigExpVector,
     ExpModule,

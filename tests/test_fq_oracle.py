@@ -5,7 +5,7 @@ import pytest
 from expflag import fq_oracle
 from expflag.root_datum import build_root_datum
 from expflag.affine_weyl import AffineWeyl
-from expflag.coefficients import CycNum, QPoly, gf, psi_value
+from expflag.coefficients import CycNum, gf, psi_value
 from expflag.strata import gr_cell_class
 from expflag.fq_oracle import (
     PRESETS,

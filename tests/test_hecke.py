@@ -12,10 +12,8 @@ from expflag.coefficients import QPoly
 from expflag.hecke import HeckeElement, hecke_mul, t_basis, t_simple_mul
 from expflag.spherical import (
     NormalizationFailure,
-    SphericalElement,
     double_coset_lift,
     hecke_to_spherical,
-    lift,
     poincare_poly,
     spherical_mul,
     unit_indicator,

@@ -384,3 +384,43 @@ def test_sign_on_alcove_matches_the_rational_barycenter(kind, spec):
             assert W.sign_on_alcove(ar) == _sign_at_rational_barycenter(rd, ar), ar
     with pytest.raises(AffineWeylError, match="vanishes"):
         W.sign_on_alcove(AffineRoot((0,) * rd.char_lattice_rank, 0))
+
+
+# ---- the integer determinant
+
+def _fraction_det(m):
+    """Reference: Gaussian elimination in exact rationals."""
+    from fractions import Fraction
+
+    m = [[Fraction(x) for x in row] for row in m]
+    n = len(m)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, n):
+            f = m[r][col] / m[col][col]
+            for c in range(col, n):
+                m[r][c] -= f * m[col][c]
+    return det
+
+
+def test_bareiss_det_matches_rational_elimination():
+    import random
+
+    from expflag.root_datum import _det
+
+    rng = random.Random(0)
+    assert _det([]) == 1
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        # small entries with many zeros, so pivots vanish and rows swap
+        m = [[rng.choice([0, 0, 0, rng.randint(-4, 4)]) for _ in range(n)]
+             for _ in range(n)]
+        got = _det(m)
+        assert type(got) is int and got == _fraction_det(m), m
