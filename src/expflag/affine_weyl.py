@@ -12,6 +12,11 @@ For w = t_lam v, w^-1(alpha + n) = v^-1(alpha) + n - <alpha, lam>. The
 length and left-W0-maximality read this with integers and the W0 tables:
   - l(w) = sum over alpha > 0 of |<alpha, lam> + d|, with d = 1 if
     v^-1(alpha) < 0 and d = 0 otherwise;
+  - so l(w) = 0 iff each <alpha, lam> is 0 or -1 and d = 1 exactly where
+    it is -1: the length-zero group Omega has one element per lam with
+    adjoint coordinates in {0, -1} and <theta, lam> >= -1 for each highest
+    root theta, with v the unique element of W0 that has those inversions
+    (Iwahori-Matsumoto);
   - w is maximal in W0 w iff w^-1(alpha_i) < 0 for every simple alpha_i,
     i.e. iff <alpha_i, lam> >= 1, or <alpha_i, lam> = 0 and i is a left
     descent of v (v^-1(alpha_i) < 0).
@@ -95,7 +100,6 @@ class AffineWeyl:
         )
         self._build_simples()
         self._build_barycenter()
-        self._omega = None
         self._len_cache = {}
         # indexed like rd.roots: 1 at each negative root, else 0
         self._root_negative = tuple(
@@ -285,38 +289,22 @@ class AffineWeyl:
     # ---- Omega, the length-zero subgroup
 
     def omega_elements(self):
-        """All length-zero elements; requires finite X_*(T)/(coroot lattice)."""
-        if self._omega is not None:
-            return self._omega
+        """All length-zero elements, sorted by lam; requires finite
+        X_*(T)/(coroot lattice)."""
         rd = self.rd
-        n = rd.char_lattice_rank
-        if rd.rank < n:
+        if rd.rank < rd.char_lattice_rank:
             raise AffineWeylError(
                 "Omega enumeration needs a semisimple datum (finite pi1)"
             )
-        reps = []
-        box = 3 + max(max(abs(c) for c in ck) for ck in rd.simple_coroots)
-        pts = list(itertools.product(range(-box, box + 1), repeat=n))
+        tops = rd.highest_roots()
         out = []
-        for lam in pts:
-            # length-zero elements have minuscule translation part
-            if any(abs(rd.pair(a, lam)) > 1 for a in rd.positive_roots):
+        for coords in itertools.product((0, -1), repeat=rd.rank):
+            lam = rd.from_adjoint_coords(coords)
+            if lam is None or any(rd.pair(t, lam) < -1 for t in tops):
                 continue
-            if any(
-                rd.coroot_coords(tuple(a - b for a, b in zip(lam, r))) is not None
-                for r in reps
-            ):
-                continue
-            found = None
-            for v in rd.weyl_elements():
-                cand = AffineWeylElement(tuple(lam), v)
-                if self.length(cand) == 0:
-                    found = cand
-                    break
-            if found is not None:
-                reps.append(tuple(lam))
-                out.append(found)
-        self._omega = out
+            ws = (AffineWeylElement(lam, v) for v in rd.weyl_elements())
+            out.append(next(w for w in ws if self.length(w) == 0))
+        out.sort(key=lambda w: w.lam)
         return out
 
     # ---- cosets, maximality, exponential labels

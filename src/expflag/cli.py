@@ -12,12 +12,12 @@ import sys
 
 import click
 
-from .root_datum import build_root_datum
+from .root_datum import RootDatumError, build_root_datum
 from .affine_weyl import AffineWeyl, AffineWeylError, ExpLabel
 from .coefficients import FIELD_SIZES
 from .hecke import hecke_mul, t_basis
 from .spherical import spherical_mul, unit_indicator
-from .exp_module import ExpModule, NonDominantIndex, apply_word, basis_vector
+from .exp_module import ExpModule, ExpModuleError, NonDominantIndex, apply_word, basis_vector
 from . import fq_oracle
 
 
@@ -93,7 +93,7 @@ def _weyl_context(group, needs_semisimple=None):
     command when it cannot run on a group with a central torus."""
     try:
         rd = build_root_datum(group)
-    except Exception as e:
+    except RootDatumError as e:
         raise click.UsageError(f"unknown group {group!r}: {e}")
     if needs_semisimple and rd.rank != rd.char_lattice_rank:
         raise click.UsageError(
@@ -194,7 +194,7 @@ def expmod(group, fmt, out, lam, mu, rank_one, bound):
     _check_bound(bound)
     try:
         M = ExpModule(build_root_datum(group))
-    except Exception as e:
+    except (RootDatumError, ExpModuleError) as e:
         raise click.UsageError(str(e))
     doc = {"group": group}
     if lam is not None and mu is not None:

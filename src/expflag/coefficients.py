@@ -354,7 +354,7 @@ class GF:
             raise ValueError(f"unsupported field size {q}")
         p, k = _FIELDS[q]
         self.q, self.p, self.k = q, p, k
-        self._c = c0, c1 = _IRRED2[p] if k == 2 else (0, 0)
+        c0, c1 = _IRRED2[p] if k == 2 else (0, 0)
         digits = [(a % p, a // p) for a in range(q)]
         self._add = [[(a0 + b0) % p + (a1 + b1) % p * p for b0, b1 in digits]
                      for a0, a1 in digits]
@@ -398,12 +398,7 @@ class GF:
 
 @lru_cache(maxsize=None)
 def gf(q):
-    f = GF(q)
-    if f.k == 2:
-        # sanity: x is a root of the stored quadratic, i.e. x^2 = c1 x + c0
-        x = f.p
-        assert f.mul(x, x) == f.add(f._c[0], f.mul(f._c[1], x))
-    return f
+    return GF(q)
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +443,9 @@ class CycNum:
 
     def is_zero(self):
         return all(c == 0 for c in self.poly)
+
+    def __bool__(self):
+        return not self.is_zero()
 
     def _lift(self, target_den):
         f = self.q ** (target_den - self.den_exp)

@@ -875,7 +875,7 @@ def hecke_operator(f: FqFunction, mu, domain_points):
                 v = f.values.get(y)
                 if v is not None:
                     acc = acc + v if acc != 0 else v
-        if acc != 0 and not _is_cyc_zero(acc):
+        if acc:
             if not rd.dominance_leq(x.coweight(), f.window):
                 raise SupportEscapesWindow(
                     f"nonzero value at type {x.coweight()} outside {f.window}"
@@ -890,10 +890,6 @@ def _hecke_window(preset, window, mu):
     aw, cw = _diagonal(preset, window)
     am, cm = _diagonal(preset, mu)
     return PRESETS[preset].coords(aw - cm, cw - am)
-
-
-def _is_cyc_zero(v):
-    return v.is_zero() if isinstance(v, CycNum) else v == 0
 
 
 # ---------------------------------------------------------------------------
@@ -1061,7 +1057,7 @@ def baby_averaging(f: FqFunction, points):
     for orbit in orbits:
         pts = orbit["points"]
         if orbit["partial"]:
-            if any(not _is_cyc_zero(f.values.get(p, 0)) for p in pts):
+            if any(f.values.get(p, 0) for p in pts):
                 raise OracleError("nonzero value on a boundary orbit")
             continue
         if not orbit["consistent"]:
@@ -1122,7 +1118,7 @@ def exponential_class(f: FqFunction, points):
     coeff = {}
     for orbit in orbits:
         vals = {f.values.get(p, 0) for p in orbit["points"]}
-        norm = {0 if _is_cyc_zero(v) else v for v in vals}
+        norm = {v or 0 for v in vals}
         if orbit["partial"]:
             if norm != {0}:
                 raise OracleError("nonzero value on a boundary orbit")
@@ -1135,7 +1131,7 @@ def exponential_class(f: FqFunction, points):
         lam = tuple(orbit["label"])
         term = v if orbit["tag"] == "closed" else -v
         coeff[lam] = coeff.get(lam, 0) + term
-    return {k: v for k, v in coeff.items() if not _is_cyc_zero(v)}
+    return {k: v for k, v in coeff.items() if v}
 
 
 def exp_action_matrix(preset, bound, mu, q, points):

@@ -12,6 +12,9 @@ position ``index`` and keeps the reduced word BFS reached it by, so words,
 sort keys and output never depend on how an element was computed. Integer
 tables indexed by position hold products, inverses, the action on the list
 of roots and the left descents; multiplication and inversion are lookups.
+A reflection s_alpha is read off one matrix formula, x -> x - <alpha, x>
+alpha^vee: the simple ones seed the BFS, and ``reflection`` looks the matrix
+of any other up among the elements the BFS built.
 
 Coordinates are integers. Each root carries its simple-root coordinates
 from the reflection closure, which give positivity, height and the highest
@@ -44,6 +47,14 @@ def _vec_sub(u, v):
 
 def _vec_scale(c, u):
     return tuple(c * a for a in u)
+
+
+def _reflection_matrix(root, coroot):
+    """The matrix of x -> x - <root, x> coroot on X_*(T)."""
+    n = len(coroot)
+    return tuple(
+        tuple(int(r == c) - coroot[r] * root[c] for c in range(n)) for r in range(n)
+    )
 
 
 def _mat_mul(x, y):
@@ -250,20 +261,13 @@ class RootDatum:
         rindex = self.root_index = {r: k for k, r in enumerate(roots)}
         s_mats, s_perms = [], []
         for a, av in zip(self.simple_roots, self.simple_coroots):
-            s_mats.append(tuple(
-                tuple(
-                    (1 if r == c else 0)
-                    - av[r] * self.pair(a, tuple(1 if k == c else 0 for k in range(n)))
-                    for c in range(n)
-                )
-                for r in range(n)
-            ))
+            s_mats.append(_reflection_matrix(a, av))
             s_perms.append(tuple(
                 rindex[_vec_sub(r, _vec_scale(self.pair(r, av), a))] for r in roots
             ))
         ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
         mats, words, perms, parent = [ident], [()], [tuple(range(len(roots)))], [0]
-        by_mat = {ident: 0}
+        by_mat = self._by_mat = {ident: 0}
         right = []  # right[x][i]: the index of x s_i
         x = 0
         while x < len(mats):
@@ -324,13 +328,10 @@ class RootDatum:
             raise RootDatumError(f"{root} is not a root") from None
 
     def reflection(self, root) -> FiniteWeylElement:
-        """s_root, found as u s_i u^-1 for any u with u(alpha_i) = root."""
-        k = self.root_index.get(root)
-        for u in self._w0:
-            for a, s in zip(self.simple_roots, self.simple_reflections):
-                if self.root_perm[u.index][self.root_index[a]] == k:
-                    return self.w_mul(self.w_mul(u, s), self.w_inverse(u))
-        raise RootDatumError(f"{root} is not a root")
+        """s_root, the element of W0 whose matrix is x -> x - <root, x> root^vee."""
+        if root not in self.coroot_of:
+            raise RootDatumError(f"{root} is not a root")
+        return self._w0[self._by_mat[_reflection_matrix(root, self.coroot_of[root])]]
 
     def _build_rho(self):
         # 2 rho = sum of positive roots in X*(T), 2 rho-hat = sum of positive

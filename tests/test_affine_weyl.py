@@ -1,11 +1,12 @@
 """Extended affine Weyl groups: lengths, reduced words, descents, cosets."""
 
+import itertools
 import random
 
 import pytest
 
 from expflag.root_datum import _adjoint_preset, _simply_connected, build_root_datum
-from expflag.affine_weyl import AffineWeyl, AffineWeylError, ExpLabel
+from expflag.affine_weyl import AffineWeyl, AffineWeylElement, AffineWeylError, ExpLabel
 
 PRESETS = ["SL2", "PGL2", "GL2", "SL3", "PGL3", "Sp4"]
 
@@ -181,3 +182,88 @@ def test_word_with_an_out_of_range_index_is_rejected(index):
     W = AffineWeyl(build_root_datum("SL2"))
     with pytest.raises(AffineWeylError, match="no simple reflection"):
         W.word_to_element([0, index])
+
+
+# ---- Omega and reflections against the searches their formulas replaced
+
+_A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+_A4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+_B3 = _RANK_THREE["Spin7"][1]
+_C3 = _RANK_THREE["Sp6"][1]
+_D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+
+# data that are not presets, with the order of pi1 = X_*(T) / (coroot lattice);
+# SO6 = SL4 / mu2 and SO4 = (SL2 x SL2) / mu2 are intermediate isogenies
+_NON_PRESET = {
+    "PGL4": (_adjoint_preset("PGL4", _A3), 4),
+    "PGL5": (_adjoint_preset("PGL5", _A4), 5),
+    "PSp6": (_adjoint_preset("PSp6", _C3), 2),
+    "SO7_adj": (_adjoint_preset("SO7_adj", _B3), 2),
+    "PSO8": (_adjoint_preset("PSO8", _D4), 4),
+    "SO6": ({"name": "SO6", "simple_roots": [(1, 0, 0), (0, 1, 0), (1, 0, 2)],
+             "simple_coroots": [(2, -1, -1), (-1, 2, 0), (0, -1, 1)]}, 2),
+    "SO4": ({"name": "SO4", "simple_roots": [(1, 0), (1, 2)],
+             "simple_coroots": [(2, -1), (0, 1)]}, 2),
+}
+
+
+def _omega_by_box_scan(W):
+    """Length-zero elements by a scan of a coordinate box, one per coset of
+    the coroot lattice, in the box's order."""
+    rd = W.rd
+    box = 3 + max(max(abs(c) for c in ck) for ck in rd.simple_coroots)
+    reps, out = [], []
+    for lam in itertools.product(range(-box, box + 1), repeat=rd.char_lattice_rank):
+        if any(abs(rd.pair(a, lam)) > 1 for a in rd.positive_roots):
+            continue
+        if any(rd.coroot_coords(tuple(a - b for a, b in zip(lam, r))) is not None
+               for r in reps):
+            continue
+        for v in rd.weyl_elements():
+            w = AffineWeylElement(lam, v)
+            if W.length(w) == 0:
+                reps.append(lam)
+                out.append(w)
+                break
+    return out
+
+
+def _reflection_by_scan(rd, root):
+    """s_root as u s_i u^-1 for the first u in W0 with u(alpha_i) = root."""
+    for u in rd.weyl_elements():
+        for a, s in zip(rd.simple_roots, rd.simple_reflections):
+            if rd.apply_weight(u, a) == root:
+                return rd.w_mul(rd.w_mul(u, s), rd.w_inverse(u))
+    raise AssertionError(f"{root} is not a root")
+
+
+@pytest.mark.parametrize("name", ["SL2", "PGL2", "SL3", "PGL3", "Sp4", "G2", *_NON_PRESET])
+def test_omega_matches_the_box_scan(name):
+    spec, order = _NON_PRESET.get(name, (name, None))
+    W = AffineWeyl(build_root_datum(spec))
+    omega = W.omega_elements()
+    assert omega == _omega_by_box_scan(W)
+    assert all(W.length(w) == 0 for w in omega)
+    if order is not None:
+        assert len(omega) == order
+
+
+def test_omega_needs_a_semisimple_datum():
+    with pytest.raises(AffineWeylError, match="semisimple"):
+        AffineWeyl(build_root_datum("GL2")).omega_elements()
+
+
+@pytest.mark.parametrize("name", ["SL2", "PGL2", "GL2", "SL3", "PGL3", "Sp4", "G2",
+                                  "PGL4", "Sp6", "Spin7", "SO6"])
+def test_reflection_matches_the_scan(name):
+    if name in _RANK_THREE:
+        make, cartan = _RANK_THREE[name]
+        rd = build_root_datum(make(name, cartan))
+    elif name in _NON_PRESET:
+        rd = build_root_datum(_NON_PRESET[name][0])
+    else:
+        rd = build_root_datum(name)
+    for r in rd.roots:
+        s = rd.reflection(r)
+        assert s == _reflection_by_scan(rd, r)
+        assert rd.apply_weight(s, r) == tuple(-a for a in r)

@@ -197,6 +197,37 @@ def test_bad_group_is_config_error(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["weyl", "--group", "SL2"],
+    ["expmod", "--group", "SL2", "--rank-one"],
+])
+def test_program_error_is_not_a_config_error(runner, monkeypatch, args):
+    # a bug while building the datum must surface, not read as a user mistake
+    def broken(group):
+        raise RuntimeError("broken build")
+
+    monkeypatch.setattr("expflag.cli.build_root_datum", broken)
+    res = runner.invoke(main, args)
+    assert isinstance(res.exception, RuntimeError), res.output
+    assert res.exit_code != 2
+
+
+@pytest.mark.parametrize("group,message", [
+    ("E9", "unknown preset 'E9'"),
+    ("GL2", "requires a semisimple datum"),
+])
+def test_expmod_bad_group_is_config_error(runner, group, message):
+    res = runner.invoke(main, ["expmod", "--group", group, "--rank-one"])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+
+
+def test_oracle_rejects_a_group_without_an_oracle(runner):
+    res = runner.invoke(main, ["oracle", "--group", "SL3", "--q", "3"])
+    assert res.exit_code == 2, res.output
+    assert "oracle presets: SL2, PGL2, GL2" in res.output
+
+
 def test_bad_q_is_config_error(runner):
     res = runner.invoke(
         main, ["verify", "--group", "SL2", "--q", "6"]

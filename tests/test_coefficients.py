@@ -283,6 +283,15 @@ def test_character_sum_vanishes(q):
     assert total.is_zero()
 
 
+@pytest.mark.parametrize("q", [2, 3, 9])
+def test_zero_cycnum_is_falsy(q):
+    # the oracle tests values by truthiness, so zero must be falsy
+    p = gf(q).p
+    assert not CycNum.integer(0, p, q)
+    assert bool(CycNum.zeta_power(1, p, q))
+    assert bool(CycNum.integer(q, p, q).div_by_q_power(1))
+
+
 @pytest.mark.parametrize("q", [3, 5])
 def test_cycnum_arithmetic(q):
     F = gf(q)

@@ -424,6 +424,17 @@ def test_rank_one_rejects_a_diagonal_other_than_one(monkeypatch, diag):
         M.verify_rank_one(window)
 
 
+@pytest.mark.parametrize("window,error,match", [
+    ([(1,)], ExpModuleError, "window must contain 0"),
+    ([(0,), (2,)], exp_module.WindowTooSmall,
+     r"column \(2,\) has support at \(1,\) outside the window"),
+])
+def test_rank_one_rejects_a_window_it_cannot_certify(window, error, match):
+    M = ExpModule(build_root_datum("SL2"))
+    with pytest.raises(error, match=match):
+        M.verify_rank_one(window)
+
+
 def test_vector_json_shape(M):
     rd = M.rd
     window = rd.dominant_below((1,) * rd.rank)

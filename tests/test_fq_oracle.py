@@ -938,7 +938,7 @@ def _pointwise_hecke_operator(f, mu, domain_points, cut):
         found = [f.values[y] for y in (translate(x, g, cut) for g in coset_reps(f.preset, mu, f.q))
                  if y in f.values]
         acc = sum(found[1:], found[0]) if found else 0
-        if not fq_oracle._is_cyc_zero(acc):
+        if acc:
             if not rd.dominance_leq(x.coweight(), f.window):
                 raise SupportEscapesWindow(x)
             out[x] = acc
@@ -1168,3 +1168,22 @@ def test_empty_windows_and_missing_torus_points_are_oracle_errors(call, match, m
     monkeypatch.setattr(fq_oracle, "_partition_cache", {})
     with pytest.raises(OracleError, match=match):
         call()
+
+
+@pytest.mark.parametrize("value", [1, 0])
+def test_exponential_class_on_a_boundary_orbit(value, monkeypatch):
+    # without t^(2,) the SL2 window below (2,) at q = 2 has one exponential
+    # orbit that leaves it: a nonzero value there is an error, zero is no class
+    monkeypatch.setattr(fq_oracle, "_partition_cache", {})
+    points = [p for p in enumerate_gr_window("SL2", (2,), 2)
+              if p != torus_point("SL2", 2, (2,))]
+    _assignment, orbits = orbit_partition(points, "U_exp_twisted", 2)
+    partial = [o for o in orbits if o["partial"]]
+    assert len(partial) == 1
+    f = FqFunction("SL2", 2, (2,), dict.fromkeys(partial[0]["points"],
+                                                 CycNum.integer(value, 2, 2)))
+    if value:
+        with pytest.raises(OracleError, match="nonzero value on a boundary orbit"):
+            fq_oracle.exponential_class(f, points)
+    else:
+        assert fq_oracle.exponential_class(f, points) == {}

@@ -98,6 +98,14 @@ def test_spec_with_an_unknown_key_is_rejected():
     assert build_root_datum(sl2).cartan == [[2]]
 
 
+def test_a_non_root_is_rejected():
+    rd = build_root_datum("SL3")
+    with pytest.raises(RootDatumError, match=r"\(5, 5\) is not a root"):
+        rd.reflection((5, 5))
+    with pytest.raises(RootDatumError, match=r"\(5, 5\) is not a root"):
+        rd.apply_weight(rd.identity, (5, 5))
+
+
 def test_unknown_preset_rejected():
     with pytest.raises(Exception):
         build_root_datum("E9")
