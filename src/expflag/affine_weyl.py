@@ -265,6 +265,30 @@ class AffineWeyl:
         word.reverse()
         return cur, tuple(word)
 
+    def walk_reduced_words(self, elements, start, step):
+        """[value of w for w in elements]: for w = tau s_1 ... s_k by
+        reduced_word, start(tau) stepped by step(value, s_j) for j = 1..k.
+
+        reduced_word peels the least-index right descent, so the word of
+        each prefix tau s_1 ... s_j is the prefix of w's word: its value is
+        kept for this call, and a prefix several words pass through is
+        stepped once.
+        """
+        seen = {}
+        out = []
+        for w in elements:
+            cur, word = self.reduced_word(w)
+            if cur not in seen:
+                seen[cur] = start(cur)
+            value = seen[cur]
+            for i in word:
+                cur = self.right_mul_simple(cur, i)
+                if cur not in seen:
+                    seen[cur] = step(value, i)
+                value = seen[cur]
+            out.append(value)
+        return out
+
     def bruhat_leq(self, x: AffineWeylElement, y: AffineWeylElement) -> bool:
         key = (x, y)
         if key in self._bruhat_cache:

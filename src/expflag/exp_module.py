@@ -12,7 +12,10 @@ Grassmannian gives the spherical action on the quotient module with basis
 
 The operator realized by a basis step is phi(T_s): f -> (x -> sum over the
 s-neighbors of x of f); composing phi's reverses products, so a word is
-applied from its last letter to its first.
+applied from its last letter to its first. The spherical action sums
+phi(T_y) over many y whose inverses share reduced-word prefixes, so it
+walks those words with AffineWeyl.walk_reduced_words and applies each
+shared prefix once.
 """
 
 from __future__ import annotations
@@ -270,10 +273,20 @@ class ExpModule:
         right-W0-minimal and l(y) = l(y') + l(x), so phi(T_y) vec =
         q^l(x) phi(T_y') vec, and the sum over the whole double coset is
         P_W0(q) times this one.
+
+        The sum walks the reduced words of the inverses: for y^-1 =
+        tau s_1 ... s_k, phi(T_y) = phi(T_s_k) ... phi(T_s_1) phi(T_tau^-1),
+        so each word starts from vec translated by tau and applies its
+        letters first to last, and a prefix shared by several y^-1 is
+        applied once.
         """
-        out = BigExpVector(self.W, {})
-        for y in iwahori_orbits_in_spherical(self.W, mu_adj):
-            out = out + phi_element(vec, y)
+        W = self.W
+        out = BigExpVector(W, {})
+        for term in W.walk_reduced_words(
+                [W.inverse(y) for y in iwahori_orbits_in_spherical(W, mu_adj)],
+                lambda tau: vec if tau == W.identity else omega_action(vec, tau),
+                ts_action):
+            out = out + term
         return out
 
     def _raw_action(self, lam, mu) -> BigExpVector:

@@ -4,6 +4,10 @@ Relations: T_s T_w = T_{sw} when the length goes up, otherwise
 (q-1) T_w + q T_{sw}; length-zero elements act by plain translation
 T_tau T_w = T_{tau w}. Normalized so that specialization at a prime power q
 is literal convolution of Iwahori double cosets with vol(I) = 1.
+
+hecke_mul steps a along the reduced words of b's support through
+AffineWeyl.walk_reduced_words, so a prefix shared by several words is
+multiplied out once per product.
 """
 
 from __future__ import annotations
@@ -69,17 +73,15 @@ def omega_mul(W: AffineWeyl, tau: AffineWeylElement, x: HeckeElement) -> HeckeEl
 
 
 def hecke_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
-    """Product in the Hecke algebra; b is decomposed into reduced words."""
+    """Product in the Hecke algebra: the sum of c (a T_w) over c T_w in b,
+    with a T_w stepped along w's reduced word once per shared prefix."""
     W = a.ctx
     check_same_datum(W, b.ctx)
+    terms = W.walk_reduced_words(
+        b.support,
+        lambda tau: a if tau == W.identity else omega_mul(W, tau, a),
+        lambda x, i: t_simple_mul(W, i, x))
     out = HeckeElement(W, {})
-    for w, c in b.support.items():
-        tau, word = W.reduced_word(w)
-        term = a.scale(c)
-        if tau != W.identity:
-            term = omega_mul(W, tau, term)
-        for i in word:
-            term = t_simple_mul(W, i, term)
-        out = out + term
+    for term, c in zip(terms, b.support.values()):
+        out = out + term.scale(c)
     return out
-

@@ -321,14 +321,18 @@ class RootDatum:
         return self._w0[-1]
 
     def apply_weight(self, x: FiniteWeylElement, root):
-        """x(root); W0 acts on X*(T) here only through the roots."""
+        """x(root) for root any sequence; W0 acts on X*(T) here only through
+        the roots."""
+        root = tuple(root)
         try:
             return self.roots[self.root_perm[x.index][self.root_index[root]]]
         except KeyError:
             raise RootDatumError(f"{root} is not a root") from None
 
     def reflection(self, root) -> FiniteWeylElement:
-        """s_root, the element of W0 whose matrix is x -> x - <root, x> root^vee."""
+        """s_root, the element of W0 whose matrix is x -> x - <root, x> root^vee;
+        root may be any sequence."""
+        root = tuple(root)
         if root not in self.coroot_of:
             raise RootDatumError(f"{root} is not a root")
         return self._w0[self._by_mat[_reflection_matrix(root, self.coroot_of[root])]]

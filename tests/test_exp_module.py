@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from expflag import exp_module
-from expflag.root_datum import build_root_datum
+from expflag.root_datum import _simply_connected, build_root_datum
 from expflag.affine_weyl import AffineWeyl, AffineWeylElement, ExpLabel
 from expflag.coefficients import QPoly
 from expflag.spherical import (
@@ -15,7 +15,7 @@ from expflag.spherical import (
     spherical_mul,
     unit_indicator,
 )
-from expflag.strata import CellShape, double_coset_elements
+from expflag.strata import CellShape, double_coset_elements, iwahori_orbits_in_spherical
 from expflag.exp_module import (
     BigExpVector,
     ExpModule,
@@ -307,6 +307,53 @@ def test_raw_action_is_full_double_coset_sum_over_poincare(name, pairs):
         for y in double_coset_elements(M.W, M.rd.to_adjoint_coords(M.dual_involution(mu))):
             full = full + phi_element(big, y)
         assert full == M._raw_action(lam, mu).scale(P), (lam, mu)
+
+
+_SP6 = _simply_connected("Sp6", [[2, -1, 0], [-1, 2, -1], [0, -2, 2]])
+_SPIN7 = _simply_connected("Spin7", [[2, -1, 0], [-1, 2, -2], [0, -1, 2]])
+
+
+@pytest.mark.parametrize("spec,pairs", [
+    ("SL2", [((0,), (3,)), ((1,), (2,))]),
+    ("PGL2", [((0,), (2,)), ((1,), (3,))]),
+    ("SL3", [((0, 0), (2, 2)), ((1, 1), (1, 2))]),
+    ("PGL3", [((0, 0), (1, 1)), ((0, 0), (2, 1))]),
+    ("Sp4", [((0, 0), (2, 2)), ((1, 1), (1, 2))]),
+    ("G2", [((0, 0), (2, 3)), ((1, 2), (1, 2))]),
+    (_SP6, [((0, 0, 0), (1, 2, 3))]),
+    (_SPIN7, [((0, 0, 0), (2, 2, 1))]),
+], ids=["SL2", "PGL2", "SL3", "PGL3", "Sp4", "G2", "Sp6", "Spin7"])
+def test_raw_action_matches_the_per_orbit_reference(spec, pairs):
+    """_raw_action walks the reduced words of the inverses y^-1 and steps
+    each shared prefix once; the sum is that of phi_element over each y
+    along y's own reduced word."""
+    M = ExpModule(build_root_datum(spec))
+    for lam, mu in pairs:
+        big = M.lift_closed(lam)
+        want = BigExpVector(M.W, {})
+        for y in iwahori_orbits_in_spherical(
+                M.W, M.rd.to_adjoint_coords(M.dual_involution(mu))):
+            want = want + phi_element(big, y)
+        assert M._raw_action(lam, mu) == want, (lam, mu)
+
+
+@pytest.mark.parametrize("name,mu,steps", [
+    ("SL3", (1, 2), 8), ("Sp4", (1, 1), 6), ("G2", (1, 2), 8),
+])
+def test_spherical_action_steps_each_prefix_once(name, mu, steps, monkeypatch):
+    """ts_action calls for m_0 . 1_mu: one right-W0-invariance check per
+    finite simple reflection, then one step per distinct nonempty prefix
+    of the words (17, 12 and 23 calls when each word is stepped alone)."""
+    calls = []
+
+    def counting(v, s):
+        calls.append(s)
+        return ts_action(v, s)
+
+    monkeypatch.setattr(exp_module, "ts_action", counting)
+    M = ExpModule(build_root_datum(name))
+    assert M.spherical_action_basis((0, 0), mu).support
+    assert len(calls) == steps
 
 
 def test_non_invariant_lift_is_reported(monkeypatch):

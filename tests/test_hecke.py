@@ -9,7 +9,8 @@ import pytest
 from expflag.root_datum import build_root_datum
 from expflag.affine_weyl import AffineWeyl
 from expflag.coefficients import QPoly
-from expflag.hecke import HeckeElement, hecke_mul, t_basis, t_simple_mul
+from expflag import hecke
+from expflag.hecke import HeckeElement, hecke_mul, omega_mul, t_basis, t_simple_mul
 from expflag.spherical import (
     NormalizationFailure,
     double_coset_lift,
@@ -55,6 +56,22 @@ def test_left_and_right_simple_multiplication_agree_with_mul(W):
             assert t_simple_mul(W, i, a) == hecke_mul(a, ts)
 
 
+def _hecke_mul_by_words(a, b):
+    """Reference product: each c T_w of b multiplies c a along w's own
+    reduced word, sharing no prefix with the other terms."""
+    W = a.ctx
+    out = HeckeElement(W, {})
+    for w, c in b.support.items():
+        tau, word = W.reduced_word(w)
+        term = a.scale(c)
+        if tau != W.identity:
+            term = omega_mul(W, tau, term)
+        for i in word:
+            term = t_simple_mul(W, i, term)
+        out = out + term
+    return out
+
+
 def test_word_independence_of_products(W):
     # multiplying along any reduced word of y gives the same T_x T_y
     rng = random.Random(9)
@@ -63,15 +80,52 @@ def test_word_independence_of_products(W):
         x = rng.choice(elems)
         y = rng.choice(elems)
         direct = hecke_mul(t_basis(W, x), t_basis(W, y))
-        tau, word = W.reduced_word(y)
-        acc = t_basis(W, x)
-        if tau != W.identity:
-            from expflag.hecke import omega_mul
+        assert _hecke_mul_by_words(t_basis(W, x), t_basis(W, y)) == direct
 
-            acc = omega_mul(W, tau, acc)
-        for i in word:
-            acc = t_simple_mul(W, i, acc)
-        assert acc == direct
+
+@pytest.mark.parametrize("name,mu", [
+    ("SL2", (1,)), ("PGL2", (1,)), ("SL3", (1, 1)), ("PGL3", (1, 1)),
+    ("Sp4", (1, 1)), ("G2", (1, 2)),
+])
+def test_multi_term_product_matches_the_per_word_reference(name, mu):
+    """hecke_mul steps each shared prefix of b's reduced words once; the
+    sum is the per-term product, with non-unit coefficients and, on PGL2
+    and PGL3, terms with a nontrivial Omega part."""
+    W = AffineWeyl(build_root_datum(name))
+    elems = W.enumerate_elements(3)
+    rng = random.Random(41)
+
+    def element(n):
+        return HeckeElement(W, {
+            rng.choice(elems): QPoly({rng.randrange(3): rng.choice((-2, -1, 1, 3))})
+            for _ in range(n)})
+
+    rights = [element(6) for _ in range(8)]
+    rights.append(double_coset_lift(W, mu).scale(QPoly({0: 2, 1: -1})))
+    for b in rights:
+        a = element(3)
+        assert hecke_mul(a, b) == _hecke_mul_by_words(a, b)
+    taus = {W.reduced_word(w)[0] for b in rights for w in b.support}
+    assert (len(taus) > 1) == name.startswith("PGL")
+
+
+def test_spherical_product_steps_each_prefix_once(monkeypatch):
+    """spherical_mul on G2 1_(1,2) * 1_(1,2): two right-W0-invariance
+    checks and six steps, one per distinct nonempty prefix of the words."""
+    from expflag import spherical
+
+    W = AffineWeyl(build_root_datum("G2"))
+    calls = []
+
+    def counting(W, i, x):
+        calls.append(i)
+        return t_simple_mul(W, i, x)
+
+    monkeypatch.setattr(hecke, "t_simple_mul", counting)
+    monkeypatch.setattr(spherical, "t_simple_mul", counting)
+    u = unit_indicator(W, (1, 2))
+    assert spherical_mul(u, u).support
+    assert len(calls) == 8
 
 
 def test_specialization_counts_cosets(W):

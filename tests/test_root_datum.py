@@ -106,8 +106,23 @@ def test_a_non_root_is_rejected():
         rd.apply_weight(rd.identity, (5, 5))
 
 
+def test_reflection_accepts_a_list():
+    rd = build_root_datum("SL3")
+    assert rd.reflection([2, -1]) == rd.reflection((2, -1)) == rd.simple_reflections[0]
+    with pytest.raises(RootDatumError, match=r"\(1, -1\) is not a root"):
+        rd.reflection([1, -1])
+
+
+def test_apply_weight_accepts_a_list():
+    rd = build_root_datum("SL3")
+    s0 = rd.simple_reflections[0]
+    assert rd.apply_weight(s0, [2, -1]) == rd.apply_weight(s0, (2, -1)) == (-2, 1)
+    with pytest.raises(RootDatumError, match=r"\(5, 5\) is not a root"):
+        rd.apply_weight(rd.identity, [5, 5])
+
+
 def test_unknown_preset_rejected():
-    with pytest.raises(Exception):
+    with pytest.raises(RootDatumError, match=r"unknown preset 'E9'"):
         build_root_datum("E9")
 
 
