@@ -298,6 +298,9 @@ class QVector:
         return self._new(out)
 
     def scale(self, c: QPoly):
+        # vectors are never changed in place, so 1 * self is self
+        if c == Q_ONE:
+            return self
         return self._new({key: a * c for key, a in self.support.items()})
 
     def coefficient(self, key) -> QPoly:

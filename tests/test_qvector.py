@@ -58,6 +58,8 @@ def test_shared_vector_semantics(basis):
     # scaling by zero gives the zero vector of the same basis
     zero = v.scale(Q_ZERO)
     assert zero == cls(ctx) and zero.support == {} and zero.to_json() == []
+    # scaling by one is the vector itself, as by the int 1
+    assert v.scale(QPoly({0: 1})) is v and v.scale(1) is v
     assert v.scale(QPoly({1: 1})).coefficient(k2) == B * QPoly({1: 1})
     assert v.coefficient(k1) == A and v.coefficient(k2) == B
     assert cls(ctx, {k2: B}).coefficient(k1) == Q_ZERO
