@@ -348,9 +348,9 @@ def verify(group, fmt, out, bound, q_text, seed):
     rd = W.rd
     window = rd.dominant_window((bound,) * rd.char_lattice_rank)
     if group in fq_oracle.PRESETS:
-        # the oracle suite enumerates K mu K / K for every mu of the window:
-        # a window past the oracle's cap is a configuration error, found
-        # before any suite runs
+        # the oracle suite reads K mu K / K for every mu of the window, and
+        # the oracle refuses one past its window cap: a configuration
+        # error, found before any suite runs
         try:
             for q in q_list:
                 for mu in window:

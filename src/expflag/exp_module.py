@@ -290,7 +290,12 @@ class ExpModule:
         return out
 
     def _raw_action(self, lam, mu) -> BigExpVector:
-        """The pullback of m_lam . 1_mu to the big module.
+        """The pullback of m_lam . 1_mu to the big module."""
+        return self._action(lam, mu)[0]
+
+    def _action(self, lam, mu):
+        """m_lam . 1_mu as (its pullback to the big module, its m-basis
+        reading), both computed once per pair.
 
         Raises NormalizationFailure if the lift of m_lam is not
         right-W0-invariant, the hypothesis of _apply_double_coset.
@@ -307,21 +312,21 @@ class ExpModule:
                         f"T_s{i} (acting by 1_{tuple(mu)})"
                     )
             mu_star_adj = self.rd.to_adjoint_coords(self.dual_involution(mu))
-            self._action_cache[key] = self._apply_double_coset(big, mu_star_adj)
+            r = self._apply_double_coset(big, mu_star_adj)
+            out = {}
+            for lab, c in r.support.items():
+                nu = self._label_coweight(lab.elt)
+                if nu is None:
+                    continue
+                out[nu] = out.get(nu, Q_ZERO) + (c if lab.tag == "coset" else -c)
+            self._action_cache[key] = (r, ExpModVector(self.rd, out))
         return self._action_cache[key]
 
     def spherical_action_basis(self, lam, mu) -> ExpModVector:
         """m_lam . 1_mu in the m-basis; raises NonDominantIndex unless both
         indices are dominant."""
         self._check_dominant(lam, mu)
-        r = self._raw_action(lam, mu)
-        out = {}
-        for lab, c in r.support.items():
-            nu = self._label_coweight(lab.elt)
-            if nu is None:
-                continue
-            out[nu] = out.get(nu, Q_ZERO) + (c if lab.tag == "coset" else -c)
-        return ExpModVector(self.rd, out)
+        return self._action(lam, mu)[1]
 
     def spherical_action(self, v: ExpModVector, mu) -> ExpModVector:
         check_same_datum(self.rd, v.ctx)

@@ -23,9 +23,10 @@ normalizes them to c = 0.
 
 Two read-offs skip the Hermite form where its answer is already known:
 ``whittaker_action`` reads labels and character coefficients off the two
-diagonals, with no point built; ``hecke_operator`` reads x g for a coset
-representative g off the triangular closed form, with no GrPoint built on
-SL2 and GL2.
+diagonals, and the size and trace counts of each diagonal of K mu K / K
+off a closed form (``_coset_shapes``), with no point built;
+``hecke_operator`` reads x g for a coset representative g off the
+triangular closed form, with no GrPoint built on SL2 and GL2.
 
 ``act`` and ``translate`` take a closed form: ``_triangular_point`` for an
 upper-triangular element (coset representatives, x_plus, the Gm, torus and
@@ -580,6 +581,37 @@ def _coset_points(preset, mu, q):
     return [p for p in enumerate_gr_window(preset, mu, q) if p.coweight() == mu]
 
 
+def _coset_shapes(preset, mu, q):
+    """K mu K / K by diagonal, with no representative built: {(a, c):
+    (size, traces)} in the diagonal order of _coset_points, where
+    traces[e][k] counts the representatives whose coefficient of t^e is a
+    unit of trace k.
+
+    A point of shape (a, c, low) lies in the cell exactly when
+    min(a, c, val b) == low, its smaller elementary divisor exponent
+    (a, c and val b are never below low). So if a or c is low every b
+    counts, q^n of them for the n = a - low exponents of b; otherwise the
+    coefficient of t^low is a unit and the rest are free, (q - 1) q^(n-1)
+    points. Each unit value of one coefficient then takes size / q points,
+    or size / (q - 1) for the forced unit of t^low.
+    """
+    F = gf(q)
+    units = [0] * F.p
+    for u in F.units():
+        units[F.trace(u)] += 1
+    shapes = {}
+    for a, c, low in _window_shapes(preset, mu):
+        n = a - low
+        if low in (a, c):
+            size, forced = q ** n, q
+        else:
+            size, forced = (q - 1) * q ** (n - 1), q - 1
+        traces = {e: tuple(k * (size // (forced if e == low else q)) for k in units)
+                  for e in range(low, a)}
+        shapes[a, c] = (size, traces)
+    return shapes
+
+
 def coset_reps(preset, mu, q, depth=None):
     """Matrices of the lattices in relative position exactly mu: K mu K / K."""
     return [p.matrix() for p in _coset_points(preset, mu, q)]
@@ -940,7 +972,10 @@ def whittaker_action(preset, bound, mu, q):
     character coefficient is the coefficient of t^(c0+c-a0-1) in b (the
     global t-rescaling of a projective preset changes neither). So the
     representatives of one diagonal (a, c) add, for each nu, their trace
-    counts at that exponent to one entry, with no cut and no point built.
+    counts at that exponent to one entry, with no cut. Those counts and the
+    size of each diagonal come in closed form from _coset_shapes, so no
+    representative is built either; a K mu K / K past the window cap still
+    raises WindowTooLarge.
     The psi sums are kept as exponent counts: c_k points of trace k give
     sum_k c_k zeta^k, which one CycNum per entry holds at the end
     (zeta^(p-1) reduces to minus the lower powers).
@@ -948,17 +983,13 @@ def whittaker_action(preset, bound, mu, q):
     rd = _rd(preset)
     bound = _dominant(rd, preset, bound, "lam")
     mu = _dominant(rd, preset, mu, "mu")
+    # the closed form builds no point, but the window cap stays the
+    # oracle's configuration contract
+    check_window_size(preset, mu, q)
     P = PRESETS[preset]
     out_bound = _hecke_window(preset, bound, mu)
     F = gf(q)
-    # the representatives by diagonal (a, c): how many, and the trace counts
-    # of their nonzero coefficients of t^k, for every exponent k
-    shapes = {}
-    for p in _coset_points(preset, mu, q):
-        size, traces = shapes.get((p.a, p.c), (0, {}))
-        shapes[p.a, p.c] = (size + 1, traces)
-        for e, co in p.b:
-            traces.setdefault(e, [0] * F.p)[F.trace(co)] += 1
+    shapes = _coset_shapes(preset, mu, q)
     sources = set(rd.dominant_window(bound))
     counts = {}
     for nu in rd.dominant_window(out_bound):

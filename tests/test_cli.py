@@ -685,3 +685,12 @@ def test_oversized_oracle_window_is_config_error(monkeypatch, args, estimate):
     # for about a minute before the oracle suite hit the window)
     assert not suites
     assert time.perf_counter() - start < 10
+
+
+def test_oversized_oracle_action_is_config_error(runner):
+    # the Whittaker read-off builds no point of K mu K / K, but the window
+    # cap still holds: |K 12 K / K| over F_9 is far past it
+    res = runner.invoke(main, ["oracle", "--group", "SL2", "--mode", "action",
+                               "--lam", "0", "--mu", "12", "--q", "9"])
+    assert res.exit_code == 2, res.output
+    assert "window would contain about 89737248461481573596281 points" in res.output

@@ -55,12 +55,44 @@ def _labels(W, max_len):
 
 def test_ts_action_satisfies_quadratic_relation(M):
     W = M.W
-    for lab in _labels(W, 3):
+    for lab in W.enumerate_exp_labels(3):
         v = basis_vector(W, lab)
         for s in range(len(W.simples)):
             tv = ts_action(v, s)
             ttv = ts_action(tv, s)
             assert ttv == tv.scale(QM1) + v.scale(Q)
+
+
+def _braid_order(W, i, j):
+    """The order of s_i s_j, or None when it is infinite (an affine rank-one
+    pair; a finite order is at most 6)."""
+    prod = W.mul(W.simples[i], W.simples[j])
+    cur = prod
+    for m in range(1, 7):
+        if cur == W.identity:
+            return m
+        cur = W.mul(cur, prod)
+    return None
+
+
+@pytest.mark.parametrize("name,checks", [
+    ("SL2", 0), ("PGL2", 0), ("SL3", 180), ("PGL3", 180), ("Sp4", 102), ("G2", 48)])
+def test_ts_action_satisfies_the_braid_relations(name, checks):
+    # the big module is a module over the affine Hecke algebra: for every
+    # pair of simple reflections whose product has finite order m, the
+    # alternating words of length m in T_i and T_j act alike on every label
+    W = ExpModule(build_root_datum(name)).W
+    pairs = [(i, j, m) for i, j in itertools.combinations(range(len(W.simples)), 2)
+             if (m := _braid_order(W, i, j))]
+    n = 0
+    for lab in W.enumerate_exp_labels(3):
+        v = basis_vector(W, lab)
+        for i, j, m in pairs:
+            left = apply_word(v, W.identity, [(i, j)[k % 2] for k in range(m)])
+            right = apply_word(v, W.identity, [(j, i)[k % 2] for k in range(m)])
+            assert left == right, (name, lab, i, j)
+            n += 1
+    assert n == checks
 
 
 def test_ts_action_is_linear(M):
@@ -504,6 +536,46 @@ def test_convolution_fiber_values(M):
                 if not F.is_zero():
                     # fiber classes count points of honest varieties
                     assert F.specialize(5) > 0
+
+
+# SL3 convolution fibers over t^(nu + rho-hat), {(source, mu, nu): class}
+# for source, mu, nu in dominant_below((1, 1)), pinned from the engine
+# before its cache entries held the m-basis reading
+_SL3_FIBERS = {
+    ((0, 0), (0, 0), (0, 0)): ONE,
+    ((1, 1), (0, 0), (1, 1)): ONE,
+    ((0, 0), (1, 1), (0, 0)): QM1,
+    ((1, 1), (1, 1), (0, 0)): QPoly({4: 1}),
+    ((0, 0), (1, 1), (1, 1)): ONE,
+    ((1, 1), (1, 1), (1, 1)): QPoly({2: 2, 1: -1, 0: -1}),
+}
+
+
+def test_m_basis_reading_is_cached_with_the_big_vector():
+    rd = build_root_datum("SL3")
+    M = ExpModule(rd)
+    window = rd.dominant_below((2, 2))
+    first = {(lam, mu): M.spherical_action_basis(lam, mu) for lam in window for mu in window}
+    assert len(M._action_cache) == len(first)
+    for (lam, mu), v in first.items():
+        assert M.spherical_action_basis(lam, mu) == v
+        assert len(M._action_cache) == len(first)
+    # the dominance check runs on every call, also for a key in the cache
+    M._action_cache[(-1, 2), (1, 1)] = M._action_cache[(1, 1), (1, 1)]
+    with pytest.raises(NonDominantIndex):
+        M.spherical_action_basis((-1, 2), (1, 1))
+    # a second module of the same datum computes its own entries
+    other = ExpModule(rd)
+    assert not other._action_cache
+    assert other.spherical_action_basis((1, 1), (1, 1)) == first[(1, 1), (1, 1)]
+    assert other._action_cache[(1, 1), (1, 1)][1] is not first[(1, 1), (1, 1)]
+    # the big vector in the same entry still answers the fiber queries
+    small = rd.dominant_below((1, 1))
+    for source, mu, nu in itertools.product(small, repeat=3):
+        want = _SL3_FIBERS.get((source, mu, nu), QPoly({}))
+        assert M.convolution_fiber(nu, mu, source=source) == want, (source, mu, nu)
+    assert all(M.dimension_bound_check(lam, mu)
+               for lam in window for mu in window if lam != mu)
 
 
 def test_non_dominant_indices_are_rejected():

@@ -780,6 +780,53 @@ def test_whittaker_action_builds_no_translate_at_the_default_depth(translate_cal
     assert not translate_calls
 
 
+def _grouped_coset_points(preset, mu, q):
+    """_coset_shapes read off the representatives of _coset_points."""
+    F = gf(q)
+    shapes = {}
+    for p in fq_oracle._coset_points(preset, mu, q):
+        size, traces = shapes.get((p.a, p.c), (0, {}))
+        shapes[p.a, p.c] = (size + 1, traces)
+        for e, co in p.b:
+            traces.setdefault(e, [0] * F.p)[F.trace(co)] += 1
+    return {k: (size, {e: tuple(t) for e, t in traces.items()})
+            for k, (size, traces) in shapes.items()}
+
+
+_SHAPE_CASES = ([(preset, (m,)) for preset in ("SL2", "PGL2") for m in range(4)]
+                + [("GL2", mu) for mu in ((1, 0), (2, 0), (2, 1), (1, -1), (3, 1))])
+
+
+def test_coset_shapes_match_the_grouped_representatives():
+    # the closed form against the enumeration it replaces: per diagonal the
+    # size and the trace counts of every exponent, in the same order. SL2
+    # (3,) at q = 9 (597,871 window points) would take 1.5 s to enumerate;
+    # q = 9 is covered by the smaller mu
+    checked = 0
+    for preset, mu in _SHAPE_CASES:
+        for q in (2, 3, 4, 5, 7, 9):
+            if window_size(preset, mu, q) > 200_000:
+                continue
+            want = _grouped_coset_points(preset, mu, q)
+            got = fq_oracle._coset_shapes(preset, mu, q)
+            assert got == want, (preset, mu, q)
+            assert list(got) == list(want), (preset, mu, q)
+            checked += 1
+    assert checked == len(_SHAPE_CASES) * 6 - 1
+
+
+def test_whittaker_action_keeps_the_window_cap(monkeypatch):
+    # no point is built, yet a window past the cap is still refused, as the
+    # enumeration it replaces did
+    with pytest.raises(WindowTooLarge, match="window would contain about"):
+        whittaker_action("SL2", (0,), (12,), 9)
+    coset_calls = _count_calls(monkeypatch, "_coset_points")
+    window_calls = _count_calls(monkeypatch, "enumerate_gr_window")
+    assert whittaker_action("SL2", (3,), (3,), 9)
+    assert whittaker_action("GL2", (2, 0), (3, 1), 7)
+    assert not coset_calls and not window_calls
+
+
 def test_depth_for_reads_the_central_part_of_a_gl2_bound():
     # SL2 and PGL2 keep 2 (a - c + 1) + 2 on every bound; a GL2 bound whose
     # diagonal (a, c) has min(a, c) > 0 cuts that much deeper
