@@ -166,12 +166,16 @@ class AffineWeyl:
         shift, u = self._right_table[x.v.index][i]
         return AffineWeylElement(tuple(map(add, x.lam, shift)), u)
 
+    def check_simple(self, i: int) -> None:
+        """Raise AffineWeylError unless i indexes a simple reflection."""
+        if not 0 <= i < self.num_simples:
+            raise AffineWeylError(
+                f"no simple reflection s{i}: indices run over 0..{self.num_simples - 1}")
+
     def word_to_element(self, word) -> AffineWeylElement:
         w = self.identity
         for i in word:
-            if not 0 <= i < self.num_simples:
-                raise AffineWeylError(
-                    f"no simple reflection s{i}: indices run over 0..{self.num_simples - 1}")
+            self.check_simple(i)
             w = self.right_mul_simple(w, i)
         return w
 
@@ -380,8 +384,11 @@ class AffineWeyl:
     def enumerate_elements(self, length_bound: int):
         """All w with l(w) <= bound, BFS by length from Omega.
 
-        Raises AffineWeylError once more than _ELEMENT_CAP elements are held.
+        Raises AffineWeylError on a negative bound, and once more than
+        _ELEMENT_CAP elements are held.
         """
+        if length_bound < 0:
+            raise AffineWeylError("length bound must be nonnegative")
         seen = set()
         out = []
         frontier = list(self.omega_elements())
@@ -409,8 +416,6 @@ class AffineWeyl:
         return out
 
     def enumerate_exp_labels(self, length_bound: int):
-        if length_bound < 0:
-            raise AffineWeylError("length bound must be nonnegative")
         labels = []
         for w in self.enumerate_elements(length_bound):
             labels.append(ExpLabel("coset", w))

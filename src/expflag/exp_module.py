@@ -8,14 +8,12 @@ and T s are left-W0-maximal, and the image T(alpha_s + n_s). Iterating
 those operators along reduced words gives fiber classes of convolution
 morphisms, and reading the result on the orbits of the affine
 Grassmannian gives the spherical action on the quotient module with basis
-{m_mu}.
+{m_mu}: spherical.spherical_sum with omega_action and ts_action.
 
 The operator realized by a basis step is phi(T_s): f -> (x -> sum over the
-s-neighbors of x of f); composing phi's reverses products, so a word is
-applied from its last letter to its first. The spherical action sums
-phi(T_y) over many y whose inverses share reduced-word prefixes, so it
-walks those words with AffineWeyl.walk_reduced_words and applies each
-shared prefix once.
+s-neighbors of x of f). phi(T_a T_b) = phi(T_a) phi(T_b), so a word acts
+from its last letter to its first, and the right action vec T_y that
+spherical_sum sums is phi(T_y^-1) vec.
 """
 
 from __future__ import annotations
@@ -23,8 +21,7 @@ from __future__ import annotations
 from .affine_weyl import AffineWeyl, AffineWeylElement, ExpLabel
 from .coefficients import QPoly, QVector, Q_ONE, Q_ZERO, check_same_datum
 from .root_datum import RootDatum
-from .spherical import NormalizationFailure
-from .strata import iwahori_orbits_in_spherical
+from .spherical import spherical_sum
 
 
 class ExpModuleError(ValueError):
@@ -77,6 +74,7 @@ def case_analysis(W: AffineWeyl, lab: ExpLabel, s: int):
     alpha_i, so (T s)(alpha_s + n_s) is never a level-zero simple root: the
     iso case of IIIa cannot occur.
     """
+    W.check_simple(s)
     T = lab.elt
     maximal = W.is_left_w0_maximal(T)
     if lab.tag == "zero" and not maximal:
@@ -142,6 +140,7 @@ def basis_vector(W: AffineWeyl, lab: ExpLabel) -> BigExpVector:
 def ts_action(v: BigExpVector, s: int) -> BigExpVector:
     """phi(T_s): sum a function over the s-line through each chamber."""
     W = v.ctx
+    W.check_simple(s)
     out = {}
     for lab, c in v.support.items():
         for t, _, cls in case_analysis(W, lab, s):
@@ -163,7 +162,7 @@ def omega_action(v: BigExpVector, tau: AffineWeylElement) -> BigExpVector:
 def apply_word(v: BigExpVector, tau: AffineWeylElement, word) -> BigExpVector:
     """phi(T_tau T_s1 ... T_sr) v for word = (s1, ..., sr), tau of length zero.
 
-    phi reverses products, so the letters act from the last to the first,
+    phi is multiplicative, so the letters act from the last to the first,
     each by ts_action, and tau acts last: phi(T_tau) f(x) = f(x tau), i.e.
     b_w -> b_{w tau^-1}. The word need not be reduced.
     """
@@ -231,11 +230,6 @@ class ExpModule:
                     f"index {tuple(mu)} is not a dominant coweight of {self.rd.name}"
                 )
 
-    def dual_involution(self, mu):
-        """mu* = -w0(mu), the dominant representative of -mu."""
-        w0 = self.rd.longest_element()
-        return tuple(-a for a in w0.apply_coweight(mu))
-
     # ---- labels over the affine Grassmannian
 
     def closed_label(self, mu) -> ExpLabel:
@@ -264,55 +258,26 @@ class ExpModule:
 
     # ---- the spherical action
 
-    def _apply_double_coset(self, vec: BigExpVector, mu_adj) -> BigExpVector:
-        """Sum of phi(T_y) vec over the right-W0-minimal y of W0 t_mu W0,
-        which iwahori_orbits_in_spherical lists.
-
-        vec must be right-W0-invariant: phi(T_s) vec = q vec for each finite
-        simple s. Each y of the double coset is y' x with x in W0, y'
-        right-W0-minimal and l(y) = l(y') + l(x), so phi(T_y) vec =
-        q^l(x) phi(T_y') vec, and the sum over the whole double coset is
-        P_W0(q) times this one.
-
-        The sum walks the reduced words of the inverses: for y^-1 =
-        tau s_1 ... s_k, phi(T_y) = phi(T_s_k) ... phi(T_s_1) phi(T_tau^-1),
-        so each word starts from vec translated by tau and applies its
-        letters first to last, and a prefix shared by several y^-1 is
-        applied once.
-        """
-        W = self.W
-        out = BigExpVector(W, {})
-        for term in W.walk_reduced_words(
-                [W.inverse(y) for y in iwahori_orbits_in_spherical(W, mu_adj)],
-                lambda tau: vec if tau == W.identity else omega_action(vec, tau),
-                ts_action):
-            out = out + term
-        return out
-
     def _raw_action(self, lam, mu) -> BigExpVector:
         """The pullback of m_lam . 1_mu to the big module."""
         return self._action(lam, mu)[0]
 
     def _action(self, lam, mu):
         """m_lam . 1_mu as (its pullback to the big module, its m-basis
-        reading), both computed once per pair.
+        reading), both computed once per pair: spherical_sum of the lift of
+        m_lam over 1_mu in adjoint coordinates (-w0 commutes with
+        to_adjoint_coords).
 
         Raises NormalizationFailure if the lift of m_lam is not
-        right-W0-invariant, the hypothesis of _apply_double_coset.
+        right-W0-invariant.
         """
         key = (tuple(lam), tuple(mu))
         if key not in self._action_cache:
-            big = self.lift_closed(lam)
-            q = QPoly({1: 1})
-            for i in range(self.adj.rank):
-                if ts_action(big, i) != big.scale(q):
-                    raise NormalizationFailure(
-                        f"exp-module action on {self.rd.name}: lift of "
-                        f"m_{tuple(lam)} is not right-W0-invariant under "
-                        f"T_s{i} (acting by 1_{tuple(mu)})"
-                    )
-            mu_star_adj = self.rd.to_adjoint_coords(self.dual_involution(mu))
-            r = self._apply_double_coset(big, mu_star_adj)
+            r = spherical_sum(
+                self.lift_closed(lam), {self.rd.to_adjoint_coords(mu): Q_ONE},
+                omega_action, ts_action,
+                f"exp-module action on {self.rd.name}: lift of m_{tuple(lam)} "
+                f"acting by 1_{tuple(mu)}")
             out = {}
             for lab, c in r.support.items():
                 nu = self._label_coweight(lab.elt)

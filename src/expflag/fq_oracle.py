@@ -547,6 +547,9 @@ def _window_shapes(preset, bound):
 
 
 def window_size(preset, bound, q):
+    """Number of F_q-points below bound; InvalidCoweight unless bound is a
+    dominant coweight of the preset."""
+    _dominant(_rd(preset), preset, bound, "bound")
     total = 0
     for a, _c, low in _window_shapes(preset, bound):
         total += q ** max(a - low, 0)
@@ -562,7 +565,6 @@ def check_window_size(preset, bound, q):
 
 def enumerate_gr_window(preset, bound, q):
     """All F_q-points of Gr with elementary type <= bound (dominance order)."""
-    bound = _dominant(_rd(preset), preset, bound, "bound")
     check_window_size(preset, bound, q)
     F = gf(q)
     points = []
@@ -947,9 +949,10 @@ def whittaker_space(preset, bound, q, domain_points):
     semi-infinite orbit of t^lam, with value psi(a_-1) at u t^lam.
     """
     _check_points(domain_points, preset, q)
-    bound = tuple(bound)
+    rd = _rd(preset)
+    bound = _dominant(rd, preset, bound, "bound")
     basis = {lam: FqFunction(preset, q, bound, {})
-             for lam in _rd(preset).dominant_window(bound)}
+             for lam in rd.dominant_window(bound)}
     for p in domain_points:
         label, elem = iwasawa_data(p)
         f = basis.get(label)
@@ -1172,6 +1175,7 @@ def exp_action_matrix(preset, bound, mu, q, points):
     (closed-orbit indicator of lam) * 1_mu.
     """
     rd = _rd(preset)
+    bound = _dominant(rd, preset, bound, "bound")
     if not points:
         raise OracleError("empty window: no points to act on")
     _assignment, orbits = orbit_partition(points, "U_exp_twisted", q)

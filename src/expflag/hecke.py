@@ -45,6 +45,7 @@ def t_basis(W: AffineWeyl, w: AffineWeylElement) -> HeckeElement:
 
 def t_simple_mul(W: AffineWeyl, i: int, x: HeckeElement) -> HeckeElement:
     """x T_{s_i}."""
+    W.check_simple(i)
     out = {}
 
     def acc(w, c):

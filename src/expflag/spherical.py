@@ -1,19 +1,16 @@
 """Generic spherical Hecke algebra on the basis of double-coset indicators.
 
 1_mu is the sum of T_w over W0 t_mu W0 inside the Iwahori-Hecke algebra.
-Products of lifts are P_{W0}(q) times the lift of the spherical product.
-That factor never has to be divided out: each element of W0 t_mu W0 is x w
-with x in W0, w left-W0-minimal and l(xw) = l(x) + l(w), and a
-right-W0-invariant element h has h T_x = q^l(x) h. So spherical_mul
-multiplies lift(a) by the sum of T_w over one left-W0-minimal w per coset
-W0 w, and re-expands the result in the 1-basis.
+spherical_sum acts by a spherical element on a right-W0-invariant vector;
+spherical_mul and the exponential module's spherical action are that one
+sum, each with its own length-zero translation and simple step.
 """
 
 from __future__ import annotations
 
 from .affine_weyl import AffineWeyl
 from .coefficients import QPoly, QVector, Q_ONE, check_same_datum
-from .hecke import HeckeElement, hecke_mul, t_simple_mul
+from .hecke import HeckeElement, omega_mul, t_simple_mul
 from .strata import double_coset_elements, iwahori_orbits_in_spherical
 
 
@@ -109,29 +106,52 @@ def _dominant_of(W: AffineWeyl, w):
     raise NormalizationFailure("no dominant conjugate found")
 
 
-def spherical_mul(a: SphericalElement, b: SphericalElement) -> SphericalElement:
-    """a * b in the 1-basis, from lift(a) times the left-W0-minimal part of
-    lift(b) (see the module docstring).
+def spherical_sum(vec, b, omega, step, what):
+    """The sum of c (vec T_y) over the terms c 1_mu of b and the
+    left-W0-minimal y of W0 t_mu W0, for a right-W0-invariant vec.
 
-    Raises NormalizationFailure if lift(a) is not right-W0-invariant, the
-    hypothesis under which P_W0(q) factors out.
+    vec T_x = step(vec, i) for x = s_i and omega(vec, x) for x of length
+    zero. Each w of W0 t_mu W0 is x y with x in W0, y left-W0-minimal and
+    l(w) = l(x) + l(y), and vec T_x = q^l(x) vec, so this is the product
+    with 1_mu up to the factor P_W0(q), which is never formed. Raises
+    NormalizationFailure, naming `what`, unless step(vec, s) = q vec for
+    each finite simple s.
+
+    The left-W0-minimal y are the inverses of the right-W0-minimal elements
+    of W0 t_mu* W0, mu* = -w0 mu. For y = tau s_1 ... s_k, vec T_y is
+    omega(vec, tau) stepped by s_1, ..., s_k, and walk_reduced_words steps
+    a prefix shared by several y once.
+    """
+    W = vec.ctx
+    q = QPoly({1: 1})
+    for i in range(W.rd.rank):
+        if step(vec, i) != vec.scale(q):
+            raise NormalizationFailure(
+                f"{what} is not right-W0-invariant under T_s{i}")
+    w0 = W.rd.longest_element()
+    ys, coeffs = [], []
+    for mu, c in b.items():
+        mu_star = tuple(-a for a in w0.apply_coweight(mu))
+        for y in iwahori_orbits_in_spherical(W, mu_star):
+            ys.append(W.inverse(y))
+            coeffs.append(c)
+    terms = W.walk_reduced_words(
+        ys, lambda tau: vec if tau == W.identity else omega(vec, tau), step)
+    out = vec._new({})
+    for term, c in zip(terms, coeffs):
+        out = out + term.scale(c)
+    return out
+
+
+def spherical_mul(a: SphericalElement, b: SphericalElement) -> SphericalElement:
+    """a * b in the 1-basis: spherical_sum of lift(a) over b.
+
+    Raises NormalizationFailure if lift(a) is not right-W0-invariant.
     """
     W = a.ctx
     check_same_datum(W, b.ctx)
-    la = lift(a)
-    q = QPoly({1: 1})
-    for i in range(W.rd.rank):
-        if t_simple_mul(W, i, la) != la.scale(q):
-            raise NormalizationFailure(
-                f"spherical_mul on {W.rd.name}: lift of {sorted(a.support)} "
-                f"is not right-W0-invariant under T_s{i}"
-            )
-    # the left-W0-minimal elements of W0 t_mu W0 are the inverses of the
-    # right-W0-minimal ones of W0 t_mu* W0, mu* = -w0 mu
-    w0 = W.rd.longest_element()
-    right = {}
-    for mu, c in b.support.items():
-        mu_star = tuple(-a for a in w0.apply_coweight(mu))
-        for y in iwahori_orbits_in_spherical(W, mu_star):
-            right[W.inverse(y)] = c
-    return hecke_to_spherical(W, hecke_mul(la, HeckeElement(W, right)))
+    return hecke_to_spherical(W, spherical_sum(
+        lift(a), b.support,
+        lambda x, tau: omega_mul(W, tau, x),
+        lambda x, i: t_simple_mul(W, i, x),
+        f"spherical_mul on {W.rd.name}: lift of {sorted(a.support)}"))

@@ -1,9 +1,8 @@
 """Iwahori decompositions of spherical cells, and shapes of exponential orbits.
 
 ``double_coset_elements`` lists W0 t_mu W0 and ``iwahori_orbits_in_spherical``
-its right-W0-minimal elements, one per Iwahori orbit in Gr^mu; the exponential
-module's spherical action sums over them, and spherical_mul over their
-inverses.
+its right-W0-minimal elements, one per Iwahori orbit in Gr^mu;
+spherical.spherical_sum walks their inverses.
 
 Every orbit in sight is a product of copies of A1, Gm, and Gm minus a point;
 CellShape records the multiplicities and hands back the class in Z[q] via the

@@ -128,6 +128,9 @@ def test_negative_label_length_bound_is_an_error():
     W = AffineWeyl(build_root_datum("SL2"))
     with pytest.raises(AffineWeylError, match="nonnegative"):
         W.enumerate_exp_labels(-1)
+    # enumerate_elements used to return Omega
+    with pytest.raises(AffineWeylError, match="nonnegative"):
+        W.enumerate_elements(-1)
 
 
 def test_equal_labels_are_one_key():

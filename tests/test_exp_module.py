@@ -7,8 +7,9 @@ import pytest
 
 from expflag import exp_module
 from expflag.root_datum import _simply_connected, build_root_datum
-from expflag.affine_weyl import AffineWeyl, AffineWeylElement, ExpLabel
+from expflag.affine_weyl import AffineWeyl, AffineWeylElement, AffineWeylError, ExpLabel
 from expflag.coefficients import QPoly
+from expflag.hecke import t_basis, t_simple_mul
 from expflag.spherical import (
     NormalizationFailure,
     poincare_poly,
@@ -321,6 +322,11 @@ def test_module_associativity(name, bound):
             assert lhs == rhs, (a, b)
 
 
+def _dual(rd, mu):
+    """mu* = -w0(mu), the dominant representative of -mu."""
+    return tuple(-a for a in rd.longest_element().apply_coweight(mu))
+
+
 @pytest.mark.parametrize("name,pairs", [
     ("SL2", [((0,), (1,)), ((1,), (2,))]),
     ("PGL2", [((0,), (2,)), ((1,), (1,))]),
@@ -336,7 +342,7 @@ def test_raw_action_is_full_double_coset_sum_over_poincare(name, pairs):
     for lam, mu in pairs:
         big = M.lift_closed(lam)
         full = BigExpVector(M.W, {})
-        for y in double_coset_elements(M.W, M.rd.to_adjoint_coords(M.dual_involution(mu))):
+        for y in double_coset_elements(M.W, M.rd.to_adjoint_coords(_dual(M.rd, mu))):
             full = full + phi_element(big, y)
         assert full == M._raw_action(lam, mu).scale(P), (lam, mu)
 
@@ -364,7 +370,7 @@ def test_raw_action_matches_the_per_orbit_reference(spec, pairs):
         big = M.lift_closed(lam)
         want = BigExpVector(M.W, {})
         for y in iwahori_orbits_in_spherical(
-                M.W, M.rd.to_adjoint_coords(M.dual_involution(mu))):
+                M.W, M.rd.to_adjoint_coords(_dual(M.rd, mu))):
             want = want + phi_element(big, y)
         assert M._raw_action(lam, mu) == want, (lam, mu)
 
@@ -391,7 +397,7 @@ def test_spherical_action_steps_each_prefix_once(name, mu, steps, monkeypatch):
 def test_non_invariant_lift_is_reported(monkeypatch):
     M = ExpModule(build_root_datum("SL3"))
     monkeypatch.setattr(exp_module, "ts_action", lambda v, s: v)
-    with pytest.raises(NormalizationFailure, match=r"SL3.*m_\(0, 0\).*T_s0.*1_\(1, 1\)"):
+    with pytest.raises(NormalizationFailure, match=r"SL3.*m_\(0, 0\).*1_\(1, 1\).*T_s0"):
         M.spherical_action_basis((0, 0), (1, 1))
 
 
@@ -408,6 +414,21 @@ def test_zero_label_on_a_non_maximal_element_is_rejected(entry):
         entry(W, ExpLabel("zero", W.word_to_element([1])))
     w0 = W.word_to_element([0, 1, 0])
     assert entry(W, ExpLabel("zero", w0)) != BigExpVector(W, {})
+
+
+@pytest.mark.parametrize("index", [-1, 3])
+@pytest.mark.parametrize("entry", [
+    lambda W, lab, i: t_simple_mul(W, i, t_basis(W, lab.elt)),
+    lambda W, lab, i: ts_action(basis_vector(W, lab), i),
+    lambda W, lab, i: case_analysis(W, lab, i),
+    lambda W, lab, i: fiber_class(lab, [i], lab, W),
+], ids=["t_simple_mul", "ts_action", "case_analysis", "fiber_class"])
+def test_out_of_range_simple_index_is_rejected(entry, index):
+    """SL3 has the simple reflections s0, s1, s2: -1 used to act by s2 (so
+    fiber_class read 0) and 3 ended in a bare IndexError."""
+    W = AffineWeyl(build_root_datum("SL3"))
+    with pytest.raises(AffineWeylError, match=rf"no simple reflection s{index}.*0\.\.2"):
+        entry(W, ExpLabel("coset", W.identity), index)
 
 
 def test_sl2_fundamental_action():

@@ -651,6 +651,18 @@ def test_non_dominant_baby_bound_is_oracle_error():
         fq_oracle.baby_basis("SL2", (-1,), 3, _sl2_window(3))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: fq_oracle.window_size("SL2", (-2,), 3),
+    lambda: fq_oracle.check_window_size("SL2", (-2,), 3),
+    lambda: fq_oracle.whittaker_space("SL2", (-1,), 3, _sl2_window(3)),
+    lambda: fq_oracle.exp_action_matrix("SL2", (-1,), (1,), 3, _sl2_window(3)),
+], ids=["window_size", "check_window_size", "whittaker_space", "exp_action_matrix"])
+def test_non_dominant_oracle_bound_is_oracle_error(call):
+    # these used to return 0, pass, or return an empty basis or matrix
+    with pytest.raises(fq_oracle.InvalidCoweight, match="bound must be dominant"):
+        call()
+
+
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("lam", [(0, 0), (1, 0), (2, -1)])
 def test_gl2_central_coweight_acts_as_a_shift(q, lam):
