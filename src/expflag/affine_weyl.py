@@ -27,6 +27,13 @@ v(alpha_i) < 0.
 Right multiplication by a simple reflection s_i = t_{lam_i} u_i is
 t_lam v s_i = t_{lam + v lam_i} (v u_i); a table built at construction holds
 the pair (v lam_i, v u_i) for every v in W0 and every i.
+``simple_steps`` memoises, per element w, each w s_i with whether i is a
+right descent. Every simple step of this module, of the Hecke algebra and
+of the exponential module reads that table, ``reduced_word`` memoises its
+answer per element, and ``exp_module.case_analysis`` memoises its s-lines
+per (label, s) in ``_case_cache``. Like ``_len_cache`` and
+``_bruhat_cache`` these tables need no size bound: each key is an element
+or label the caller has already built.
 ``sign_on_alcove`` reads the sign of alpha + n on a0 at the barycenter
 rho-hat / h, with h = 1 + the greatest height of a highest root theta; it
 lies in a0, as <alpha_i, rho-hat> = 1 and <theta, rho-hat> = ht(theta) < h.
@@ -119,6 +126,10 @@ class AffineWeyl:
             (k, a) for k, a in enumerate(rd.roots) if a in rd.positive_root_set
         ]
         self._bruhat_cache = {}
+        self._step_cache = {}
+        self._word_cache = {}
+        # exp_module.case_analysis per (label, s)
+        self._case_cache = {}
 
     # ---- generators
 
@@ -149,6 +160,7 @@ class AffineWeyl:
     # ---- group arithmetic
 
     def translation(self, lam) -> AffineWeylElement:
+        self.rd._check_rank(lam)
         return AffineWeylElement(tuple(lam), self.rd.identity)
 
     def mul(self, x: AffineWeylElement, y: AffineWeylElement) -> AffineWeylElement:
@@ -172,11 +184,20 @@ class AffineWeyl:
             raise AffineWeylError(
                 f"no simple reflection s{i}: indices run over 0..{self.num_simples - 1}")
 
+    def simple_steps(self, w: AffineWeylElement):
+        """((w s_i, l(w s_i) < l(w)) for each i), computed once per w."""
+        steps = self._step_cache.get(w)
+        if steps is None:
+            steps = self._step_cache[w] = tuple([
+                (self.right_mul_simple(w, i), self.is_right_descent(w, i))
+                for i in range(self.num_simples)])
+        return steps
+
     def word_to_element(self, word) -> AffineWeylElement:
         w = self.identity
         for i in word:
             self.check_simple(i)
-            w = self.right_mul_simple(w, i)
+            w = self.simple_steps(w)[i][0]
         return w
 
     # ---- affine roots
@@ -255,19 +276,23 @@ class AffineWeyl:
         """Return (omega_part, word) with w = omega_part * product(word).
 
         Deterministic: the least-index right descent is peeled at each step.
+        Computed once per w.
         """
+        if w in self._word_cache:
+            return self._word_cache[w]
         word = []
         cur = w
         for _ in range(self.length(w)):
-            for i in range(self.num_simples):
-                if self.is_right_descent(cur, i):
+            for i, (ws, down) in enumerate(self.simple_steps(cur)):
+                if down:
                     break
             else:
                 raise AffineWeylError("positive length but no descent")
             word.append(i)
-            cur = self.right_mul_simple(cur, i)
+            cur = ws
         word.reverse()
-        return cur, tuple(word)
+        out = self._word_cache[w] = (cur, tuple(word))
+        return out
 
     def walk_reduced_words(self, elements, start, step):
         """[value of w for w in elements]: for w = tau s_1 ... s_k by
@@ -286,7 +311,7 @@ class AffineWeyl:
                 seen[cur] = start(cur)
             value = seen[cur]
             for i in word:
-                cur = self.right_mul_simple(cur, i)
+                cur = self.simple_steps(cur)[i][0]
                 if cur not in seen:
                     seen[cur] = step(value, i)
                 value = seen[cur]
@@ -303,14 +328,11 @@ class AffineWeyl:
         elif ly == 0:
             res = x == y
         else:
-            i = next(
-                i for i in range(self.num_simples) if self.is_right_descent(y, i)
+            i, y1 = next(
+                (i, ys) for i, (ys, down) in enumerate(self.simple_steps(y)) if down
             )
-            y1 = self.right_mul_simple(y, i)
-            if self.is_right_descent(x, i):
-                res = self.bruhat_leq(self.right_mul_simple(x, i), y1)
-            else:
-                res = self.bruhat_leq(x, y1)
+            xs, down = self.simple_steps(x)[i]
+            res = self.bruhat_leq(xs if down else x, y1)
         self._bruhat_cache[key] = res
         return res
 
@@ -348,15 +370,17 @@ class AffineWeyl:
         descent in f until none is left."""
         f = sorted(f)
         while True:
+            steps = self.simple_steps(w)
             for i in f:
-                if self.is_right_descent(w, i):
-                    w = self.right_mul_simple(w, i)
+                if steps[i][1]:
+                    w = steps[i][0]
                     break
             else:
                 return w
 
     def is_right_minimal(self, w: AffineWeylElement, f) -> bool:
-        return not any(self.is_right_descent(w, i) for i in f)
+        steps = self.simple_steps(w)
+        return not any(steps[i][1] for i in f)
 
     def is_left_w0_maximal(self, w: AffineWeylElement) -> bool:
         """w = t_lam v of maximal length in W0 w.
@@ -399,10 +423,9 @@ class AffineWeyl:
         while frontier and depth < length_bound:
             new = []
             for w in frontier:
-                for i in range(self.num_simples):
-                    if self.is_right_descent(w, i):
+                for y, down in self.simple_steps(w):
+                    if down:
                         continue
-                    y = self.right_mul_simple(w, i)
                     if y not in seen:
                         seen.add(y)
                         new.append(y)

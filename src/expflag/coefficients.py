@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 
 
 class DivisionNotExact(ArithmeticError):
@@ -39,7 +40,8 @@ class NonIntegral(ValueError):
 
 
 class QPoly:
-    """Element of Z[q]; a negative exponent is rejected.
+    """Element of Z[q]; a negative exponent is rejected, and so is an
+    exponent or coefficient that is not an integer (TypeError).
 
     Stored as a map exponent -> nonzero int coefficient.
     """
@@ -50,8 +52,9 @@ class QPoly:
         clean = {}
         if coeffs:
             for e, c in coeffs.items():
+                e, c = index(e), index(c)
                 if c:
-                    clean[int(e)] = int(c)
+                    clean[e] = c
         if any(e < 0 for e in clean):
             raise ValueError("negative exponent in a polynomial of Z[q]")
         object.__setattr__(self, "coeffs", clean)
@@ -119,10 +122,6 @@ class QPoly:
         return QPoly._of({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
-
-    def shift(self):
-        """q times self: every exponent moves up by one."""
-        return QPoly._of({e + 1: c for e, c in self.coeffs.items()})
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -4,7 +4,10 @@ The big module lives on exponential-orbit labels of the full affine flag
 variety. A simple reflection s moves a label along the s-line through its
 chamber, and case_analysis reads that whole line at once: the classes of
 its cells in each label on T and T s, from whether s ascends T, whether T
-and T s are left-W0-maximal, and the image T(alpha_s + n_s). Iterating
+and T s are left-W0-maximal, and the image T(alpha_s + n_s). It reads
+T s from AffineWeyl.simple_steps and keeps each answer per (label, s) on
+the AffineWeyl: like the length cache, neither table needs a size bound,
+as each key is an element or label the caller has already built. Iterating
 those operators along reduced words gives fiber classes of convolution
 morphisms, and reading the result on the orbits of the affine
 Grassmannian gives the spherical action on the quotient module with basis
@@ -64,8 +67,8 @@ def _check_label(W: AffineWeyl, lab: ExpLabel) -> ExpLabel:
 
 
 def case_analysis(W: AffineWeyl, lab: ExpLabel, s: int):
-    """The s-lines that meet lab's orbit: [(t, case_id, class)] for each
-    label t on T = lab.elt or T s with a nonzero class.
+    """The s-lines that meet lab's orbit: ((t, case_id, class), ...) for
+    each label t on T = lab.elt or T s with a nonzero class.
 
     class counts the points of the s-line through t's chamber that lie in
     lab's orbit. case_id names the _SPLIT_CASES entry it came from,
@@ -73,38 +76,47 @@ def case_analysis(W: AffineWeyl, lab: ExpLabel, s: int):
     forced. A zero label on T s needs (T s)^-1(alpha_i) < 0 for every simple
     alpha_i, so (T s)(alpha_s + n_s) is never a level-zero simple root: the
     iso case of IIIa cannot occur.
+
+    Computed once per (lab, s) and kept in W._case_cache; a tuple, so no
+    caller can change a kept entry.
     """
     W.check_simple(s)
+    _check_label(W, lab)
+    key = (lab, s)
+    if key not in W._case_cache:
+        W._case_cache[key] = _case_analysis(W, lab, s)
+    return W._case_cache[key]
+
+
+def _case_analysis(W: AffineWeyl, lab: ExpLabel, s: int):
+    """case_analysis without the checks and the memo."""
     T = lab.elt
     maximal = W.is_left_w0_maximal(T)
-    if lab.tag == "zero" and not maximal:
-        raise ExpModuleError(
-            f"zero label on {W.to_json(T)}, which is not left-W0-maximal")
-    Ts = W.right_mul_simple(T, s)
+    Ts, descent = W.simple_steps(T)[s]
     ts_labels = [ExpLabel("coset", Ts)]
     if W.is_left_w0_maximal(Ts):
         ts_labels.append(ExpLabel("zero", Ts))
-    k, level = W.simple_image(T, s)
-    height = W.rd.height(W.rd.roots[k])
-    if level > 0 or (level == 0 and height > 0):
+    if not descent:
         # ascent: the line through T s has one point in T's cell, in lab's
         # orbit for every label on T s, or for lab's tag when T is maximal
-        return [(t, None, Q_ONE) for t in ts_labels
-                if not maximal or t.tag == lab.tag]
+        return tuple((t, None, Q_ONE) for t in ts_labels
+                     if not maximal or t.tag == lab.tag)
     # descent: the line through T has one point in T s's cell and q - 1 in
     # T's; the line through T s lies in T's cell
     if not maximal:
-        return [(ExpLabel("coset", T), None, _QM1)] + [
-            (t, "I-nosplit", _Q) for t in ts_labels]
-    iso = level == 0 and height == -1  # T(alpha_s + n_s) = -alpha_j
+        return ((ExpLabel("coset", T), None, _QM1),) + tuple(
+            (t, "I-nosplit", _Q) for t in ts_labels)
+    # iso: T(alpha_s + n_s) = -alpha_j
+    k, level = W.simple_image(T, s)
+    iso = level == 0 and W.rd.height(W.rd.roots[k]) == -1
     line = [
         (ExpLabel("coset", T), "II-off-kernel" if iso else "II-in-kernel"),
         (ExpLabel("zero", T), "IIIb-open-immersion" if iso else "IIIb-triv"),
     ]
     line += zip(ts_labels, ("I-iso" if iso else "I-triv", "IIIa-triv"))
     part = lab.tag == "zero"
-    return [(t, case, _SPLIT_CASES[case][part]) for t, case in line
-            if not _SPLIT_CASES[case][part].is_zero()]
+    return tuple((t, case, _SPLIT_CASES[case][part]) for t, case in line
+                 if not _SPLIT_CASES[case][part].is_zero())
 
 
 def key_lemma_class(W: AffineWeyl, target: ExpLabel, w: ExpLabel, s: int) -> QPoly:
@@ -143,8 +155,11 @@ def ts_action(v: BigExpVector, s: int) -> BigExpVector:
     W.check_simple(s)
     out = {}
     for lab, c in v.support.items():
+        scale = c != Q_ONE
         for t, _, cls in case_analysis(W, lab, s):
-            out[t] = out.get(t, Q_ZERO) + cls * c
+            if scale:
+                cls = cls * c
+            out[t] = out[t] + cls if t in out else cls
     return v._new(out)
 
 

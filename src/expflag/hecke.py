@@ -7,7 +7,9 @@ is literal convolution of Iwahori double cosets with vol(I) = 1.
 
 hecke_mul steps a along the reduced words of b's support through
 AffineWeyl.walk_reduced_words, so a prefix shared by several words is
-multiplied out once per product.
+multiplied out once per product. Each step reads w s_i and the descent
+from AffineWeyl.simple_steps, computed once per element, and works on
+plain support dicts; hecke_mul builds one HeckeElement at the end.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ class HeckeElement(QVector):
 
     __slots__ = ()
     letter, json_field = "T", "element"
+
+    def _key(self, w):
+        self.ctx.rd._check_rank(w.lam)
+        return w
 
     def _sort_key(self, w):
         return self.ctx.sort_key(w)
@@ -43,27 +49,33 @@ def t_basis(W: AffineWeyl, w: AffineWeylElement) -> HeckeElement:
     return HeckeElement(W, {w: Q_ONE})
 
 
+def _step(W: AffineWeyl, support, i: int):
+    """The support of x T_{s_i}, for x with the given support; zero
+    coefficients may stay in it."""
+    out = {}
+    for w, c in support.items():
+        ws, down = W.simple_steps(w)[i]
+        if down:
+            # (q - 1) c on w, q c on ws
+            qc = {e + 1: a for e, a in c.coeffs.items()}
+            qm1c = dict(qc)
+            for e, a in c.coeffs.items():
+                a = qm1c.get(e, 0) - a
+                if a:
+                    qm1c[e] = a
+                else:
+                    del qm1c[e]
+            for x, d in ((w, QPoly._of(qm1c)), (ws, QPoly._of(qc))):
+                out[x] = out[x] + d if x in out else d
+        else:
+            out[ws] = out[ws] + c if ws in out else c
+    return out
+
+
 def t_simple_mul(W: AffineWeyl, i: int, x: HeckeElement) -> HeckeElement:
     """x T_{s_i}."""
     W.check_simple(i)
-    out = {}
-
-    def acc(w, c):
-        if w in out:
-            out[w] = out[w] + c
-        else:
-            out[w] = c
-
-    for w, c in x.support.items():
-        ws = W.right_mul_simple(w, i)
-        if W.is_right_descent(w, i):
-            qc = c.shift()
-            # (q - 1) c on w, q c on ws
-            acc(w, qc - c)
-            acc(ws, qc)
-        else:
-            acc(ws, c)
-    return HeckeElement(W, out)
+    return x._new(_step(W, x.support, i))
 
 
 def omega_mul(W: AffineWeyl, tau: AffineWeylElement, x: HeckeElement) -> HeckeElement:
@@ -80,9 +92,12 @@ def hecke_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     check_same_datum(W, b.ctx)
     terms = W.walk_reduced_words(
         b.support,
-        lambda tau: a if tau == W.identity else omega_mul(W, tau, a),
-        lambda x, i: t_simple_mul(W, i, x))
-    out = HeckeElement(W, {})
+        lambda tau: a.support if tau == W.identity else omega_mul(W, tau, a).support,
+        lambda x, i: _step(W, x, i))
+    out = {}
     for term, c in zip(terms, b.support.values()):
-        out = out + term.scale(c)
-    return out
+        if c != Q_ONE:
+            term = {w: d * c for w, d in term.items()}
+        for w, d in term.items():
+            out[w] = out[w] + d if w in out else d
+    return a._new(out)

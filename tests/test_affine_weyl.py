@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from expflag.root_datum import _adjoint_preset, _simply_connected, build_root_datum
+from expflag.root_datum import (
+    RootDatumError, _adjoint_preset, _simply_connected, build_root_datum)
 from expflag.affine_weyl import AffineWeyl, AffineWeylElement, AffineWeylError, ExpLabel
 
 PRESETS = ["SL2", "PGL2", "GL2", "SL3", "PGL3", "Sp4"]
@@ -107,6 +108,49 @@ def test_descents_detect_length_drop(W_tables):
         assert len(word) == lw
         assert W.mul(tau, W.word_to_element(word)) == w
         assert W.reduced_word(w) == (tau, word)
+
+
+def _peel(W, w):
+    """reduced_word read without the step table or the memo."""
+    word = []
+    for _ in range(W.length(w)):
+        i = next(i for i in range(W.num_simples) if W.is_right_descent(w, i))
+        word.append(i)
+        w = W.right_mul_simple(w, i)
+    return w, tuple(reversed(word))
+
+
+@pytest.mark.parametrize("name", ["SL2", "PGL2", "SL3", "PGL3", "Sp4", "G2"])
+def test_step_table_and_word_memo_match_the_direct_reads(name):
+    W = AffineWeyl(build_root_datum(name))
+    for w in W.enumerate_elements(4):
+        assert W.simple_steps(w) == tuple(
+            (W.right_mul_simple(w, i), W.is_right_descent(w, i))
+            for i in range(W.num_simples))
+        # the first read fills the memo, the second reads it
+        assert W.reduced_word(w) == _peel(W, w)
+        assert W.reduced_word(w) == _peel(W, w)
+
+
+@pytest.mark.parametrize("index", [-1, 3])
+def test_out_of_range_index_is_rejected_with_warm_tables(index):
+    """-1 would read the last entry of a step-table row."""
+    W = AffineWeyl(build_root_datum("SL3"))
+    for w in W.enumerate_elements(3):
+        W.reduced_word(w)
+    with pytest.raises(AffineWeylError, match=rf"no simple reflection s{index}"):
+        W.word_to_element([0, index])
+
+
+@pytest.mark.parametrize("read", [
+    lambda W, lam: W.length(W.translation(lam)),
+    lambda W, lam: W.reduced_word(W.translation(lam)),
+], ids=["length", "reduced_word"])
+def test_translation_by_a_coweight_of_the_wrong_rank_is_rejected(read):
+    """On SL3 the one-coordinate (1,) used to give length 4 and a word."""
+    W = AffineWeyl(build_root_datum("SL3"))
+    with pytest.raises(RootDatumError, match=r"\(1,\) has 1 coordinates; SL3 takes 2"):
+        read(W, (1,))
 
 
 def test_reduced_word_without_a_descent_is_an_error():

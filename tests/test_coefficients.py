@@ -140,6 +140,13 @@ def test_qpoly_is_z_q_only():
         qpoly_exact_div(QPoly({0: 1}), q)
 
 
+@pytest.mark.parametrize("coeffs", [{0: 1.5}, {1.5: 1}, {0: "1"}, {"1": 1}, {0: Fraction(3)}])
+def test_qpoly_rejects_non_integers(coeffs):
+    # {0: 1.5} used to read as 1 and {1.5: 1} as q
+    with pytest.raises(TypeError):
+        QPoly(coeffs)
+
+
 def test_constant_qpoly_hashes_as_its_int():
     # QPoly equals an int exactly when it is that constant, so the two must
     # be one key in a set or a dict

@@ -4,8 +4,10 @@ import collections
 import itertools
 
 import pytest
+from click.testing import CliRunner
 
 from expflag import exp_module
+from expflag.cli import main
 from expflag.root_datum import _simply_connected, build_root_datum
 from expflag.affine_weyl import AffineWeyl, AffineWeylElement, AffineWeylError, ExpLabel
 from expflag.coefficients import QPoly
@@ -285,7 +287,7 @@ def test_case_analysis_matches_the_per_pair_rule(name):
                 case, cls = _per_pair_rule(W, lab, t, s)
                 if not cls.is_zero():
                     want.append((t, case, cls))
-            assert case_analysis(W, lab, s) == want, (W.label_to_json(lab), s)
+            assert case_analysis(W, lab, s) == tuple(want), (W.label_to_json(lab), s)
 
 
 def test_zero_source_must_be_maximal():
@@ -416,19 +418,92 @@ def test_zero_label_on_a_non_maximal_element_is_rejected(entry):
     assert entry(W, ExpLabel("zero", w0)) != BigExpVector(W, {})
 
 
-@pytest.mark.parametrize("index", [-1, 3])
-@pytest.mark.parametrize("entry", [
+_SIMPLE_INDEX_ENTRIES = pytest.mark.parametrize("entry", [
     lambda W, lab, i: t_simple_mul(W, i, t_basis(W, lab.elt)),
     lambda W, lab, i: ts_action(basis_vector(W, lab), i),
     lambda W, lab, i: case_analysis(W, lab, i),
     lambda W, lab, i: fiber_class(lab, [i], lab, W),
 ], ids=["t_simple_mul", "ts_action", "case_analysis", "fiber_class"])
+
+
+@pytest.mark.parametrize("index", [-1, 3])
+@_SIMPLE_INDEX_ENTRIES
 def test_out_of_range_simple_index_is_rejected(entry, index):
     """SL3 has the simple reflections s0, s1, s2: -1 used to act by s2 (so
     fiber_class read 0) and 3 ended in a bare IndexError."""
     W = AffineWeyl(build_root_datum("SL3"))
     with pytest.raises(AffineWeylError, match=rf"no simple reflection s{index}.*0\.\.2"):
         entry(W, ExpLabel("coset", W.identity), index)
+
+
+@pytest.mark.parametrize("index", [-1, 3])
+@_SIMPLE_INDEX_ENTRIES
+def test_out_of_range_simple_index_is_rejected_with_warm_tables(entry, index):
+    """As above once the step table and the case_analysis memo hold every
+    step of each label of length <= 3: -1 would read the last entry of a
+    step-table row."""
+    W = AffineWeyl(build_root_datum("SL3"))
+    for lab in W.enumerate_exp_labels(3):
+        for s in range(W.num_simples):
+            entry(W, lab, s)
+    with pytest.raises(AffineWeylError, match=rf"no simple reflection s{index}.*0\.\.2"):
+        entry(W, ExpLabel("coset", W.identity), index)
+
+
+@pytest.mark.parametrize("name", ["SL2", "PGL2", "SL3", "PGL3", "Sp4", "G2"])
+def test_case_analysis_memo_matches_a_fresh_computation(name):
+    W = AffineWeyl(build_root_datum(name))
+    fresh = AffineWeyl(W.rd)
+    labels = W.enumerate_exp_labels(3)
+    # the first pass fills the memo, the second reads it
+    for _ in range(2):
+        for lab in labels:
+            for s in range(W.num_simples):
+                got = case_analysis(W, lab, s)
+                assert type(got) is tuple
+                assert got == exp_module._case_analysis(fresh, lab, s)
+    assert not fresh._case_cache
+
+
+def test_tables_are_per_instance():
+    """Two AffineWeyl of one datum share no step, word or s-line entry."""
+    rd = build_root_datum("SL3")
+    W, other = AffineWeyl(rd), AffineWeyl(rd)
+    for lab in W.enumerate_exp_labels(3):
+        W.reduced_word(lab.elt)
+        for s in range(W.num_simples):
+            case_analysis(W, lab, s)
+    assert W._step_cache and W._word_cache and W._case_cache
+    assert not (other._step_cache or other._word_cache or other._case_cache)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: CliRunner().invoke(
+        main, ["verify", "--group", "SL2", "--q", "2", "--seed", "7"]).exit_code == 0,
+    lambda: ExpModule(build_root_datum("SL3")).spherical_action_basis(
+        (0, 0), (1, 1)).support,
+], ids=["SL2-verify", "SL3-m0-1_11"])
+def test_each_simple_step_and_s_line_is_computed_once(run, monkeypatch):
+    """right_mul_simple runs once per (W, w, i) and the uncached
+    case_analysis body once per (W, label, s). Both runs ask for many pairs
+    more than once (SL3 m_0 . 1_(1,1): 117 steps on 67 pairs and 78
+    s-lines on 63 without the memos), so a dropped memo shows here."""
+    steps, lines = collections.Counter(), collections.Counter()
+    right_mul_simple, body = AffineWeyl.right_mul_simple, exp_module._case_analysis
+
+    def counting_step(W, w, i):
+        steps[id(W), w, i] += 1
+        return right_mul_simple(W, w, i)
+
+    def counting_line(W, lab, s):
+        lines[id(W), lab, s] += 1
+        return body(W, lab, s)
+
+    monkeypatch.setattr(AffineWeyl, "right_mul_simple", counting_step)
+    monkeypatch.setattr(exp_module, "_case_analysis", counting_line)
+    assert run()
+    assert steps and lines
+    assert max(steps.values()) == 1 and max(lines.values()) == 1
 
 
 def test_sl2_fundamental_action():

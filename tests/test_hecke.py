@@ -6,8 +6,8 @@ import re
 
 import pytest
 
-from expflag.root_datum import build_root_datum
-from expflag.affine_weyl import AffineWeyl
+from expflag.root_datum import RootDatumError, build_root_datum
+from expflag.affine_weyl import AffineWeyl, AffineWeylElement
 from expflag.coefficients import QPoly
 from expflag import hecke
 from expflag.hecke import HeckeElement, hecke_mul, omega_mul, t_basis, t_simple_mul
@@ -227,3 +227,13 @@ def test_hecke_json_round_trip(W):
         W, {rng.choice(elems): QPoly({0: 2, 1: -1}) for _ in range(3)}
     )
     assert HeckeElement.from_json(W, a.to_json()) == a
+
+
+def test_hecke_element_of_the_wrong_rank_is_rejected():
+    """On SL3, T[(1,)] T[(1, 0)] used to come back as T[(2,)]."""
+    W = AffineWeyl(build_root_datum("SL3"))
+    wrong = r"\(1,\) has 1 coordinates; SL3 takes 2"
+    with pytest.raises(RootDatumError, match=wrong):
+        hecke_mul(t_basis(W, W.translation((1,))), t_basis(W, W.translation((1, 0))))
+    with pytest.raises(RootDatumError, match=wrong):
+        t_basis(W, AffineWeylElement((1,), W.rd.identity))
