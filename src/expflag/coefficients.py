@@ -427,6 +427,8 @@ class CycNum:
         poly = list(poly)
         if len(poly) != p - 1:
             raise ValueError("numerator must be reduced mod the cyclotomic polynomial")
+        if den_exp == 0:
+            return CycNum(p, q, tuple(poly), 0)
         while den_exp > 0 and all(c % q == 0 for c in poly):
             poly = [c // q for c in poly]
             den_exp -= 1

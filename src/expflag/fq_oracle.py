@@ -25,8 +25,12 @@ Two read-offs skip the Hermite form where its answer is already known:
 ``whittaker_action`` reads labels and character coefficients off the two
 diagonals, and the size and trace counts of each diagonal of K mu K / K
 off a closed form (``_coset_shapes``), with no point built;
-``hecke_operator`` reads x g for a coset representative g off the
-triangular closed form, with no GrPoint built on SL2 and GL2.
+``hecke_operator`` reads y g' off the triangular closed form
+(``_read_off``, no GrPoint built on SL2 and GL2) for the y in the support
+of f and g' in K mu* K / K, mu* = -w0 mu, and sums f(y) into an index of
+the domain, since x g = y exactly when x = y g'. A domain point whose
+translates all lie below the cut reads that index; any other gathers
+f(x g) over K mu K / K, through translate where the cut bites.
 
 ``act`` and ``translate`` take a closed form: ``_triangular_point`` for an
 upper-triangular element (coset representatives, x_plus, the Gm, torus and
@@ -41,12 +45,17 @@ mu; the Whittaker read-off needs none.
 One search, ``_Window.search``, finds every orbit, inside a window or
 free, and transports the baby character along it; it applies no
 generator that stabilizes a point's shape (a, c, val b) (``_fixes``).
+A window compiles each generator once into a plan (``_plan``), the
+closed form of its kind: x_+ inserts one term into b, a constant
+diagonal scales b, a unit-series diagonal multiplies b by one series
+inverted once, x_- is ``_lower_point`` for one term.
 ``orbit_partition`` keeps one ``_Window`` per window over the twisted
 Iwahori's generators, of which every group spec's are a subsequence, so
 all specs share the verdicts per shape and the translate per point and
-generator. Each orbit keeps its character labels and consistency flag,
-which the baby basis and the averaging (linear per orbit: one sum of
-zeta^-c(y) f(y)) read.
+generator, and ``gm_averaging`` reads its images by the gm generators.
+Each orbit keeps its character labels and consistency flag, which the
+baby basis and the averaging (linear per orbit: one sum of zeta^-c(y)
+f(y)) read.
 """
 
 from __future__ import annotations
@@ -284,14 +293,22 @@ def _canonical_point(preset, q, a, c, b):
         if c0 != c:
             b = tuple((e + c0 - c, co) for e, co in b)
             c = c0
-    return GrPoint(preset, q, a, c, b)
+    return _new_point(GrPoint, (preset, q, a, c, b))
+
+
+_new_point = tuple.__new__  # GrPoint's own __new__ less its keyword layer
 
 
 def _add_terms(F, xs, ys, hi):
     """Sum of two sorted sequences of (exponent, coefficient) terms, as a
     sorted tuple without the terms at or above hi: each term of ys, which
-    is short, goes into xs by bisection."""
-    out = list(xs) if not xs or xs[-1][0] < hi else [t for t in xs if t[0] < hi]
+    is short, goes into xs by bisection, or after it when every kept term
+    of ys lies above xs."""
+    if xs and xs[-1][0] >= hi:
+        xs = [t for t in xs if t[0] < hi]
+    if not ys or (ys[-1][0] < hi and (not xs or ys[0][0] > xs[-1][0])):
+        return (*xs, *ys)
+    out = list(xs)
     for e, co in ys:
         if e < hi:
             k = bisect_left(out, (e,))
@@ -350,15 +367,18 @@ def _triangular_point(point: GrPoint, mat, cut, left):
         return None
     F = gf(point.q)
     if len(g00) == 1 and len(g11) == 1:
-        u = 1 if g11[e1] == 1 else F.inv(g11[e1])
-        if left:
-            shift, scale, at = e0, g00[e0] if u == 1 else F.mul(g00[e0], u), point.c
+        shift, at = (e0, point.c) if left else (e1, point.a)
+        xs, d0, d1 = point.b, g00[e0], g11[e1]
+        if d0 == d1 == 1:
+            if shift:
+                xs = [(e + shift, co) for e, co in xs]
+            ys = [(e + at, co) for e, co in g01.items()]
         else:
-            shift, scale, at = e1, 1, point.a
-        xs = point.b
-        if shift or scale != 1:
-            xs = [(e + shift, co if scale == 1 else F.mul(co, scale)) for e, co in xs]
-        ys = [(e + at, co if u == 1 else F.mul(co, u)) for e, co in g01.items()]
+            u = F.inv(d1)
+            scale = F.mul(d0, u) if left else 1
+            if shift or scale != 1:
+                xs = [(e + shift, F.mul(co, scale)) for e, co in xs]
+            ys = [(e + at, F.mul(co, u)) for e, co in g01.items()]
         if len(ys) > 1:
             ys.sort()
         return _canonical_point(point.preset, point.q, a, c, _add_terms(F, xs, ys, a))
@@ -447,8 +467,78 @@ def act(point: GrPoint, mat, cut):
 
 
 def translate(point: GrPoint, mat, cut):
-    """Right translate x -> x g, as in convolution by a coset sum."""
-    return _product_point(point, mat, cut, False)
+    """Right translate x -> x g, as in convolution by a coset sum: straight
+    to the triangular closed form, which every coset representative takes
+    below the cut."""
+    return _triangular_point(point, mat, cut, False) or _product_point(point, mat, cut, False)
+
+
+def _plan(q, mat, cut):
+    """Left translate x -> g x by one element g, compiled once: the closed
+    forms above specialised to the kind of g, or _product_point for any
+    other g and wherever the cut could reach a term they keep.
+
+    * x_+(d t^n): b gains d t^(n+c) below t^a;
+    * diag(d0, d1) with constants: b scales by d0/d1;
+    * diag(u0, u1) with unit series: b' = b r mod t^a for r = u0 u1^-1 to
+      cut terms, under _triangular_point's gate _exact(a, c, a - val b,
+      cut), which also bounds the terms of r that b' reads;
+    * x_-(d t^n): _lower_point with s = d t^n.
+    """
+    F = gf(q)
+    (g00, g01), (g10, g11) = mat
+    off = g01 or g10
+
+    def full(x):
+        return _product_point(x, mat, cut, True)
+
+    if off and g00 == g11 == {0: 1} and len(off) == 1 and not (g01 and g10):
+        ((n, d),) = off.items()
+        if g01:
+            def image(x):
+                if max(x.a, x.c, 0) >= cut:
+                    return full(x)
+                return _canonical_point(x.preset, q, x.a, x.c,
+                                        _add_terms(F, x.b, ((n + x.c, d),), x.a))
+            return image
+
+        def image(x):
+            a, c = x.a, x.c
+            high = {e + n: F.mul(d, co) for e, co in x.b}
+            if v := F.add(high.get(c, 0), 1):
+                high[c] = v
+            else:
+                del high[c]
+            if not high or n + a < min(high):
+                a1, c1, top, unit = c - n, n + a, {a: 1}, {0: d}
+            else:
+                c1 = min(high)
+                a1, top, unit = a + c - c1, dict(x.b), _s_shift(high, -c1)
+            k = a1 - min(top) if top else 0
+            if not _exact(a1, c1, k, cut):
+                return full(x)
+            b = _s_mul(F, top, _s_inv(F, unit, k), a1)
+            return _canonical_point(x.preset, q, a1, c1, tuple(sorted(b.items())))
+        return image
+    if off or not (g00 and g11) or min(g00) or min(g11):
+        return full
+    if len(g00) == len(g11) == 1:
+        s = F.mul(g00[0], F.inv(g11[0]))
+
+        def image(x):
+            if max(x.a, x.c, 0) >= cut:
+                return full(x)
+            return _canonical_point(x.preset, q, x.a, x.c,
+                                    tuple((e, F.mul(co, s)) for e, co in x.b))
+        return image
+    r = _s_mul(F, g00, _s_inv(F, g11, cut), cut)
+
+    def image(x):
+        a, b = x.a, x.b
+        if not _exact(a, x.c, a - b[0][0] if b else 0, cut):
+            return full(x)
+        return _canonical_point(x.preset, q, a, x.c, tuple(sorted(_s_mul(F, dict(b), r, a).items())))
+    return image
 
 
 # ---------------------------------------------------------------------------
@@ -682,8 +772,8 @@ class _Window:
 
     Filled as the searches need them: fixes holds the _fixes verdict of
     every generator per shape (a, c, val b), all that _fixes reads;
-    images[j] maps a generator to the position of point j's image;
-    partitions holds finished partitions.
+    plans[i] the _plan of generator i; images[j] maps a generator to the
+    position of point j's image; partitions holds finished partitions.
     """
 
     def __init__(self, points, gens, cut, free):
@@ -691,14 +781,22 @@ class _Window:
         self.index = {x: j for j, x in enumerate(self.points)}
         self.images = [{} for _ in self.points]
         self.gens, self.cut, self.free = gens, cut, free
+        self.plans = [None] * len(gens)
         self.fixes, self.partitions = {}, {}
+
+    def product(self, j, i):
+        """Point j's image under generator i, by the generator's plan."""
+        plan = self.plans[i]
+        if plan is None:
+            plan = self.plans[i] = _plan(self.points[j].q, self.gens[i][0], self.cut)
+        return plan(self.points[j])
 
     def image(self, j, i):
         """The position of point j's image under generator i: None outside a
         closed window; a free one takes it in, up to _WINDOW_CAP points."""
         seen = self.images[j]
         if i not in seen:
-            im = _product_point(self.points[j], self.gens[i][0], self.cut, True)
+            im = self.product(j, i)
             k = self.index.get(im)
             if k is None and self.free:
                 k = self.index[im] = len(self.points)
@@ -764,12 +862,14 @@ class _Window:
                            "points": orbit, "partial": partial, "labels": labels,
                            "consistent": consistent})
         if group_spec == "U_exp_twisted":
-            # of a split orbit, the closed piece holds t^lam, the open x_+(t^-1) t^lam
+            # of a split orbit, the closed piece holds t^lam, the open x_+(t^-1)
+            # t^lam: its image by the first generator
             rd = _rd(preset)
             for k, lam in [(k, o["label"]) for k, o in enumerate(orbits)]:
                 if lam is None or not rd.is_dominant(lam):
                     continue
-                other = assignment.get(act(torus_point(preset, q, lam), x_plus(q, 1, -1), self.cut))
+                im = self.image(self.index[torus_point(preset, q, lam)], 0)
+                other = None if im is None else assignment.get(pts[im])
                 if other in (None, k) or orbits[k]["partial"] or orbits[other]["partial"]:
                     continue
                 orbits[k]["tag"], orbits[other]["tag"] = "closed", "open"
@@ -810,6 +910,16 @@ def orbit_partition(points, group_spec, q):
     """
     if not points:
         return {}, []
+    win = _window(points, q)
+    found = win.partitions.get(group_spec)
+    if found is None:
+        found = win.partitions[group_spec] = win.partition(group_spec)
+    return found
+
+
+def _window(points, q):
+    """The _Window of a nonempty closed window over the twisted Iwahori's
+    generators at its cut and level, one of the last few kept."""
     preset = points[0].preset
     key = (preset, q, frozenset(points))
     win = _partition_cache.pop(key, None)
@@ -821,10 +931,7 @@ def orbit_partition(points, group_spec, q):
     _partition_cache[key] = win
     if len(_partition_cache) > _PARTITION_CACHE_SIZE:
         del _partition_cache[next(iter(_partition_cache))]
-    found = win.partitions.get(group_spec)
-    if found is None:
-        found = win.partitions[group_spec] = win.partition(group_spec)
-    return found
+    return win
 
 
 def orbit_closure(preset, q, seeds, group_spec, bound):
@@ -873,42 +980,43 @@ def hecke_operator(f: FqFunction, mu, domain_points):
     given domain. Raises SupportEscapesWindow if the result is nonzero at
     a point whose type is not below the window bound of f.
 
-    A representative g = [[t^a', b'], [0, t^c']] takes x = [[t^a, b],
-    [0, t^c]] to [[t^(a+a'), (t^c' b + t^a b') mod t^(a+a')], [0, t^(c+c')]],
-    the closed form of translate. So the representatives are grouped by
-    diagonal (a', c'), x's part is shifted once per diagonal and only b'
-    is merged per representative. The cut is depth_for(_hecke_window(f.window,
-    mu)); where max(a+a', c+c', 0) reaches it translate runs instead, giving
-    the same point or the same error.
+    x g = y exactly when x = y g' for one g' in K mu* K / K, mu* = -w0 mu
+    (on the diagonal (a, c) -> (-c, -a)): each y in f's support adds f(y)
+    at every y g' in the domain, skipping a diagonal whose product reaches
+    the cut. A domain point whose diagonal and translates' diagonals lie
+    below the cut reads that index; any other gathers f(x g), through
+    translate where max(a+a', c+c', 0) reaches it (the same point or the
+    same error). The cut is depth_for(_hecke_window(f.window, mu)).
     """
     preset, q = f.preset, f.q
     _check_points(domain_points, preset, q)
+    _check_points(f.values, preset, q)
     cut = depth_for(preset, _hecke_window(preset, f.window, mu))
-    F = gf(q)
-    shapes = {}
-    for g in _coset_points(preset, mu, q):
-        shapes.setdefault((g.a, g.c), []).append(g)
-    projective = preset in _PROJECTIVE
+    shapes = _rep_shapes(preset, mu, q)
+    am, cm = _diagonal(preset, mu)
+    mu_star = PRESETS[preset].coords(-cm, -am)
+    star = shapes if mu_star == tuple(mu) else _rep_shapes(preset, mu_star, q)
+    index, domain = {}, set(domain_points)
+    for y, v in f.values.items():
+        for (a1, c1), reps in star.items():
+            if max(y.a + a1, y.c + c1, 0) < cut:
+                for x in _read_off(y, a1, c1, reps):
+                    if x in domain:
+                        index[x] = index[x] + v if x in index else v
     out = {}
     rd = _rd(preset)
     for x in domain_points:
-        acc = 0
-        for (a1, c1), reps in shapes.items():
-            a, c = x.a + a1, x.c + c1
-            if max(a, c, 0) >= cut:
-                ys = [translate(x, g.matrix(), cut) for g in reps]
-            else:
-                shifted = [(e + c1, co) for e, co in x.b if e + c1 < a]
-                ys = []
-                for g in reps:
-                    b = _add_terms(F, shifted, [(e + x.a, co) for e, co in g.b], a)
-                    # a GrPoint hashes and compares as its plain tuple
-                    ys.append(_canonical_point(preset, q, a, c, b) if projective
-                              else (preset, q, a, c, b))
-            for y in ys:
-                v = f.values.get(y)
-                if v is not None:
-                    acc = acc + v if acc != 0 else v
+        reach = [max(x.a + a1, x.c + c1, 0) < cut for a1, c1 in shapes]
+        if all(reach) and max(x.a, x.c, 0) < cut:
+            acc = index.get(x, 0)
+        else:
+            acc = 0
+            for ok, ((a1, c1), reps) in zip(reach, shapes.items()):
+                for y in (_read_off(x, a1, c1, reps) if ok
+                          else [translate(x, g.matrix(), cut) for g in reps]):
+                    v = f.values.get(y)
+                    if v is not None:
+                        acc = acc + v if acc != 0 else v
         if acc:
             if not rd.dominance_leq(x.coweight(), f.window):
                 raise SupportEscapesWindow(
@@ -916,6 +1024,28 @@ def hecke_operator(f: FqFunction, mu, domain_points):
                 )
             out[x] = acc
     return FqFunction(preset, q, f.window, out)
+
+
+def _rep_shapes(preset, mu, q):
+    """K mu K / K grouped by diagonal: {(a, c): [representative points]}."""
+    shapes = {}
+    for g in _coset_points(preset, mu, q):
+        shapes.setdefault((g.a, g.c), []).append(g)
+    return shapes
+
+
+def _read_off(x, a1, c1, reps):
+    """x g for the representatives g = [[t^a1, b'], [0, t^c1]] of one
+    diagonal: [[t^(a+a1), (t^c1 b + t^a b') mod t^(a+a1)], [0, t^(c+c1)]],
+    translate's closed form, x's part shifted once; plain tuples on SL2
+    and GL2, which a GrPoint hashes and compares as."""
+    preset, q, a, c = x.preset, x.q, x.a + a1, x.c + c1
+    F = gf(q)
+    shifted = [(e + c1, co) for e, co in x.b if e + c1 < a]
+    bs = [_add_terms(F, shifted, [(e + x.a, co) for e, co in g.b], a) for g in reps]
+    if preset in _PROJECTIVE:
+        return [_canonical_point(preset, q, a, c, b) for b in bs]
+    return [(preset, q, a, c, b) for b in bs]
 
 
 def _hecke_window(preset, window, mu):
@@ -953,11 +1083,13 @@ def whittaker_space(preset, bound, q, domain_points):
     bound = _dominant(rd, preset, bound, "bound")
     basis = {lam: FqFunction(preset, q, bound, {})
              for lam in rd.dominant_window(bound)}
+    coords = PRESETS[preset].coords
+    psi = [psi_value(elem, q) for elem in gf(q).elements()]
     for p in domain_points:
-        label, elem = iwasawa_data(p)
-        f = basis.get(label)
+        f = basis.get(coords(p.a, p.c))
         if f is not None:
-            f.values[p] = psi_value(elem, q)
+            # iwasawa_data's coefficient of t^(c-1), off the sorted terms
+            f.values[p] = psi[next((co for e, co in p.b if e == p.c - 1), 0)]
     return basis
 
 
@@ -1085,6 +1217,7 @@ def baby_averaging(f: FqFunction, points):
     """
     preset, q = f.preset, f.q
     _check_points(points, preset, q)
+    _check_points(f.values, preset, q)
     F = gf(q)
     _assignment, orbits = orbit_partition(points, "U_twisted", q)
     out = {}
@@ -1110,8 +1243,12 @@ def baby_averaging(f: FqFunction, points):
                 total = total + CycNum.zeta_power(-c, F.p, q) * v
         if total.is_zero():
             continue
+        # one product per label exponent, at most p per orbit
+        scaled = {}
         for g, c in labels.items():
-            out[g] = (CycNum.zeta_power(c, F.p, q) * total).div_by_q_power(ell)
+            if c not in scaled:
+                scaled[c] = (CycNum.zeta_power(c, F.p, q) * total).div_by_q_power(ell)
+            out[g] = scaled[c]
     return FqFunction(preset, q, f.window, out)
 
 
@@ -1122,17 +1259,28 @@ def gm_averaging(f: FqFunction, points):
     invariant under the twisted exponential group; the returned class is
     its expansion in closed-orbit indicators modulo functions invariant
     under the full twisted group (open = -closed, unsplit orbits die).
+
+    D(c) x for c != 1 is read off orbit_partition's _Window for the
+    points, by its gm generators, or computed where it leaves the window;
+    exponential_class's search reuses those images.
     """
     preset, q = f.preset, f.q
     _check_points(points, preset, q)
+    _check_points(f.values, preset, q)
+    if not points:
+        raise OracleError("empty window: no points to average over")
     F = gf(q)
-    cut = depth_for(preset, _window_bound(points))
-    tori = [d_torus(cc) for cc in F.units()]
+    win = _window(points, q)
+    gms = [i for i, (_mat, _e, name) in enumerate(win.gens) if name == "gm"]
     vals = {}
     for x in points:
+        j, ys = win.index[x], [x]
+        for i in gms:
+            k = win.image(j, i)
+            ys.append(win.product(j, i) if k is None else win.points[k])
         acc = CycNum.integer(0, F.p, q)
-        for d in tori:
-            v = f.values.get(act(x, d, cut))
+        for y in ys:
+            v = f.values.get(y)
             if v is not None:
                 acc = acc + v
         if not acc.is_zero():
@@ -1148,6 +1296,7 @@ def exponential_class(f: FqFunction, points):
     {lam: closed coefficient - open coefficient} over split orbits.
     """
     _check_points(points, f.preset, f.q)
+    _check_points(f.values, f.preset, f.q)
     _assignment, orbits = orbit_partition(points, "U_exp_twisted", f.q)
     coeff = {}
     for orbit in orbits:

@@ -130,6 +130,7 @@ class RootDatum:
         self._build_roots()
         self._build_weyl()
         self._build_rho()
+        self._windows = {}  # dominant_window per bound
 
     # ---- pairing and dominance
 
@@ -191,6 +192,11 @@ class RootDatum:
         """
         bound = tuple(bound)
         self._check_rank(bound)
+        if bound not in self._windows:
+            self._windows[bound] = self._dominant_window(bound)
+        return list(self._windows[bound])
+
+    def _dominant_window(self, bound):
         walk = [((), self.pair(self.two_rho, bound))]
         for i in range(self.rank):
             k = sum(self.root_coords[r][i] for r in self.positive_roots)

@@ -906,15 +906,19 @@ def test_window_searches_translate_no_point_to_itself(preset, q, monkeypatch):
     as fixing a shape leaves each window point of that shape where it is
     under the product."""
     computed = []
-    product = fq_oracle._product_point
+    product, plan = fq_oracle._product_point, fq_oracle._plan
 
-    def spy(point, mat, cut, left):
-        out = product(point, mat, cut, left)
-        computed.append(out == point)
-        return out
+    def spy_plan(q, mat, cut):
+        image = plan(q, mat, cut)
+
+        def spy(point):
+            out = image(point)
+            computed.append(out == point)
+            return out
+        return spy
 
     monkeypatch.setattr(fq_oracle, "_partition_cache", {})
-    monkeypatch.setattr(fq_oracle, "_product_point", spy)
+    monkeypatch.setattr(fq_oracle, "_plan", spy_plan)
     pts = _stabilizer_window(preset, q)
     for spec in _SPECS:
         orbit_partition(pts, spec, q)
@@ -1065,6 +1069,160 @@ def test_hecke_operator_builds_no_translate_on_the_chain_windows(translate_calls
     assert not translate_calls
 
 
+# the SL2 and PGL2 cases of _HECKE_CASES with a torus point past the cut
+# added to the domain: there hecke_operator gathers through translate
+_FAR_CASES = [("SL2", (2,), (1,), ((2,), (16,)), (2,)),
+              ("PGL2", (3,), (1,), ((2,), (10,)), (2,))]
+
+
+@pytest.mark.parametrize("preset,f_bound,mu,domain_bound,support", _HECKE_CASES + _FAR_CASES)
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("kind", ["point", "baby"])
+def test_hecke_operator_on_a_sparse_support(
+        preset, f_bound, mu, domain_bound, support, q, kind, translate_calls):
+    """f on one point, or a baby basis function (the U_twisted orbit of a
+    torus point with its transported character): hecke_operator equals the
+    sum over translates, the same values or the same error. The index built
+    from f's support serves the domain points below the cut, the gather the
+    others, through translate exactly where the cut bites; on SL2, PGL2 and
+    GL2, where mu* = (0, -1) differs from mu = (1, 0)."""
+    import random
+
+    rng = random.Random(q)
+    p = gf(q).p
+
+    def window(bound):
+        if bound is None:
+            return _chain_window(q)
+        if isinstance(bound[0], tuple):
+            return window(bound[0]) + [torus_point(preset, q, bound[1])]
+        return enumerate_gr_window(preset, bound, q)
+
+    source = window(f_bound)
+    if kind == "point":
+        values = {rng.choice(source): CycNum.zeta_power(1, p, q)}
+    else:
+        assignment, orbits = orbit_partition(source, "U_twisted", q)
+        orbit = next(orbits[assignment[x]] for x in source if x.is_torus_point()
+                     and not orbits[assignment[x]]["partial"])
+        values = {y: CycNum.zeta_power(e, p, q) for y, e in orbit["labels"].items()}
+    f = FqFunction(preset, q, support, values)
+    pts = window(domain_bound)
+    cut = depth_for(preset, fq_oracle._hecke_window(preset, support, mu))
+    got = _outcome(hecke_operator, f, mu, pts)
+    want = _outcome(_pointwise_hecke_operator, f, mu, pts, cut)
+    assert (got if isinstance(got, type) else got.values) == want
+    past_cut = domain_bound == (9, 8) or domain_bound in [c[3] for c in _FAR_CASES]
+    assert bool(translate_calls) == past_cut
+    if past_cut:
+        assert want is OracleError
+
+
+def test_hecke_operator_reads_off_from_the_support_of_f(monkeypatch):
+    """On the q = 5 chain window, f * 1_(1) for the 5-point baby basis
+    function at 0 reads off at most 5 x 30 products, one per support point
+    and representative of K mu* K / K, not one per domain point."""
+    pts = _chain_window(5)
+    f = FqFunction("SL2", 5, (3,), fq_oracle.baby_basis("SL2", (1,), 5, pts)[(0,)].values)
+    assert len(f.values) == 5 and len(coset_reps("SL2", (1,), 5)) == 30
+    counts = []
+    read_off = fq_oracle._read_off
+
+    def counting(*args):
+        out = read_off(*args)
+        counts.append(len(out))
+        return out
+
+    monkeypatch.setattr(fq_oracle, "_read_off", counting)
+    got = hecke_operator(f, (1,), pts)
+    assert got.values and 0 < sum(counts) <= 5 * 30
+    cut = depth_for("SL2", fq_oracle._hecke_window("SL2", f.window, (1,)))
+    assert got.values == _pointwise_hecke_operator(f, (1,), pts, cut)
+
+
+def _act_loop_gm_averaging(f, points):
+    """gm_averaging's function as one act per point and unit of F_q."""
+    F = gf(f.q)
+    cut = depth_for(f.preset, fq_oracle._window_bound(points))
+    out = {}
+    for x in points:
+        acc = CycNum.integer(0, F.p, f.q)
+        for c in F.units():
+            v = f.values.get(act(x, fq_oracle.d_torus(c), cut))
+            if v is not None:
+                acc = acc + v
+        if not acc.is_zero():
+            out[x] = acc
+    return out
+
+
+@pytest.mark.parametrize("preset,q", [("SL2", 2), ("SL2", 3), ("SL2", 4), ("SL2", 5),
+                                      ("PGL2", 2), ("PGL2", 3), ("GL2", 2), ("GL2", 3)])
+def test_gm_averaging_reads_the_window(preset, q, monkeypatch):
+    """gm_averaging equals the act loop, in the caller's point order, and
+    calls act nowhere: on the SL2 chain windows (a baby basis function,
+    whose class is q at its label) and the PGL2/GL2 bound-2 windows (random
+    values, class not taken), passed in the reverse of the order the
+    window was built in; and on a window less one point of the support,
+    which the Gm images then leave."""
+    import random
+
+    rng = random.Random(q)
+    p = gf(q).p
+    monkeypatch.setattr(fq_oracle, "_partition_cache", {})
+    pts = _stabilizer_window(preset, q)
+    orbit_partition(pts, "U_twisted", q)
+    pts = pts[::-1]
+    if preset == "SL2":
+        f = FqFunction(preset, q, (3,), fq_oracle.baby_basis(preset, (1,), q, pts)[(1,)].values)
+    else:
+        f = FqFunction(preset, q, _BOUND_AND_MU[preset][0],
+                       {x: CycNum.zeta_power(rng.randrange(p), p, q) for x in pts})
+        monkeypatch.setattr(fq_oracle, "exponential_class", lambda g, points: {})
+    want = _act_loop_gm_averaging(f, pts)
+    calls = _count_calls(monkeypatch, "act")
+    g, cls = fq_oracle.gm_averaging(f, pts)
+    assert list(g.values.items()) == list(want.items()) and not calls
+    if preset == "SL2":
+        assert {lam: cyc_as_int(v) for lam, v in cls.items()} == {(1,): q}
+    monkeypatch.setattr(fq_oracle, "exponential_class", lambda g, points: {})
+    gone = next(x for x in pts if x.b and x in f.values)
+    rest = [x for x in pts if x != gone]
+    g, _cls = fq_oracle.gm_averaging(f, rest)
+    assert list(g.values.items()) == list(_act_loop_gm_averaging(f, rest).items())
+
+
+_PLAN_WINDOWS = [("SL2", q) for q in (2, 3, 4, 5)] + [
+    (preset, q) for preset in ("PGL2", "GL2") for q in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("preset,q", _PLAN_WINDOWS)
+def test_window_plans_match_the_product(preset, q):
+    """A _Window's image of each point by each generator (its compiled
+    plan) equals _product_point's, errors included: on the SL2 chain
+    windows at the cut and level of orbit_partition and of the chain's
+    orbit_closure, and on the PGL2 (2,) and GL2 (2, 0) windows at their
+    own; and at every cut from 1 up on a sample of the points, where the
+    plans fall back."""
+    import random
+
+    pts = _stabilizer_window(preset, q)
+    sample = random.Random(q).sample(pts, min(len(pts), 12))
+    bound = fq_oracle._window_bound(pts)
+    kinds = set()
+    for level_bound in [bound, (3,)] if preset == "SL2" else [bound]:
+        gens = fq_oracle._window_generators(preset, "Iwahori_twisted", q, level_bound)
+        kinds |= {_generator_kind(name) for _g, _e, name in gens}
+        top = depth_for(preset, level_bound)
+        for cut in range(1, top + 1):
+            win = fq_oracle._Window(pts if cut == top else sample, gens, cut, False)
+            for j, x in enumerate(win.points):
+                for i, (mat, _e, name) in enumerate(gens):
+                    want = _outcome(fq_oracle._product_point, x, mat, cut, True)
+                    assert _outcome(win.product, j, i) == want, (name, x, cut)
+    assert kinds == {"x+", "x-", "t>"} | ({"gm", "torus"} if q > 2 else set())
+
+
 @pytest.mark.parametrize("preset,q", [("SL2", 2), ("SL2", 3), ("SL2", 4), ("SL2", 5),
                                       ("PGL2", 2), ("PGL2", 3), ("PGL2", 4),
                                       ("GL2", 2), ("GL2", 3), ("GL2", 4)])
@@ -1148,32 +1306,28 @@ def test_window_table_translates_each_pair_once(monkeypatch):
     """Across the U_twisted and U_exp_twisted partitions of a chain window,
     the orbit searches compute each (point, generator) translate once and
     ask each (shape, generator) stabilizer test once. The exponential tags
-    come from act by x_+(t^-1) on torus points, counted apart."""
+    read the image of x_+(t^-1) on torus points from the same table."""
     from collections import Counter
 
     monkeypatch.setattr(fq_oracle, "_partition_cache", {})
     pts = _chain_window(3)
-    translates, tests, acting = Counter(), Counter(), []
-    product, fixes, act_ = fq_oracle._product_point, fq_oracle._fixes, fq_oracle.act
+    translates, tests = Counter(), Counter()
+    plan, fixes = fq_oracle._plan, fq_oracle._fixes
 
-    def counting_product(point, mat, cut, left):
-        translates[point, repr(mat)] += not acting
-        return product(point, mat, cut, left)
+    def counting_plan(q, mat, cut):
+        image = plan(q, mat, cut)
+
+        def counting(point):
+            translates[point, repr(mat)] += 1
+            return image(point)
+        return counting
 
     def counting_fixes(point, mat, cut):
-        tests[(point.a, point.c, point.b[:1] and point.b[0][0]), repr(mat)] += not acting
+        tests[(point.a, point.c, point.b[:1] and point.b[0][0]), repr(mat)] += 1
         return fixes(point, mat, cut)
 
-    def flagged_act(*args):
-        acting.append(args)
-        try:
-            return act_(*args)
-        finally:
-            acting.pop()
-
-    monkeypatch.setattr(fq_oracle, "_product_point", counting_product)
+    monkeypatch.setattr(fq_oracle, "_plan", counting_plan)
     monkeypatch.setattr(fq_oracle, "_fixes", counting_fixes)
-    monkeypatch.setattr(fq_oracle, "act", flagged_act)
     for spec in ("U_twisted", "U_exp_twisted"):
         orbit_partition(pts, spec, 3)
     assert translates and max(translates.values()) == 1
@@ -1189,6 +1343,8 @@ def _pgl2_window(q):
 
 
 _SL2_ZERO = FqFunction("SL2", 3, (1,), {})
+# a function over F_2 whose values sit on points over F_3
+_F3_ON_F2 = FqFunction("SL2", 2, (2,), dict.fromkeys(_sl2_window(3), 1))
 
 
 @pytest.mark.parametrize("call", [
@@ -1200,16 +1356,22 @@ _SL2_ZERO = FqFunction("SL2", 3, (1,), {})
     lambda: baby_averaging(_SL2_ZERO, _pgl2_window(3)),
     lambda: fq_oracle.gm_averaging(_SL2_ZERO, _pgl2_window(3)),
     lambda: fq_oracle.exponential_class(_SL2_ZERO, _pgl2_window(3)),
+    lambda: hecke_operator(_F3_ON_F2, (1,), enumerate_gr_window("SL2", (2,), 2)),
+    lambda: baby_averaging(_F3_ON_F2, enumerate_gr_window("SL2", (2,), 2)),
+    lambda: fq_oracle.gm_averaging(_F3_ON_F2, enumerate_gr_window("SL2", (2,), 2)),
+    lambda: fq_oracle.exponential_class(_F3_ON_F2, enumerate_gr_window("SL2", (2,), 2)),
     lambda: character_labeling(_pgl2_window(3), "SL2", 3, "U_twisted", 8,
                                torus_point("PGL2", 3, (0,)), depth_for("SL2", (1,))),
     lambda: orbit_closure("SL2", 2, [torus_point("SL2", 3, (0,))], "U_twisted", (1,)),
     lambda: orbit_closure("SL2", 3, [torus_point("PGL2", 3, (0,))], "U_twisted", (1,)),
 ], ids=["orbit_partition", "hecke_operator", "whittaker_space", "baby_basis",
-        "baby_averaging", "gm_averaging", "exponential_class", "character_labeling",
+        "baby_averaging", "gm_averaging", "exponential_class",
+        "hecke_operator-values", "baby_averaging-values", "gm_averaging-values",
+        "exponential_class-values", "character_labeling",
         "orbit_closure-field", "orbit_closure-preset"])
 def test_points_of_another_field_or_preset_are_oracle_errors(call, monkeypatch):
     # these used to return orbits, values, classes or a basis over the wrong
-    # points, or end in a bare KeyError
+    # points, or end in a bare KeyError; those on _F3_ON_F2 returned zero
     monkeypatch.setattr(fq_oracle, "_partition_cache", {})
     with pytest.raises(OracleError, match="among"):
         call()

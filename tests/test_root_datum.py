@@ -447,3 +447,18 @@ def test_bareiss_det_matches_rational_elimination():
              for _ in range(n)]
         got = _det(m)
         assert type(got) is int and got == _fraction_det(m), m
+
+
+@pytest.mark.parametrize("name,bound", [("SL2", (3,)), ("SL3", (2, 2)), ("GL2", (2, 0))])
+def test_dominant_window_memo_hands_out_fresh_lists(name, bound):
+    """dominant_window is built once per bound; each caller gets its own
+    list, so mutating one leaks into neither the memo nor another caller."""
+    rd = build_root_datum(name)
+    first = rd.dominant_window(bound)
+    want = list(first)
+    first.append((99,) * len(bound))
+    first.sort(reverse=True)
+    second = rd.dominant_window(list(bound))
+    assert second == want and second is not first
+    second.clear()
+    assert rd.dominant_window(bound) == want
