@@ -27,10 +27,11 @@ diagonals, and the size and trace counts of each diagonal of K mu K / K
 off a closed form (``_coset_shapes``), with no point built;
 ``hecke_operator`` reads y g' off the triangular closed form
 (``_read_off``, no GrPoint built on SL2 and GL2) for the y in the support
-of f and g' in K mu* K / K, mu* = -w0 mu, and sums f(y) into an index of
-the domain, since x g = y exactly when x = y g'. A domain point whose
-translates all lie below the cut reads that index; any other gathers
-f(x g) over K mu K / K, through translate where the cut bites.
+of f, when it is smaller than the domain, and g' in K mu* K / K,
+mu* = -w0 mu, and sums f(y) into an index of the domain, since x g = y
+exactly when x = y g'. A domain point whose translates all lie below the
+cut reads that index; any other, and every point for a larger support,
+gathers f(x g) over K mu K / K, through translate where the cut bites.
 
 ``act`` and ``translate`` take a closed form: ``_triangular_point`` for an
 upper-triangular element (coset representatives, x_plus, the Gm, torus and
@@ -45,10 +46,9 @@ mu; the Whittaker read-off needs none.
 One search, ``_Window.search``, finds every orbit, inside a window or
 free, and transports the baby character along it; it applies no
 generator that stabilizes a point's shape (a, c, val b) (``_fixes``).
-A window compiles each generator once into a plan (``_plan``), the
-closed form of its kind: x_+ inserts one term into b, a constant
-diagonal scales b, a unit-series diagonal multiplies b by one series
-inverted once, x_- is ``_lower_point`` for one term.
+A window compiles each generator once into a plan (``_plan``): a
+diagonal of unit series (the t>j generators) multiplies b by one series
+inverted once; any other generator goes through ``_product_point``.
 ``orbit_partition`` keeps one ``_Window`` per window over the twisted
 Iwahori's generators, of which every group spec's are a subsequence, so
 all specs share the verdicts per shape and the translate per point and
@@ -125,9 +125,9 @@ def _s_val(s):
 
 
 def _s_add(F, s1, s2):
-    out = dict(s1)
+    out, add = dict(s1), F._add
     for e, c in s2.items():
-        v = F.add(out.get(e, 0), c)
+        v = add[out.get(e, 0)][c]
         if v:
             out[e] = v
         else:
@@ -136,13 +136,14 @@ def _s_add(F, s1, s2):
 
 
 def _s_mul(F, s1, s2, cut):
-    out = {}
+    out, add = {}, F._add
     for e1, c1 in s1.items():
+        row = F._mul[c1]
         for e2, c2 in s2.items():
             e = e1 + e2
             if e >= cut:
                 continue
-            v = F.add(out.get(e, 0), F.mul(c1, c2))
+            v = add[out.get(e, 0)][row[c2]]
             if v:
                 out[e] = v
             else:
@@ -164,17 +165,19 @@ def _s_inv(F, s, n):
     v = _s_val(s)
     if v is None:
         raise ZeroDivisionError("inverting the zero series")
-    c0 = F.inv(s[v])
-    tail = sorted((e - v, co) for e, co in s.items() if 0 < e - v < n)
-    inv = [c0] if n > 0 else []  # inv[k] is the coefficient of t^(k - v)
+    c0, add, mul = F.inv(s[v]), F._add, F._mul
+    tail = sorted((e - v, mul[co]) for e, co in s.items() if 0 < e - v < n)
+    if not tail:
+        return {-v: c0} if n > 0 else {}
+    inv = [c0]  # inv[k] is the coefficient of t^(k - v)
     for k in range(1, n):
         acc = 0
-        for j, co in tail:
+        for j, row in tail:
             if j > k:
                 break
             if inv[k - j]:
-                acc = F.add(acc, F.mul(co, inv[k - j]))
-        inv.append(F.neg(F.mul(c0, acc)) if acc else 0)
+                acc = add[acc][row[inv[k - j]]]
+        inv.append(F._neg[mul[c0][acc]] if acc else 0)
     return {k - v: co for k, co in enumerate(inv) if co}
 
 
@@ -367,18 +370,15 @@ def _triangular_point(point: GrPoint, mat, cut, left):
         return None
     F = gf(point.q)
     if len(g00) == 1 and len(g11) == 1:
-        shift, at = (e0, point.c) if left else (e1, point.a)
-        xs, d0, d1 = point.b, g00[e0], g11[e1]
-        if d0 == d1 == 1:
-            if shift:
-                xs = [(e + shift, co) for e, co in xs]
-            ys = [(e + at, co) for e, co in g01.items()]
+        u = 1 if g11[e1] == 1 else F.inv(g11[e1])
+        if left:
+            shift, scale, at = e0, g00[e0] if u == 1 else F.mul(g00[e0], u), point.c
         else:
-            u = F.inv(d1)
-            scale = F.mul(d0, u) if left else 1
-            if shift or scale != 1:
-                xs = [(e + shift, F.mul(co, scale)) for e, co in xs]
-            ys = [(e + at, F.mul(co, u)) for e, co in g01.items()]
+            shift, scale, at = e1, 1, point.a
+        xs = point.b
+        if shift or scale != 1:
+            xs = [(e + shift, co if scale == 1 else F.mul(co, scale)) for e, co in xs]
+        ys = [(e + at, co if u == 1 else F.mul(co, u)) for e, co in g01.items()] if g01 else ()
         if len(ys) > 1:
             ys.sort()
         return _canonical_point(point.preset, point.q, a, c, _add_terms(F, xs, ys, a))
@@ -467,77 +467,33 @@ def act(point: GrPoint, mat, cut):
 
 
 def translate(point: GrPoint, mat, cut):
-    """Right translate x -> x g, as in convolution by a coset sum: straight
-    to the triangular closed form, which every coset representative takes
-    below the cut."""
-    return _triangular_point(point, mat, cut, False) or _product_point(point, mat, cut, False)
+    """Right translate x -> x g, as in convolution by a coset sum."""
+    return _product_point(point, mat, cut, False)
 
 
 def _plan(q, mat, cut):
-    """Left translate x -> g x by one element g, compiled once: the closed
-    forms above specialised to the kind of g, or _product_point for any
-    other g and wherever the cut could reach a term they keep.
-
-    * x_+(d t^n): b gains d t^(n+c) below t^a;
-    * diag(d0, d1) with constants: b scales by d0/d1;
-    * diag(u0, u1) with unit series: b' = b r mod t^a for r = u0 u1^-1 to
-      cut terms, under _triangular_point's gate _exact(a, c, a - val b,
-      cut), which also bounds the terms of r that b' reads;
-    * x_-(d t^n): _lower_point with s = d t^n.
+    """Left translate x -> g x by one element g, compiled once: for g =
+    diag(u0, u1) with unit series, not both constant, b' = b r mod t^a for
+    r = u0 u1^-1 to cut terms, inverted once, under _triangular_point's
+    gate _exact(a, c, a - val b, cut), which also bounds the terms of r
+    that b' reads; _product_point for any other g or point.
     """
-    F = gf(q)
     (g00, g01), (g10, g11) = mat
-    off = g01 or g10
 
     def full(x):
         return _product_point(x, mat, cut, True)
 
-    if off and g00 == g11 == {0: 1} and len(off) == 1 and not (g01 and g10):
-        ((n, d),) = off.items()
-        if g01:
-            def image(x):
-                if max(x.a, x.c, 0) >= cut:
-                    return full(x)
-                return _canonical_point(x.preset, q, x.a, x.c,
-                                        _add_terms(F, x.b, ((n + x.c, d),), x.a))
-            return image
-
-        def image(x):
-            a, c = x.a, x.c
-            high = {e + n: F.mul(d, co) for e, co in x.b}
-            if v := F.add(high.get(c, 0), 1):
-                high[c] = v
-            else:
-                del high[c]
-            if not high or n + a < min(high):
-                a1, c1, top, unit = c - n, n + a, {a: 1}, {0: d}
-            else:
-                c1 = min(high)
-                a1, top, unit = a + c - c1, dict(x.b), _s_shift(high, -c1)
-            k = a1 - min(top) if top else 0
-            if not _exact(a1, c1, k, cut):
-                return full(x)
-            b = _s_mul(F, top, _s_inv(F, unit, k), a1)
-            return _canonical_point(x.preset, q, a1, c1, tuple(sorted(b.items())))
-        return image
-    if off or not (g00 and g11) or min(g00) or min(g11):
+    if g01 or g10 or not (g00 and g11) or min(g00) or min(g11) or len(g00) == len(g11) == 1:
         return full
-    if len(g00) == len(g11) == 1:
-        s = F.mul(g00[0], F.inv(g11[0]))
-
-        def image(x):
-            if max(x.a, x.c, 0) >= cut:
-                return full(x)
-            return _canonical_point(x.preset, q, x.a, x.c,
-                                    tuple((e, F.mul(co, s)) for e, co in x.b))
-        return image
+    F = gf(q)
     r = _s_mul(F, g00, _s_inv(F, g11, cut), cut)
 
     def image(x):
         a, b = x.a, x.b
         if not _exact(a, x.c, a - b[0][0] if b else 0, cut):
             return full(x)
-        return _canonical_point(x.preset, q, a, x.c, tuple(sorted(_s_mul(F, dict(b), r, a).items())))
+        b = _s_mul(F, dict(b), r, a)
+        return _canonical_point(x.preset, q, a, x.c, tuple(sorted(b.items())))
     return image
 
 
@@ -862,13 +818,14 @@ class _Window:
                            "points": orbit, "partial": partial, "labels": labels,
                            "consistent": consistent})
         if group_spec == "U_exp_twisted":
-            # of a split orbit, the closed piece holds t^lam, the open x_+(t^-1)
-            # t^lam: its image by the first generator
-            rd = _rd(preset)
+            # of a split orbit, the closed piece holds t^lam, the open x_+(t^-1) t^lam
+            rd, x1 = _rd(preset), x_plus(q, 1, -1)
+            i = next(i for i, (mat, _e, name) in enumerate(self.gens)
+                     if name == "x+-1" and mat == x1)
             for k, lam in [(k, o["label"]) for k, o in enumerate(orbits)]:
                 if lam is None or not rd.is_dominant(lam):
                     continue
-                im = self.image(self.index[torus_point(preset, q, lam)], 0)
+                im = self.image(self.index[torus_point(preset, q, lam)], i)
                 other = None if im is None else assignment.get(pts[im])
                 if other in (None, k) or orbits[k]["partial"] or orbits[other]["partial"]:
                     continue
@@ -981,12 +938,13 @@ def hecke_operator(f: FqFunction, mu, domain_points):
     a point whose type is not below the window bound of f.
 
     x g = y exactly when x = y g' for one g' in K mu* K / K, mu* = -w0 mu
-    (on the diagonal (a, c) -> (-c, -a)): each y in f's support adds f(y)
-    at every y g' in the domain, skipping a diagonal whose product reaches
-    the cut. A domain point whose diagonal and translates' diagonals lie
-    below the cut reads that index; any other gathers f(x g), through
-    translate where max(a+a', c+c', 0) reaches it (the same point or the
-    same error). The cut is depth_for(_hecke_window(f.window, mu)).
+    (on the diagonal (a, c) -> (-c, -a)). When f's support is smaller than
+    the domain, each y in it adds f(y) at every y g' in the domain,
+    skipping a diagonal whose product reaches the cut, and a domain point
+    whose diagonal and translates' diagonals lie below the cut reads that
+    index. Any other point gathers f(x g), through translate where
+    max(a+a', c+c', 0) reaches the cut (the same point or the same error).
+    The cut is depth_for(_hecke_window(f.window, mu)).
     """
     preset, q = f.preset, f.q
     _check_points(domain_points, preset, q)
@@ -997,7 +955,9 @@ def hecke_operator(f: FqFunction, mu, domain_points):
     mu_star = PRESETS[preset].coords(-cm, -am)
     star = shapes if mu_star == tuple(mu) else _rep_shapes(preset, mu_star, q)
     index, domain = {}, set(domain_points)
-    for y, v in f.values.items():
+    # the index reads off the translates of |supp f| points, a gather |domain|
+    scatter = len(f.values) < len(domain)
+    for y, v in f.values.items() if scatter else ():
         for (a1, c1), reps in star.items():
             if max(y.a + a1, y.c + c1, 0) < cut:
                 for x in _read_off(y, a1, c1, reps):
@@ -1007,7 +967,7 @@ def hecke_operator(f: FqFunction, mu, domain_points):
     rd = _rd(preset)
     for x in domain_points:
         reach = [max(x.a + a1, x.c + c1, 0) < cut for a1, c1 in shapes]
-        if all(reach) and max(x.a, x.c, 0) < cut:
+        if scatter and all(reach) and max(x.a, x.c, 0) < cut:
             acc = index.get(x, 0)
         else:
             acc = 0

@@ -1140,6 +1140,29 @@ def test_hecke_operator_reads_off_from_the_support_of_f(monkeypatch):
     assert got.values == _pointwise_hecke_operator(f, (1,), pts, cut)
 
 
+def test_hecke_operator_gathers_when_the_support_outgrows_the_domain(monkeypatch):
+    """With f on the 781 points of type <= 2 at q = 5 and the 156-point
+    chain window as domain, f * 1_(1) reads off at most 156 x 30 products,
+    one per domain point and representative, not one per support point."""
+    pts = _chain_window(5)
+    source = enumerate_gr_window("SL2", (2,), 5)
+    f = FqFunction("SL2", 5, (3,), {y: CycNum.zeta_power(len(y.b), 5, 5) for y in source})
+    assert len(f.values) == 781 and len(pts) == 156
+    counts = []
+    read_off = fq_oracle._read_off
+
+    def counting(*args):
+        out = read_off(*args)
+        counts.append(len(out))
+        return out
+
+    monkeypatch.setattr(fq_oracle, "_read_off", counting)
+    got = hecke_operator(f, (1,), pts)
+    assert got.values and 0 < sum(counts) <= 156 * 30
+    cut = depth_for("SL2", fq_oracle._hecke_window("SL2", f.window, (1,)))
+    assert got.values == _pointwise_hecke_operator(f, (1,), pts, cut)
+
+
 def _act_loop_gm_averaging(f, points):
     """gm_averaging's function as one act per point and unit of F_q."""
     F = gf(f.q)
@@ -1300,6 +1323,26 @@ def test_window_table_leaks_nothing_between_specs(preset, q, monkeypatch):
                 orbit_partition(pts, warm, q)
             assert _partition_view(orbit_partition(pts, spec, q)) == want, (spec, warm)
     assert tags == {"single", "closed", "open"}
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_exponential_tags_do_not_depend_on_the_generator_order(q):
+    """The U_exp_twisted split tags read x_+(t^-1) t^lam off the window's
+    generator of that name and matrix (at q = 4 one of two named x+-1),
+    wherever it sits in the list: reversing the list keeps every orbit,
+    tag and label."""
+    pts = _chain_window(q)
+    bound = fq_oracle._window_bound(pts)
+    gens = fq_oracle._window_generators("SL2", "Iwahori_twisted", q, bound)
+    cut = depth_for("SL2", bound)
+
+    def tags(gs):
+        _assignment, orbits = fq_oracle._Window(pts, gs, cut, False).partition("U_exp_twisted")
+        return sorted((o["tag"], o["label"], sorted(o["points"])) for o in orbits)
+
+    got = tags(gens)
+    assert {tag for tag, _l, _p in got} == {"closed", "open", "single"}
+    assert tags(gens[::-1]) == got
 
 
 def test_window_table_translates_each_pair_once(monkeypatch):
