@@ -1,8 +1,8 @@
 """Brute-force finite-field model of the affine Grassmannian for 2x2 groups.
 
 Points of Gr(F_q) are O-lattices in F^2 (F = F_q((t)), O = F_q[[t]]) in a
-canonical Hermite normal form, truncated at t-adic depth N. On bounded
-windows this computes, by direct enumeration and coset sums:
+canonical Hermite normal form. On bounded windows this computes, by direct
+enumeration and coset sums:
 
 * Schubert-cell point counts,
 * orbit partitions for the rho-hat-twisted Iwahori, exponential, and
@@ -21,6 +21,13 @@ their ``PRESETS`` entry: ``coords`` maps the Hermite diagonal exponents
 lattices are classes modulo global t-scaling; diagonal(coords(a, c))
 normalizes them to c = 0.
 
+Every Hermite form is exact. A point is a finite object (b has exponents
+in [low, a)), and the product of a point with a matrix of Laurent
+polynomials has a finite Hermite form: the pivot is the bottom entry of
+lower valuation c, a = val(det) - c, and b is the pivot column's top entry
+times the inverse of the pivot's unit mod t^a, which reads only the
+a - val(top) lowest terms of that inverse (``_reduced``).
+
 Two read-offs skip the Hermite form where its answer is already known:
 ``whittaker_action`` reads labels and character coefficients off the two
 diagonals, and the size and trace counts of each diagonal of K mu K / K
@@ -29,19 +36,14 @@ off a closed form (``_coset_shapes``), with no point built;
 (``_read_off``, no GrPoint built on SL2 and GL2) for the y in the support
 of f, when it is smaller than the domain, and g' in K mu* K / K,
 mu* = -w0 mu, and sums f(y) into an index of the domain, since x g = y
-exactly when x = y g'. A domain point whose translates all lie below the
-cut reads that index; any other, and every point for a larger support,
-gathers f(x g) over K mu K / K, through translate where the cut bites.
+exactly when x = y g'; for a larger support each domain point gathers
+f(x g) over K mu K / K.
 
 ``act`` and ``translate`` take a closed form: ``_triangular_point`` for an
-upper-triangular element (coset representatives, x_plus, the Gm, torus and
-t>j generators) and ``_lower_point`` for x_minus. For any other element,
-and wherever the cut could reach a term they keep (``_exact``), the
-full-precision Hermite form ``_hnf_point`` runs instead: their reference,
-which raises the same errors as ever. No twisted generator reaches it on
-the windows of the averaging chain. The cut of a window follows from its
-bound alone (``depth_for``), that of ``hecke_operator`` from f.window and
-mu; the Whittaker read-off needs none.
+upper-triangular element with a monomial diagonal (coset representatives,
+x_plus, the Gm and torus generators) and ``_lower_point`` for x_minus. Any
+other element goes through the general Hermite form ``_hnf_point``, their
+reference.
 
 One search, ``_Window.search``, finds every orbit, inside a window or
 free, and transports the baby character along it; it applies no
@@ -117,7 +119,7 @@ _WINDOW_CAP = 10**6
 
 
 # ---------------------------------------------------------------------------
-# truncated Laurent series over F_q: sparse maps exponent -> nonzero element
+# Laurent polynomials over F_q: sparse maps exponent -> nonzero element
 
 
 def _s_val(s):
@@ -135,7 +137,8 @@ def _s_add(F, s1, s2):
     return out
 
 
-def _s_mul(F, s1, s2, cut):
+def _s_mul(F, s1, s2, cut=math.inf):
+    """s1 s2 without its terms at or above cut."""
     out, add = {}, F._add
     for e1, c1 in s1.items():
         row = F._mul[c1]
@@ -181,13 +184,13 @@ def _s_inv(F, s, n):
     return {k - v: co for k, co in enumerate(inv) if co}
 
 
-def _m_mul(F, m1, m2, cut):
+def _m_mul(F, m1, m2):
     return tuple(
         tuple(
             _s_add(
                 F,
-                _s_mul(F, m1[i][0], m2[0][j], cut),
-                _s_mul(F, m1[i][1], m2[1][j], cut),
+                _s_mul(F, m1[i][0], m2[0][j]),
+                _s_mul(F, m1[i][1], m2[1][j]),
             )
             for j in range(2)
         )
@@ -256,34 +259,24 @@ class GrPoint(NamedTuple):
         }
 
 
-def _hnf_point(preset, q, mat, cut):
+def _hnf_point(preset, q, mat):
     """Canonical form of the lattice spanned by the columns of mat.
 
-    Truncates every series at cut: it scales the pivot column by the
-    inverse of its bottom entry to exponents < cut, clears the other bottom
-    entry by a column operation and reads a off the result. The closed
-    forms below fall back to it, and the tests check them against it.
+    The pivot is the bottom entry of lower valuation c (the second on a
+    tie), a = val(det) - c, and b is the pivot column's top entry times the
+    inverse of the pivot's unit, mod t^a (_reduced). The closed forms below
+    are checked against it.
     """
     F = gf(q)
     (m00, m01), (m10, m11) = mat
-    v0, v1 = _s_val(m10), _s_val(m11)
-    if v1 is None or (v0 is not None and v0 < v1):
-        (m00, m01), (m10, m11) = (m01, m00), (m11, m10)
-    if not m11:
+    minus = {e: F._neg[co] for e, co in _s_mul(F, m01, m10).items()}
+    det = _s_add(F, _s_mul(F, m00, m11), minus)
+    if not det:
         raise OracleError("singular lattice basis")
-    c = _s_val(m11)
-    # scale the pivot column so its bottom entry is exactly t^c
-    m01 = _s_mul(F, m01, _s_inv(F, _s_shift(m11, -c), cut), cut)
-    if m10:
-        # val(m10) >= c by the pivot choice, so this is an O-column operation
-        factor = {e - c: F.neg(co) for e, co in m10.items()}
-        m00 = _s_add(F, m00, _s_mul(F, factor, m01, cut))
-    if not m00:
-        raise OracleError("singular lattice basis")
-    a = _s_val(m00)
-    # reduce the off-diagonal entry modulo t^a
-    b = tuple((e, co) for e, co in sorted(m01.items()) if e < a)
-    return _canonical_point(preset, q, a, c, b)
+    if not m11 or (m10 and min(m10) < min(m11)):
+        m01, m11 = m00, m10
+    c = min(m11)
+    return _reduced(preset, q, min(det) - c, c, m01, _s_shift(m11, -c))
 
 
 def _canonical_point(preset, q, a, c, b):
@@ -324,79 +317,57 @@ def _add_terms(F, xs, ys, hi):
     return tuple(out)
 
 
-def _exact(a, c, n, cut):
-    """Whether _hnf_point at cut reads a, c and n lowest terms of a unit's
-    inverse exactly: it keeps the unit's terms below cut - c, and at
-    n = cut - max(c, 0) its column operation can change t^a's coefficient.
-    The n = 0 case is tested inline in _triangular_point and hecke_operator."""
-    return max(a, c, 0) < cut and n < cut - max(c, 0)
+def _reduced(preset, q, a, c, top, unit):
+    """The point [[t^a, top u^-1 mod t^a], [0, t^c]], the Hermite form of a
+    lattice of diagonal (a, c) whose pivot column is (top, t^c u) for the
+    unit series u: it reads the a - val(top) lowest terms of u^-1, all that
+    reach below t^a."""
+    F = gf(q)
+    b = _s_mul(F, top, _s_inv(F, unit, a - min(top)), a) if top else {}
+    return _canonical_point(preset, q, a, c, tuple(sorted(b.items())))
 
 
-def _reduced(point: GrPoint, a, c, top, unit, cut):
-    """The point [[t^a, top u^-1 mod t^a], [0, t^c]], u the unit series
-    whose inverse the Hermite form of a product scales by, where _hnf_point
-    reads the n = a - val(top) lowest terms of u^-1 it needs exactly
-    (_exact), so both give this point; otherwise None."""
-    n = a - min(top) if top else 0
-    if not _exact(a, c, n, cut):
-        return None
-    F = gf(point.q)
-    b = _s_mul(F, top, _s_inv(F, unit, n), a)
-    return _canonical_point(point.preset, point.q, a, c, tuple(sorted(b.items())))
-
-
-def _triangular_point(point: GrPoint, mat, cut, left):
+def _triangular_point(point: GrPoint, mat, left):
     """Closed-form Hermite form of g L (left) or L g, or None.
 
-    Applies when g = [[g00, g01], [0, g11]] with g00, g11 nonzero. With
+    Applies when g = [[g00, g01], [0, g11]] with monomial g00 and g11. With
     L = [[t^a, b], [0, t^c]] the product stays triangular, with diagonal
     exponents a' = a + val g00 and c' = c + val g11, so its Hermite form
-    scales the second column by the inverse of u, the unit of g11, and
+    scales the second column by the inverse of u, the constant of g11, and
     reduces its top entry m mod t^a': b' = m u^-1 mod t^a', where
-    m = g00 b + t^c g01 for g L and t^a g01 + b g11 for L g.
-
-    With a monomial diagonal u^-1 is a constant and b' merges two sorted
-    term lists, every kept exponent below a' < cut, where the full path's
-    truncation changes nothing; with unit series _reduced gives b' or
-    declines. Returns None for any other g, when a' or c' reaches cut and
-    when cut <= 0 (the full path then raises or drops the scaling).
+    m = g00 b + t^c g01 for g L and t^a g01 + b g11 for L g, which merges
+    two sorted term lists. Returns None for any other g.
     """
     (g00, g01), (g10, g11) = mat
-    if g10 or not g00 or not g11:
+    if g10 or len(g00) != 1 or len(g11) != 1:
         return None
-    e0, e1 = min(g00), min(g11)
+    (e0, c0), = g00.items()
+    (e1, c1), = g11.items()
     a, c = point.a + e0, point.c + e1
-    if max(a, c, 0) >= cut:
-        return None
     F = gf(point.q)
-    if len(g00) == 1 and len(g11) == 1:
-        u = 1 if g11[e1] == 1 else F.inv(g11[e1])
-        if left:
-            shift, scale, at = e0, g00[e0] if u == 1 else F.mul(g00[e0], u), point.c
-        else:
-            shift, scale, at = e1, 1, point.a
-        xs = point.b
-        if shift or scale != 1:
-            xs = [(e + shift, co if scale == 1 else F.mul(co, scale)) for e, co in xs]
-        ys = [(e + at, co if u == 1 else F.mul(co, u)) for e, co in g01.items()] if g01 else ()
-        if len(ys) > 1:
-            ys.sort()
-        return _canonical_point(point.preset, point.q, a, c, _add_terms(F, xs, ys, a))
-    at = point.c if left else point.a
-    m = _s_add(F, _s_mul(F, g00 if left else g11, dict(point.b), a),
-               {e + at: co for e, co in g01.items() if e + at < a})
-    return _reduced(point, a, c, m, _s_shift(g11, -e1), cut)
+    u = 1 if c1 == 1 else F.inv(c1)
+    if left:
+        shift, scale, at = e0, c0 if u == 1 else F.mul(c0, u), point.c
+    else:
+        shift, scale, at = e1, 1, point.a
+    xs = point.b
+    if shift or scale != 1:
+        xs = [(e + shift, co if scale == 1 else F.mul(co, scale)) for e, co in xs]
+    ys = [(e + at, co if u == 1 else F.mul(co, u)) for e, co in g01.items()] if g01 else ()
+    if len(ys) > 1:
+        ys.sort()
+    return _canonical_point(point.preset, point.q, a, c, _add_terms(F, xs, ys, a))
 
 
-def _lower_point(point: GrPoint, mat, cut):
+def _lower_point(point: GrPoint, mat):
     """Closed-form Hermite form of x_-(s) L = [[1, 0], [s, 1]] L, or None.
 
     With L = [[t^a, b], [0, t^c]] the product's bottom row is
     (s t^a, s b + t^c). The pivot is the entry of lower valuation c' (the
     second on a tie, as in _hnf_point), the determinant t^(a+c) gives
     a' = a + c - c', and b' is the top entry of the pivot's column times
-    the inverse of the pivot's unit, mod t^a' (_reduced, which may
-    decline). Returns None for any other g.
+    the inverse of the pivot's unit, mod t^a' (_reduced). Returns None for
+    any other g.
     """
     (g00, g01), (s, g11) = mat
     if g01 or not s or g00 != {0: 1} or g11 != {0: 1}:
@@ -404,14 +375,15 @@ def _lower_point(point: GrPoint, mat, cut):
     F = gf(point.q)
     a, c, b = point.a, point.c, dict(point.b)
     low = {e + a: co for e, co in s.items()}
-    high = _s_add(F, _s_mul(F, s, b, math.inf), {c: 1})
+    high = _s_add(F, _s_mul(F, s, b), {c: 1})
     pivot, top = (low, {a: 1}) if not high or min(low) < min(high) else (high, b)
     c1 = min(pivot)
-    return _reduced(point, a + c - c1, c1, top, _s_shift(pivot, -c1), cut)
+    return _reduced(point.preset, point.q, a + c - c1, c1, top, _s_shift(pivot, -c1))
 
 
-def _fixes(point: GrPoint, mat, cut):
-    """Whether g L = L is known here: True only if L^-1 g L lies in GL2(O).
+def _fixes(point: GrPoint, mat):
+    """Whether g L = L, that is whether L^-1 g L lies in GL2(O), for g one
+    of the generator kinds below; False for any other g.
 
     With L = [[t^a, b], [0, t^c]], v = val b and s of valuation n:
     * x_+(s): L^-1 g L - 1 = [[0, s t^(c-a)], [0, 0]], integral iff
@@ -421,17 +393,13 @@ def _fixes(point: GrPoint, mat, cut):
     * diag(u0, u1) with unit entries: L^-1 g L = [[u0, (u0 - u1) b t^-a],
       [0, u1]], integral iff b = 0 or val(u0 - u1) + v >= a. In
       characteristic 2 the t>j generators have val(u0 - u1) = 2j, not j.
-    A True answer is given only where the closed forms of g L are exact
-    (_exact with n = a - v inverse terms, or none when b = 0), so there
-    _product_point returns L itself. It reads only the shape (a, c, v).
+    It reads only the shape (a, c, v).
     """
     (g00, g01), (g10, g11) = mat
     if (g01 and g10) or not (g00 and g11):
         return False
     a, c, b = point.a, point.c, point.b
     v = b[0][0] if b else None
-    if not _exact(a, c, 0 if v is None else a - v, cut):
-        return False
     off = g01 or g10
     if off:
         if g00 != {0: 1} or g11 != {0: 1}:
@@ -448,50 +416,48 @@ def _fixes(point: GrPoint, mat, cut):
     return diff is None or diff + v >= a
 
 
-def _product_point(point: GrPoint, mat, cut, left):
+def _product_point(point: GrPoint, mat, left):
     """g L (left) or L g: a closed form where one applies, else the Hermite
-    form of the product truncated at cut."""
-    out = _triangular_point(point, mat, cut, left)
+    form of the product."""
+    out = _triangular_point(point, mat, left)
     if out is None and left:
-        out = _lower_point(point, mat, cut)
+        out = _lower_point(point, mat)
     if out is None:
         F, m = gf(point.q), point.matrix()
-        prod = _m_mul(F, mat, m, cut) if left else _m_mul(F, m, mat, cut)
-        out = _hnf_point(point.preset, point.q, prod, cut)
+        out = _hnf_point(point.preset, point.q, _m_mul(F, mat, m) if left else _m_mul(F, m, mat))
     return out
 
 
-def act(point: GrPoint, mat, cut):
-    """Left translate of a point by a group element."""
-    return _product_point(point, mat, cut, True)
+def act(point: GrPoint, mat, cut=None):
+    """Left translate of a point by a group element. cut is not read; it
+    stays only because perfbench/workloads.py passes one."""
+    return _product_point(point, mat, True)
 
 
-def translate(point: GrPoint, mat, cut):
-    """Right translate x -> x g, as in convolution by a coset sum."""
-    return _product_point(point, mat, cut, False)
+def translate(point: GrPoint, mat, cut=None):
+    """Right translate x -> x g, as in convolution by a coset sum. cut is
+    not read; it stays only because perfbench/workloads.py passes one."""
+    return _product_point(point, mat, False)
 
 
-def _plan(q, mat, cut):
+def _plan(q, mat):
     """Left translate x -> g x by one element g, compiled once: for g =
     diag(u0, u1) with unit series, not both constant, b' = b r mod t^a for
-    r = u0 u1^-1 to cut terms, inverted once, under _triangular_point's
-    gate _exact(a, c, a - val b, cut), which also bounds the terms of r
-    that b' reads; _product_point for any other g or point.
+    r = u0 u1^-1, which reads the a - val b lowest terms of r; r is kept
+    to the most terms a point has needed so far. _product_point for any
+    other g.
     """
     (g00, g01), (g10, g11) = mat
-
-    def full(x):
-        return _product_point(x, mat, cut, True)
-
     if g01 or g10 or not (g00 and g11) or min(g00) or min(g11) or len(g00) == len(g11) == 1:
-        return full
-    F = gf(q)
-    r = _s_mul(F, g00, _s_inv(F, g11, cut), cut)
+        return lambda x: _product_point(x, mat, True)
+    F, kept, r = gf(q), 0, {}
 
     def image(x):
+        nonlocal kept, r
         a, b = x.a, x.b
-        if not _exact(a, x.c, a - b[0][0] if b else 0, cut):
-            return full(x)
+        n = a - b[0][0] if b else 0
+        if n > kept:
+            kept, r = n, _s_mul(F, g00, _s_inv(F, g11, n), n)
         b = _s_mul(F, dict(b), r, a)
         return _canonical_point(x.preset, q, a, x.c, tuple(sorted(b.items())))
     return image
@@ -540,13 +506,10 @@ def _check_points(points, preset, q):
 
 
 def depth_for(preset, bound):
-    """t-adic depth sufficient for a window below bound.
-
-    With the bound's diagonal (a, c) it is 2 * (a - c + 1) + 2, that is
-    2 * <alpha, bound + rho-hat> + 2, plus max(min(a, c), 0): a GL2 lattice
-    t^k L has every exponent k above those of L, so it needs a cut k deeper.
-    On SL2 and PGL2 min(a, c) <= 0 and the last term vanishes.
-    """
+    """2 * (a - c + 1) + 2 + max(min(a, c), 0) for the bound's diagonal
+    (a, c): the t-adic depth of the truncated Hermite forms this module no
+    longer uses. Nothing here reads it; it stays only because
+    perfbench/workloads.py calls it."""
     a, c = _diagonal(preset, bound)
     return 2 * (a - c + 1) + 2 + max(min(a, c), 0)
 
@@ -594,7 +557,8 @@ def _window_shapes(preset, bound):
 
 def window_size(preset, bound, q):
     """Number of F_q-points below bound; InvalidCoweight unless bound is a
-    dominant coweight of the preset."""
+    dominant coweight of the preset, ValueError unless q is a field size."""
+    gf(q)
     _dominant(_rd(preset), preset, bound, "bound")
     total = 0
     for a, _c, low in _window_shapes(preset, bound):
@@ -661,7 +625,9 @@ def _coset_shapes(preset, mu, q):
 
 
 def coset_reps(preset, mu, q, depth=None):
-    """Matrices of the lattices in relative position exactly mu: K mu K / K."""
+    """Matrices of the lattices in relative position exactly mu: K mu K / K.
+    depth is not read; it stays only because perfbench/workloads.py passes
+    one."""
     return [p.matrix() for p in _coset_points(preset, mu, q)]
 
 
@@ -732,11 +698,11 @@ class _Window:
     position of point j's image; partitions holds finished partitions.
     """
 
-    def __init__(self, points, gens, cut, free):
+    def __init__(self, points, gens, free):
         self.points = list(dict.fromkeys(points))
         self.index = {x: j for j, x in enumerate(self.points)}
         self.images = [{} for _ in self.points]
-        self.gens, self.cut, self.free = gens, cut, free
+        self.gens, self.free = gens, free
         self.plans = [None] * len(gens)
         self.fixes, self.partitions = {}, {}
 
@@ -744,7 +710,7 @@ class _Window:
         """Point j's image under generator i, by the generator's plan."""
         plan = self.plans[i]
         if plan is None:
-            plan = self.plans[i] = _plan(self.points[j].q, self.gens[i][0], self.cut)
+            plan = self.plans[i] = _plan(self.points[j].q, self.gens[i][0])
         return plan(self.points[j])
 
     def image(self, j, i):
@@ -780,7 +746,7 @@ class _Window:
                 fixes = self.fixes.get(shape)
                 if fixes is None:
                     fixes = self.fixes[shape] = [
-                        _fixes(x, mat, self.cut) for mat, _e, _name in self.gens]
+                        _fixes(x, mat) for mat, _e, _name in self.gens]
                 ex, seen = labels[j], self.images[j]
                 for i, e in mine:
                     if fixes[i]:
@@ -834,7 +800,7 @@ class _Window:
         return assignment, orbits
 
 
-def _orbit_bfs(seeds, gens, cut, p, window=None):
+def _orbit_bfs(seeds, gens, p, window=None):
     """Orbit of the seeds, with the baby character transported along it.
 
     Returns (labels, partial, consistent). labels maps each point reached
@@ -845,7 +811,7 @@ def _orbit_bfs(seeds, gens, cut, p, window=None):
     must carry no function values downstream. A free search raises
     WindowTooLarge past _WINDOW_CAP points.
     """
-    win = _Window([*seeds, *(window or ())], gens, cut, window is None)
+    win = _Window([*seeds, *(window or ())], gens, window is None)
     labels, partial, consistent = win.search(range(len(set(seeds))), None, p)
     return {win.points[j]: v for j, v in labels.items()}, partial, consistent
 
@@ -862,7 +828,7 @@ def orbit_partition(points, group_spec, q):
     _orbit_bfs from the orbit's first point.
 
     The last few windows are cached, each as one _Window over the twisted
-    Iwahori's generators at the window's cut and level: the searches of
+    Iwahori's generators at the window's level: the searches of
     every group spec share its stabilizer verdicts and translates.
     """
     if not points:
@@ -876,15 +842,14 @@ def orbit_partition(points, group_spec, q):
 
 def _window(points, q):
     """The _Window of a nonempty closed window over the twisted Iwahori's
-    generators at its cut and level, one of the last few kept."""
+    generators at its level, one of the last few kept."""
     preset = points[0].preset
     key = (preset, q, frozenset(points))
     win = _partition_cache.pop(key, None)
     if win is None:
         _check_points(points, preset, q)
-        bound = _window_bound(points)
-        win = _Window(points, _window_generators(preset, "Iwahori_twisted", q, bound),
-                      depth_for(preset, bound), False)
+        gens = _window_generators(preset, "Iwahori_twisted", q, _window_bound(points))
+        win = _Window(points, gens, False)
     _partition_cache[key] = win
     if len(_partition_cache) > _PARTITION_CACHE_SIZE:
         del _partition_cache[next(iter(_partition_cache))]
@@ -897,11 +862,11 @@ def orbit_closure(preset, q, seeds, group_spec, bound):
     Unlike orbit_partition this does not need an ambient enumeration: the
     orbit of any point of type <= bound - 2 rho-hat stays inside type <=
     bound, so the BFS terminates. The bound only sizes the generator
-    levels and the t-adic depth; it is not enforced pointwise.
+    levels; it is not enforced pointwise.
     """
     _check_points(seeds, preset, q)
     gens = _window_generators(preset, group_spec, q, bound)
-    labels, _partial, _consistent = _orbit_bfs(seeds, gens, depth_for(preset, bound), gf(q).p)
+    labels, _partial, _consistent = _orbit_bfs(seeds, gens, gf(q).p)
     return sorted(labels, key=lambda p: (p.a, p.c, p.b))
 
 
@@ -939,41 +904,35 @@ def hecke_operator(f: FqFunction, mu, domain_points):
 
     x g = y exactly when x = y g' for one g' in K mu* K / K, mu* = -w0 mu
     (on the diagonal (a, c) -> (-c, -a)). When f's support is smaller than
-    the domain, each y in it adds f(y) at every y g' in the domain,
-    skipping a diagonal whose product reaches the cut, and a domain point
-    whose diagonal and translates' diagonals lie below the cut reads that
-    index. Any other point gathers f(x g), through translate where
-    max(a+a', c+c', 0) reaches the cut (the same point or the same error).
-    The cut is depth_for(_hecke_window(f.window, mu)).
+    the domain, each y in it adds f(y) at every y g' in the domain, and
+    each domain point reads that index; otherwise each domain point
+    gathers f(x g). Both read the products off _read_off.
     """
     preset, q = f.preset, f.q
     _check_points(domain_points, preset, q)
     _check_points(f.values, preset, q)
-    cut = depth_for(preset, _hecke_window(preset, f.window, mu))
-    shapes = _rep_shapes(preset, mu, q)
-    am, cm = _diagonal(preset, mu)
-    mu_star = PRESETS[preset].coords(-cm, -am)
-    star = shapes if mu_star == tuple(mu) else _rep_shapes(preset, mu_star, q)
-    index, domain = {}, set(domain_points)
-    # the index reads off the translates of |supp f| points, a gather |domain|
-    scatter = len(f.values) < len(domain)
-    for y, v in f.values.items() if scatter else ():
-        for (a1, c1), reps in star.items():
-            if max(y.a + a1, y.c + c1, 0) < cut:
+    domain = set(domain_points)
+    index = None
+    if len(f.values) < len(domain):
+        am, cm = _diagonal(preset, mu)
+        star = _rep_shapes(preset, PRESETS[preset].coords(-cm, -am), q)
+        index = {}
+        for y, v in f.values.items():
+            for (a1, c1), reps in star.items():
                 for x in _read_off(y, a1, c1, reps):
                     if x in domain:
                         index[x] = index[x] + v if x in index else v
+    else:
+        shapes = _rep_shapes(preset, mu, q)
     out = {}
     rd = _rd(preset)
     for x in domain_points:
-        reach = [max(x.a + a1, x.c + c1, 0) < cut for a1, c1 in shapes]
-        if scatter and all(reach) and max(x.a, x.c, 0) < cut:
+        if index is not None:
             acc = index.get(x, 0)
         else:
             acc = 0
-            for ok, ((a1, c1), reps) in zip(reach, shapes.items()):
-                for y in (_read_off(x, a1, c1, reps) if ok
-                          else [translate(x, g.matrix(), cut) for g in reps]):
+            for (a1, c1), reps in shapes.items():
+                for y in _read_off(x, a1, c1, reps):
                     v = f.values.get(y)
                     if v is not None:
                         acc = acc + v if acc != 0 else v
@@ -1067,7 +1026,7 @@ def whittaker_action(preset, bound, mu, q):
     character coefficient is the coefficient of t^(c0+c-a0-1) in b (the
     global t-rescaling of a projective preset changes neither). So the
     representatives of one diagonal (a, c) add, for each nu, their trace
-    counts at that exponent to one entry, with no cut. Those counts and the
+    counts at that exponent to one entry. Those counts and the
     size of each diagonal come in closed form from _coset_shapes, so no
     representative is built either; a K mu K / K past the window cap still
     raises WindowTooLarge.
@@ -1120,7 +1079,7 @@ def cyc_as_int(v):
 # character labelings and the averaging maps
 
 
-def character_labeling(orbit_points, preset, q, group_spec, level_hi, seed, cut):
+def character_labeling(orbit_points, preset, q, group_spec, level_hi, seed):
     """Transport the baby character along an orbit.
 
     Returns (labels, consistent): labels maps each orbit point to the
@@ -1131,7 +1090,7 @@ def character_labeling(orbit_points, preset, q, group_spec, level_hi, seed, cut)
     """
     _check_points([seed, *orbit_points], preset, q)
     gens = twisted_generators(preset, group_spec, q, level_hi)
-    labels, _partial, consistent = _orbit_bfs([seed], gens, cut, gf(q).p, orbit_points)
+    labels, _partial, consistent = _orbit_bfs([seed], gens, gf(q).p, orbit_points)
     return labels, consistent
 
 

@@ -31,7 +31,6 @@ from expflag.fq_oracle import (
     baby_basis,
     coset_reps,
     cyc_as_int,
-    depth_for,
     enumerate_gr_window,
     exp_action_matrix,
     gm_averaging,
@@ -336,7 +335,6 @@ def test_rank_one_freeness(name):
 @pytest.mark.parametrize("q", [3, 5])
 def test_whittaker_combinatorics_lemma(q):
     preset = "SL2"
-    cut = depth_for(preset, (5,))
     # orbit sizes grow like q^(2 nu + 1); cap the top basepoint at larger q
     top = 3 if q <= 3 else 2
     for nu in range(-2, top):
@@ -344,13 +342,13 @@ def test_whittaker_combinatorics_lemma(q):
         base = torus_point(preset, q, (nu,))
         # character of the U(F)-stabilizer: the level -1 root group fixes
         # the point exactly when nu is not dominant
-        fixes = act(base, x_plus(q, 1, -1), cut) == base
+        fixes = act(base, x_plus(q, 1, -1)) == base
         assert fixes == (not dominant)
         # character of the twisted unipotent stabilizer, by transport
         pts = orbit_closure(preset, q, [base], "U_twisted", (abs(nu) + 2,))
         level_hi = 2 * (2 * (abs(nu) + 2) + 1) + 2
         _, consistent = fq_oracle.character_labeling(
-            pts, preset, q, "U_twisted", level_hi, base, cut
+            pts, preset, q, "U_twisted", level_hi, base
         )
         assert consistent == dominant
         if dominant:
@@ -365,18 +363,17 @@ def test_whittaker_baby_exponential_chain(q):
     mu = (1,)
     top = 2
     amb = (top + 2,)
-    cut = depth_for(preset, amb)
     seeds = [torus_point(preset, q, (v,)) for v in range(-top - 1, top + 1)]
     seeds += [
-        act(torus_point(preset, q, (l,)), x_plus(q, 1, -1), cut)
+        act(torus_point(preset, q, (l,)), x_plus(q, 1, -1))
         for l in range(0, top + 1)
     ]
     pts = orbit_closure(preset, q, seeds, "U_rtimes_Gm_twisted", amb)
-    reps = coset_reps(preset, mu, q, cut)
+    reps = coset_reps(preset, mu, q)
     big = set(pts)
     for x in pts:
         for g in reps:
-            big.add(translate(x, g, cut))
+            big.add(translate(x, g))
     big = sorted(big, key=lambda p: (p.a, p.c, p.b))
     W = whittaker_space(preset, amb, q, big)
     B = baby_basis(preset, (1,), q, pts)

@@ -80,35 +80,32 @@ def test_coset_reps_count():
 
 def test_hnf_is_stable_under_unimodular_action():
     q = 3
-    cut = depth_for("SL2", (2,))
     pts = enumerate_gr_window("SL2", (2,), q)
     gens = [x_plus(q, 1, 0), x_minus(q, 1, 1), torus_point("SL2", q, (0,)).matrix()]
     for p in pts[:30]:
         for g in gens:
-            moved = act(p, g, cut)
+            moved = act(p, g)
             assert moved in pts
             assert moved.coweight() == p.coweight()
 
 
 def test_translation_changes_type_and_action_does_not():
     q = 2
-    cut = depth_for("SL2", (3,))
     base = torus_point("SL2", q, (0,))
     g = torus_point("SL2", q, (1,)).matrix()
-    assert translate(base, g, cut).coweight() == (1,)
-    assert act(base, x_plus(q, 1, 0), cut) == base
+    assert translate(base, g).coweight() == (1,)
+    assert act(base, x_plus(q, 1, 0)) == base
 
 
 def test_torus_points_are_fixed_by_their_stabilizer():
     q = 3
-    cut = depth_for("SL2", (3,))
     for lam in (-2, -1, 0, 1, 2):
         p = torus_point("SL2", q, (lam,))
         assert p.is_torus_point()
         assert p.torus_coweight() == (lam,)
         # level n root subgroup fixes t^lam iff n >= <alpha, lam> = 2 lam
-        assert act(p, x_plus(q, 1, 2 * lam), cut) == p
-        assert act(p, x_plus(q, 1, 2 * lam - 1), cut) != p
+        assert act(p, x_plus(q, 1, 2 * lam)) == p
+        assert act(p, x_plus(q, 1, 2 * lam - 1)) != p
 
 
 def test_orbit_partition_is_a_partition():
@@ -193,7 +190,7 @@ def test_hecke_operator_counts_cosets():
 
 def test_equal_points_are_one_key():
     p = GrPoint("SL2", 3, 2, -2, ((0, 1), (1, 2)))
-    built = _hnf_point("SL2", 3, p.matrix(), 8)
+    built = _hnf_point("SL2", 3, p.matrix())
     assert built is not p and built == p and hash(built) == hash(p)
     assert {p: 1}[built] == 1
     assert GrPoint("PGL2", 3, 2, -2, p.b) != p
@@ -211,6 +208,10 @@ def test_invalid_inputs_rejected():
         enumerate_gr_window("SL2", (-1,), 3)
     with pytest.raises(OracleError):
         coset_reps("SL2", (-2,), 3)
+    # window_size used to count 43 points over a field of size 6
+    for call in (window_size, fq_oracle.check_window_size, enumerate_gr_window):
+        with pytest.raises(ValueError, match="unsupported field size 6"):
+            call("SL2", (1,), 6)
 
 
 def test_checked_in_window_fixtures_are_current():
@@ -288,20 +289,15 @@ def test_closed_form_translates_match_general_hnf(preset, q):
     # coset representatives times diag(1, w t): a non-unit lower-right entry
     # under a nonzero upper-right one
     diag = (({0: 1}, {}), ({}, {1: q - 1}))
-    reps += [_m_mul(F, g, diag, 99) for g in reps]
-    # the small cut makes diagonal exponents reach it, so the general path raises
-    for cut in (depth_for(preset, bound), 2):
-        for p in pts:
-            for g in gens + reps:
-                for fast, prod in ((act, _m_mul(F, g, p.matrix(), cut)),
-                                   (translate, _m_mul(F, p.matrix(), g, cut))):
-                    want = _outcome(_hnf_point, preset, q, prod, cut)
-                    got = _outcome(fast, p, g, cut)
-                    assert got == want, (fast.__name__, p, g, cut)
-            # every coset representative takes the closed form
-            if cut > 2:
-                for g in reps:
-                    assert _triangular_point(p, g, cut, left=False) is not None
+    reps += [_m_mul(F, g, diag) for g in reps]
+    for p in pts:
+        for g in gens + reps:
+            for fast, prod in ((act, _m_mul(F, g, p.matrix())),
+                               (translate, _m_mul(F, p.matrix(), g))):
+                assert fast(p, g) == _hnf_point(preset, q, prod), (fast.__name__, p, g)
+        # every coset representative takes the closed form
+        for g in reps:
+            assert _triangular_point(p, g, left=False) is not None
 
 
 def _point_key(p):
@@ -311,17 +307,15 @@ def _point_key(p):
 def _chain_window(q, top=1):
     """The U-rtimes-Gm orbit window of the SL2 averaging chain."""
     amb = (top + 2,)
-    cut = depth_for("SL2", amb)
     seeds = [torus_point("SL2", q, (v,)) for v in range(-top - 1, top + 1)]
-    seeds += [act(torus_point("SL2", q, (l,)), x_plus(q, 1, -1), cut)
+    seeds += [act(torus_point("SL2", q, (l,)), x_plus(q, 1, -1))
               for l in range(top + 1)]
     return orbit_closure("SL2", q, seeds, "U_rtimes_Gm_twisted", amb)
 
 
-def _window_cut_and_level(points):
-    """The cut and generator level orbit_partition uses for an SL2/PGL2 window."""
-    m = max(p.coweight()[0] for p in points)
-    return depth_for(points[0].preset, (m,)), 2 * m + 2
+def _window_level(points):
+    """The generator level orbit_partition uses for an SL2/PGL2 window."""
+    return 2 * max(p.coweight()[0] for p in points) + 2
 
 
 _SPECS = ("Iwahori_twisted", "U_twisted", "U_exp_twisted", "U_rtimes_Gm_twisted")
@@ -332,48 +326,56 @@ def _twisted_elements(preset, q, level_hi):
                  for g, _e, _name in twisted_generators(preset, spec, q, level_hi)}.values())
 
 
-def _assert_translates_match_full_hnf(preset, q, pts, gens, cut):
-    F = gf(q)
-    for p in pts:
-        for g in gens:
-            for fast, prod in ((act, _m_mul(F, g, p.matrix(), cut)),
-                               (translate, _m_mul(F, p.matrix(), g, cut))):
-                want = _outcome(_hnf_point, preset, q, prod, cut)
-                assert _outcome(fast, p, g, cut) == want, (fast.__name__, p, g, cut)
-
-
 @pytest.mark.parametrize("preset,q", [("SL2", 2), ("SL2", 3), ("SL2", 4),
                                       ("PGL2", 2), ("PGL2", 3)])
-def test_bounded_hnf_matches_full_precision(preset, q, monkeypatch):
-    """act/translate by every twisted generator equal the four-argument
-    _hnf_point of the full product, on the SL2 chain windows and the PGL2
-    bound-2 window, at the cut and level of orbit_partition and, for SL2,
-    of the chain's orbit_closure."""
+def test_bounded_hnf_matches_full_precision(preset, q):
+    """act/translate by every twisted generator equal _hnf_point of the
+    product, on the SL2 chain windows and the PGL2 bound-2 window, at the
+    level of orbit_partition and, for SL2, of the chain's orbit_closure."""
+    F = gf(q)
     if preset == "SL2":
         pts = _chain_window(q)
-        settings = [_window_cut_and_level(pts), (depth_for("SL2", (3,)), 8)]
+        levels = [_window_level(pts), 8]
     else:
         pts = enumerate_gr_window(preset, (2,), q)
-        settings = [_window_cut_and_level(pts)]
-    requested = []
-    inverse = fq_oracle._s_inv
+        levels = [_window_level(pts)]
+    for level_hi in levels:
+        for p in pts:
+            for g in _twisted_elements(preset, q, level_hi):
+                for fast, prod in ((act, _m_mul(F, g, p.matrix())),
+                                   (translate, _m_mul(F, p.matrix(), g))):
+                    assert fast(p, g) == _hnf_point(preset, q, prod), (fast.__name__, p, g)
 
-    def recording_inverse(F, s, n):
-        requested.append(n)
-        return inverse(F, s, n)
 
-    monkeypatch.setattr(fq_oracle, "_s_inv", recording_inverse)
-    for cut, level_hi in settings:
-        _assert_translates_match_full_hnf(
-            preset, q, pts, _twisted_elements(preset, q, level_hi), cut)
-        # the full path inverts to cut terms; the bounded one to fewer
-        assert min(requested) < cut
-        requested.clear()
+def _truncated_hnf(preset, q, mat, cut):
+    """The Hermite form with every series truncated at cut, as the oracle
+    computed it before its forms became exact: it drops the terms of mat at
+    or above cut, scales the pivot column by the inverse of its bottom
+    entry to exponents < cut, clears the other bottom entry by a column
+    operation and reads a off the result."""
+    F = gf(q)
+    (m00, m01), (m10, m11) = [[{e: co for e, co in s.items() if e < cut} for s in row]
+                              for row in mat]
+    v0, v1 = fq_oracle._s_val(m10), fq_oracle._s_val(m11)
+    if v1 is None or (v0 is not None and v0 < v1):
+        (m00, m01), (m10, m11) = (m01, m00), (m11, m10)
+    if not m11:
+        raise OracleError("singular lattice basis")
+    c = min(m11)
+    inverse = fq_oracle._s_inv(F, fq_oracle._s_shift(m11, -c), cut)
+    m01 = fq_oracle._s_mul(F, m01, inverse, cut)
+    if m10:
+        factor = {e - c: F.neg(co) for e, co in m10.items()}
+        m00 = fq_oracle._s_add(F, m00, fq_oracle._s_mul(F, factor, m01, cut))
+    if not m00:
+        raise OracleError("singular lattice basis")
+    a = min(m00)
+    return _canonical_point(preset, q, a, c, tuple((e, co) for e, co in sorted(m01.items())
+                                                   if e < a))
 
 
 # elements whose determinant is not a unit: t^2 under x_minus; t^6 with
-# both off-diagonal entries nonzero, so that a = v - c passes the cut while
-# the product stays exact; and 0
+# both off-diagonal entries nonzero; and 0
 _NON_UNIMODULAR = (
     (({0: 1}, {}), ({1: 1}, {2: 1})),
     (({0: 1}, {6: 1}), ({-6: 1}, {0: 1, 6: 1})),
@@ -381,54 +383,64 @@ _NON_UNIMODULAR = (
 )
 
 
-@pytest.mark.parametrize("preset,q", [("SL2", 3), ("PGL2", 2)])
-def test_bounded_hnf_falls_back_where_the_cut_bites(preset, q):
-    """At every cut up to the default one, where the cut reaches a kept
-    exponent the full-precision path runs: act/translate by the level-2
-    twisted generators and by non-unimodular elements equal the
-    four-argument _hnf_point, errors included."""
-    pts = _chain_window(q) if preset == "SL2" else enumerate_gr_window(preset, (2,), q)
-    gens = _twisted_elements(preset, q, 2) + list(_NON_UNIMODULAR)
-    for cut in range(1, _window_cut_and_level(pts)[0] + 1):
-        _assert_translates_match_full_hnf(preset, q, pts, gens, cut)
+def test_exact_hnf_matches_the_truncated_one_past_every_exponent():
+    """On random matrices with exponents -4..5 over F_2 .. F_9, and on the
+    elements of _NON_UNIMODULAR, the exact _hnf_point equals _truncated_hnf
+    at cut 60, past every exponent either reads: the same point, or both
+    raise for a singular matrix."""
+    import random
+
+    rng = random.Random(32)
+    mats = [(q, "GL2", g) for q in (2, 3, 5) for g in _NON_UNIMODULAR]
+    for _ in range(400):
+        q = rng.choice((2, 3, 4, 5, 9))
+
+        def entry():
+            return {e: rng.randrange(1, q) for e in rng.sample(range(-4, 6), rng.randrange(4))}
+        mats.append((q, rng.choice(sorted(PRESETS)), ((entry(), entry()), (entry(), entry()))))
+    singular = 0
+    for q, preset, g in mats:
+        want = _outcome(_truncated_hnf, preset, q, g, 60)
+        assert _outcome(_hnf_point, preset, q, g) == want, (preset, q, g)
+        singular += want is OracleError
+    assert 0 < singular < len(mats) // 2
 
 
-def test_bounded_hnf_needs_fewer_inverse_terms_than_the_cut():
-    """The full path's column operation can move a when n, the number of
-    inverse terms b needs, reaches cut - max(c', 0). For x_minus(2 t) L,
-    L = [[t, t^-2 + t^-1], [0, t^-1]] over F_3, n = 2: at cut 2 the full
-    path gives a = 1 where a + c - c' reads 0, so the x_minus closed form
-    falls back to it; at cut 3 the closed form applies. A general element
-    (GL2, q = 3, cut 1, where the full path gives a = -1 while the
-    determinant reads -2) takes the full path directly."""
+def test_lower_point_reads_its_diagonal_off_the_determinant():
+    """For x_minus(2 t) L, L = [[t, t^-2 + t^-1], [0, t^-1]] over F_3, the
+    pivot is t^0 and the determinant t^0 gives (a', c') = (0, 0). A
+    truncation at cut 2 keeps too few inverse terms for the column
+    operation and reads a' = 1. A general element over GL2 takes the
+    Hermite form with a' = val(det) - c' = -5 - (-3) = -2, not the -1 of a
+    cut at 1."""
     F = gf(3)
     p = GrPoint("SL2", 3, 1, -1, ((-2, 1), (-1, 1)))
     g = x_minus(3, 2, 1)
-    want = _hnf_point("SL2", 3, _m_mul(F, g, p.matrix(), 2), 2)
-    assert (want.a, want.c) == (1, 0)
-    assert fq_oracle._lower_point(p, g, 2) is None
-    assert act(p, g, 2) == want
-    exact = fq_oracle._lower_point(p, g, 3)
+    exact = act(p, g)
     assert (exact.a, exact.c) == (0, 0)
-    assert exact == _hnf_point("SL2", 3, _m_mul(F, g, p.matrix(), 3), 3) == act(p, g, 3)
+    assert exact == fq_oracle._lower_point(p, g) == _hnf_point("SL2", 3, _m_mul(F, g, p.matrix()))
+    assert exact == _truncated_hnf("SL2", 3, _m_mul(F, g, p.matrix()), 3)
+    truncated = _truncated_hnf("SL2", 3, _m_mul(F, g, p.matrix()), 2)
+    assert (truncated.a, truncated.c) == (1, 0)
     p = GrPoint("GL2", 3, 0, 0, ())
     g = (({0: 2, -3: 2}, {-1: 2, -3: 2}), ({-3: 1}, {-3: 1, -2: 1}))
-    want = _hnf_point("GL2", 3, _m_mul(F, g, p.matrix(), 1), 1)
-    assert (want.a, want.c) == (-1, -3)
-    assert act(p, g, 1) == want
+    exact = act(p, g)
+    assert (exact.a, exact.c) == (-2, -3)
+    assert exact == _truncated_hnf("GL2", 3, g, 60)
+    assert _truncated_hnf("GL2", 3, g, 1).a == -1
 
 
 def test_bounded_hnf_pivot_cancellation():
     """x_minus(1, 2) L for L = [[1, 2t^-2 + t^-1], [0, 1]] over F_3 has
     lower-right entry t^2 b + 1 = t: the pivot is t, c' = 1, and the x_minus
     closed form reads a' = a + c - c' = -1 off the determinant t^0."""
-    F, cut = gf(3), depth_for("SL2", (2,))
+    F = gf(3)
     p = GrPoint("SL2", 3, 0, 0, ((-2, 2), (-1, 1)))
     g = x_minus(3, 1, 2)
     want = GrPoint("SL2", 3, -1, 1, ((-2, 2),))
-    assert _hnf_point("SL2", 3, _m_mul(F, g, p.matrix(), cut), cut) == want
-    assert fq_oracle._lower_point(p, g, cut) == want
-    assert act(p, g, cut) == want
+    assert _hnf_point("SL2", 3, _m_mul(F, g, p.matrix())) == want
+    assert fq_oracle._lower_point(p, g) == want
+    assert act(p, g) == want
 
 
 def _pairwise_baby_averaging(f, points):
@@ -437,7 +449,7 @@ def _pairwise_baby_averaging(f, points):
     each orbit rather than from the partition's seed."""
     q = f.q
     p = gf(q).p
-    cut, level_hi = _window_cut_and_level(points)
+    level_hi = _window_level(points)
     _, orbits = orbit_partition(points, "U_twisted", q)
     out = {}
     for orbit in orbits:
@@ -448,7 +460,7 @@ def _pairwise_baby_averaging(f, points):
             continue
         seed = max(pts, key=_point_key)
         labels, consistent = character_labeling(
-            pts, f.preset, q, "U_twisted", level_hi, seed, cut)
+            pts, f.preset, q, "U_twisted", level_hi, seed)
         if not consistent:
             continue
         ell = 0
@@ -522,7 +534,7 @@ def test_stored_labels_match_character_labeling(preset, bound, q):
     rng = random.Random(q)
     p = gf(q).p
     pts = enumerate_gr_window(preset, bound, q)
-    cut, level_hi = _window_cut_and_level(pts)
+    level_hi = _window_level(pts)
     _, orbits = orbit_partition(pts, "U_twisted", q)
     assert {o["consistent"] for o in orbits if not o["partial"]} == {True, False}
     for o in orbits:
@@ -533,7 +545,7 @@ def test_stored_labels_match_character_labeling(preset, bound, q):
         ordered = sorted(o["points"], key=_point_key)
         for seed in {ordered[0], ordered[-1], rng.choice(ordered)}:
             labels, consistent = character_labeling(
-                o["points"], preset, q, "U_twisted", level_hi, seed, cut)
+                o["points"], preset, q, "U_twisted", level_hi, seed)
             assert consistent == o["consistent"]
             assert set(labels) == o["points"]
             # on an inconsistent orbit the transport depends on the path
@@ -542,7 +554,7 @@ def test_stored_labels_match_character_labeling(preset, bound, q):
                 assert all((stored[x] - labels[x]) % p == shift for x in labels)
 
 
-def _reference_orbit_bfs(seeds, gens, cut, p, window=None):
+def _reference_orbit_bfs(seeds, gens, p, window=None):
     """_orbit_bfs with act, the plain product, called on every generator at
     every point: no stabilizer shortcut."""
     labels = dict.fromkeys(seeds, 0)
@@ -552,7 +564,7 @@ def _reference_orbit_bfs(seeds, gens, cut, p, window=None):
         nxt = []
         for x in frontier:
             for mat, e, _name in gens:
-                im = act(x, mat, cut)
+                im = act(x, mat)
                 val = (e + labels[x]) % p
                 old = labels.get(im)
                 if old is not None:
@@ -570,10 +582,9 @@ def _reference_orbit_bfs(seeds, gens, cut, p, window=None):
 @pytest.mark.parametrize("preset,q", [("SL2", 2), ("SL2", 3), ("PGL2", 3)])
 def test_orbit_closure_matches_free_bfs(preset, q, group_spec):
     bound = (3,)
-    cut = depth_for(preset, bound)
     gens = twisted_generators(preset, group_spec, q, 2 * bound[0] + 2)
     seeds = [torus_point(preset, q, (nu,)) for nu in (-1, 0, 1)]
-    labels, _partial, _consistent = _reference_orbit_bfs(seeds, gens, cut, gf(q).p)
+    labels, _partial, _consistent = _reference_orbit_bfs(seeds, gens, gf(q).p)
     got = orbit_closure(preset, q, seeds, group_spec, bound)
     assert got == sorted(labels, key=_point_key)
 
@@ -732,14 +743,13 @@ def _pointwise_whittaker_action(preset, bound, mu, q):
     psi_value CycNum added per point."""
     rd = build_root_datum(preset)
     out_bound = fq_oracle._hecke_window(preset, bound, mu)
-    cut = depth_for(preset, out_bound)
     sources = rd.dominant_window(bound)
     zero = CycNum.integer(0, gf(q).p, q)
     matrix = {}
     for nu in rd.dominant_window(out_bound):
         base = torus_point(preset, q, nu)
-        for g in coset_reps(preset, mu, q, cut):
-            lab, elem = fq_oracle.iwasawa_data(translate(base, g, cut))
+        for g in coset_reps(preset, mu, q):
+            lab, elem = fq_oracle.iwasawa_data(translate(base, g))
             if lab in sources:
                 matrix[lab, nu] = matrix.get((lab, nu), zero) + psi_value(elem, q)
     return {k: v for k, v in matrix.items() if not v.is_zero()}
@@ -783,8 +793,8 @@ def test_gl2_whittaker_action_commutes_with_central_shifts(lam, mu, q):
 
 
 def test_whittaker_action_builds_no_translate_at_the_default_depth(translate_calls):
-    """The read-off builds no translate, also on GL2 sources whose diagonal
-    exponents pass the cut of the old rule."""
+    """The read-off builds no translate, also on GL2 sources with large
+    diagonal exponents."""
     assert whittaker_action("PGL2", (3,), (3,), 9)
     for lam, mu in _GL2_SHIFTS:
         for k in range(7):
@@ -865,26 +875,23 @@ def _stabilizer_window(preset, q):
 @pytest.mark.parametrize("preset,q", [("SL2", 2), ("SL2", 3), ("SL2", 4), ("PGL2", 2),
                                       ("PGL2", 3), ("GL2", 2), ("GL2", 3)])
 def test_stabilizer_shortcut_matches_full_hnf(preset, q, monkeypatch):
-    """act by every generator of the four twisted groups equals the
-    four-argument _hnf_point of the full product, at the window's cut and
-    at cut 2, on the SL2 chain windows and the PGL2/GL2 bound windows; and
-    the window searches' stabilizer shortcut answers for every generator
-    kind."""
+    """act by every generator of the four twisted groups equals _hnf_point
+    of the product, on the SL2 chain windows and the PGL2/GL2 bound
+    windows; and the window searches' stabilizer shortcut answers for every
+    generator kind."""
     F = gf(q)
     pts = _stabilizer_window(preset, q)
     bound = fq_oracle._window_bound(pts)
     gens = {repr(g): (g, _generator_kind(name)) for spec in _SPECS
             for g, _e, name in fq_oracle._window_generators(preset, spec, q, bound)}
-    for cut in (depth_for(preset, bound), 2):
-        for p in pts:
-            for g, _kind in gens.values():
-                want = _outcome(_hnf_point, preset, q, _m_mul(F, g, p.matrix(), cut), cut)
-                assert _outcome(act, p, g, cut) == want, (p, g, cut)
+    for p in pts:
+        for g, _kind in gens.values():
+            assert act(p, g) == _hnf_point(preset, q, _m_mul(F, g, p.matrix())), (p, g)
     fired = set()
     fixes = fq_oracle._fixes
 
-    def spy(point, mat, cut):
-        out = fixes(point, mat, cut)
+    def spy(point, mat):
+        out = fixes(point, mat)
         if out:
             fired.add(gens[repr(mat)][1])
         return out
@@ -908,8 +915,8 @@ def test_window_searches_translate_no_point_to_itself(preset, q, monkeypatch):
     computed = []
     product, plan = fq_oracle._product_point, fq_oracle._plan
 
-    def spy_plan(q, mat, cut):
-        image = plan(q, mat, cut)
+    def spy_plan(q, mat):
+        image = plan(q, mat)
 
         def spy(point):
             out = image(point)
@@ -924,30 +931,26 @@ def test_window_searches_translate_no_point_to_itself(preset, q, monkeypatch):
         orbit_partition(pts, spec, q)
     assert computed and not any(computed)
     bound = fq_oracle._window_bound(pts)
-    cut = depth_for(preset, bound)
     fixed = 0
     for mat, _e, _name in fq_oracle._window_generators(preset, "Iwahori_twisted", q, bound):
         for x in pts:
-            if fq_oracle._fixes(x, mat, cut):
-                assert product(x, mat, cut, True) == x, (x, mat)
+            if fq_oracle._fixes(x, mat):
+                assert product(x, mat, True) == x, (x, mat)
                 fixed += 1
     assert fixed
 
 
-def test_stabilizer_shortcut_leaves_a_short_cut_to_the_full_path():
-    """(1 + t) I fixes every lattice, but over F_2 at cut 2 the lattice
-    L = [[1, t^-3], [0, 1]] needs a - v = 3 inverse terms, past the cut:
-    _fixes declines there, and act equals the full-precision form,
-    truncation term t^-1 and all."""
-    F, cut = gf(2), 2
+def test_unit_scalar_fixes_every_lattice():
+    """(1 + t) I fixes every lattice: over F_2, L = [[1, t^-3], [0, 1]]
+    needs a - v = 3 inverse terms of 1 + t, and _fixes and act both say
+    g L = L. A truncation at cut 2 kept too few terms and added t^-1."""
+    F = gf(2)
     p = GrPoint("SL2", 2, 0, 0, ((-3, 1),))
     g = (({0: 1, 1: 1}, {}), ({}, {0: 1, 1: 1}))
-    want = _hnf_point("SL2", 2, _m_mul(F, g, p.matrix(), cut), cut)
-    assert want == GrPoint("SL2", 2, 0, 0, ((-3, 1), (-1, 1)))
-    assert not fq_oracle._fixes(p, g, cut)
-    assert act(p, g, cut) == want
-    assert fq_oracle._fixes(p, g, cut + 2)
-    assert act(p, g, cut + 2) == p
+    assert fq_oracle._fixes(p, g)
+    assert act(p, g) == p == _hnf_point("SL2", 2, _m_mul(F, g, p.matrix()))
+    truncated = _truncated_hnf("SL2", 2, _m_mul(F, g, p.matrix()), 2)
+    assert truncated == GrPoint("SL2", 2, 0, 0, ((-3, 1), (-1, 1)))
 
 
 # a window per preset and the torus coweights that seed the free searches
@@ -968,7 +971,6 @@ def test_stabilizer_rows_match_a_search_that_acts_by_every_generator(preset, q):
     p = gf(q).p
     pts = enumerate_gr_window(preset, bound, q)
     window = set(pts)
-    cut = depth_for(preset, bound)
     seen = set()
     for spec in _SPECS:
         gens = fq_oracle._window_generators(preset, spec, q, bound)
@@ -976,29 +978,29 @@ def test_stabilizer_rows_match_a_search_that_acts_by_every_generator(preset, q):
         for seed in [x for x in pts if x.is_torus_point()] + pts:
             if seed in done:
                 continue
-            got = fq_oracle._orbit_bfs([seed], gens, cut, p, window)
-            want = _reference_orbit_bfs([seed], gens, cut, p, window)
+            got = fq_oracle._orbit_bfs([seed], gens, p, window)
+            want = _reference_orbit_bfs([seed], gens, p, window)
             assert list(got[0].items()) == list(want[0].items()), (spec, seed)
             assert got[1:] == want[1:], (spec, seed)
             done |= set(got[0])
             seen.add(("partial", got[1]))
             seen.add(("consistent", got[2]))
         seeds = [torus_point(preset, q, lam) for lam in free_seeds]
-        got = fq_oracle._orbit_bfs(seeds, gens, cut, p)
-        want = _reference_orbit_bfs(seeds, gens, cut, p)
+        got = fq_oracle._orbit_bfs(seeds, gens, p)
+        want = _reference_orbit_bfs(seeds, gens, p)
         assert list(got[0].items()) == list(want[0].items()), spec
         assert got[1:] == want[1:], spec
     # the windows hold a truncated orbit and one the character cannot live on
     assert {("partial", True), ("consistent", False)} <= seen
 
 
-def _pointwise_hecke_operator(f, mu, domain_points, cut):
+def _pointwise_hecke_operator(f, mu, domain_points):
     """hecke_operator as one translate per domain point and coset
-    representative: sum over g of f(translate(x, g, cut))."""
+    representative: sum over g of f(translate(x, g))."""
     rd = build_root_datum(f.preset)
     out = {}
     for x in domain_points:
-        found = [f.values[y] for y in (translate(x, g, cut) for g in coset_reps(f.preset, mu, f.q))
+        found = [f.values[y] for y in (translate(x, g) for g in coset_reps(f.preset, mu, f.q))
                  if y in f.values]
         acc = sum(found[1:], found[0]) if found else 0
         if acc:
@@ -1011,8 +1013,9 @@ def _pointwise_hecke_operator(f, mu, domain_points, cut):
 # the bounds of the windows that hold f and the domain, mu and the declared
 # support bound of f * 1_mu; None is the chain window. The support bound of
 # the second SL2 case is too small for the result. The domain of the last
-# case lies past the cut (8) of its support bound, so every translate of its
-# points reaches the cut.
+# case lies far above the support bound: f * 1_mu is 0 there, where a
+# truncation at depth_for of the support bound (8) raised "singular lattice
+# basis".
 _HECKE_CASES = [
     ("SL2", None, (1,), None, (3,)),
     ("SL2", (2,), (1,), (2,), (0,)),
@@ -1029,9 +1032,8 @@ _HECKE_CASES = [
 @pytest.mark.parametrize("kind", ["int", "CycNum"])
 def test_hecke_read_off_matches_a_sum_over_translates(
         preset, f_bound, mu, domain_bound, support, q, kind, translate_calls):
-    """hecke_operator equals the sum over translates at its cut, the depth
-    of the support bound of f * 1_mu: the same values, or the same error.
-    It falls back to translate only where a translate reaches the cut."""
+    """hecke_operator equals the sum over translates: the same values, or
+    the same error. It calls no translate."""
     import random
 
     rng = random.Random(q)
@@ -1047,16 +1049,14 @@ def test_hecke_read_off_matches_a_sum_over_translates(
 
     f = FqFunction(preset, q, support, {x: value() for x in window(f_bound) if rng.random() < 0.5})
     pts = window(domain_bound)
-    cut = depth_for(preset, fq_oracle._hecke_window(preset, support, mu))
     got = _outcome(hecke_operator, f, mu, pts)
-    want = _outcome(_pointwise_hecke_operator, f, mu, pts, cut)
+    want = _outcome(_pointwise_hecke_operator, f, mu, pts)
     assert (got if isinstance(got, type) else got.values) == want
-    past_cut = domain_bound == (9, 8)
-    assert bool(translate_calls) == past_cut
-    # past the cut both reach the translates' error; otherwise the result is
-    # nonzero or, in the second SL2 case, escapes the window
-    if past_cut:
-        assert want is OracleError and cut == 8
+    assert not translate_calls
+    # the result is 0 far above the support bound, otherwise nonzero or, in
+    # the second SL2 case, it escapes the window
+    if domain_bound == (9, 8):
+        assert want == {}
     else:
         assert want == SupportEscapesWindow if support == (0,) else want
 
@@ -1069,8 +1069,8 @@ def test_hecke_operator_builds_no_translate_on_the_chain_windows(translate_calls
     assert not translate_calls
 
 
-# the SL2 and PGL2 cases of _HECKE_CASES with a torus point past the cut
-# added to the domain: there hecke_operator gathers through translate
+# the SL2 and PGL2 cases of _HECKE_CASES with a far torus point added to the
+# domain, where a truncation at depth_for of the support bound raised
 _FAR_CASES = [("SL2", (2,), (1,), ((2,), (16,)), (2,)),
               ("PGL2", (3,), (1,), ((2,), (10,)), (2,))]
 
@@ -1082,10 +1082,10 @@ def test_hecke_operator_on_a_sparse_support(
         preset, f_bound, mu, domain_bound, support, q, kind, translate_calls):
     """f on one point, or a baby basis function (the U_twisted orbit of a
     torus point with its transported character): hecke_operator equals the
-    sum over translates, the same values or the same error. The index built
-    from f's support serves the domain points below the cut, the gather the
-    others, through translate exactly where the cut bites; on SL2, PGL2 and
-    GL2, where mu* = (0, -1) differs from mu = (1, 0)."""
+    sum over translates, the same values or the same error, with no
+    translate: the index built from f's support serves every domain point,
+    the far ones included; on SL2, PGL2 and GL2, where mu* = (0, -1)
+    differs from mu = (1, 0)."""
     import random
 
     rng = random.Random(q)
@@ -1108,14 +1108,15 @@ def test_hecke_operator_on_a_sparse_support(
         values = {y: CycNum.zeta_power(e, p, q) for y, e in orbit["labels"].items()}
     f = FqFunction(preset, q, support, values)
     pts = window(domain_bound)
-    cut = depth_for(preset, fq_oracle._hecke_window(preset, support, mu))
     got = _outcome(hecke_operator, f, mu, pts)
-    want = _outcome(_pointwise_hecke_operator, f, mu, pts, cut)
+    want = _outcome(_pointwise_hecke_operator, f, mu, pts)
     assert (got if isinstance(got, type) else got.values) == want
-    past_cut = domain_bound == (9, 8) or domain_bound in [c[3] for c in _FAR_CASES]
-    assert bool(translate_calls) == past_cut
-    if past_cut:
-        assert want is OracleError
+    assert not translate_calls
+    if domain_bound == (9, 8):
+        assert want == {}
+    elif domain_bound in [c[3] for c in _FAR_CASES]:
+        # values below the support bound, 0 at the far torus point
+        assert want and pts[-1] not in want
 
 
 def test_hecke_operator_reads_off_from_the_support_of_f(monkeypatch):
@@ -1136,8 +1137,7 @@ def test_hecke_operator_reads_off_from_the_support_of_f(monkeypatch):
     monkeypatch.setattr(fq_oracle, "_read_off", counting)
     got = hecke_operator(f, (1,), pts)
     assert got.values and 0 < sum(counts) <= 5 * 30
-    cut = depth_for("SL2", fq_oracle._hecke_window("SL2", f.window, (1,)))
-    assert got.values == _pointwise_hecke_operator(f, (1,), pts, cut)
+    assert got.values == _pointwise_hecke_operator(f, (1,), pts)
 
 
 def test_hecke_operator_gathers_when_the_support_outgrows_the_domain(monkeypatch):
@@ -1159,19 +1159,17 @@ def test_hecke_operator_gathers_when_the_support_outgrows_the_domain(monkeypatch
     monkeypatch.setattr(fq_oracle, "_read_off", counting)
     got = hecke_operator(f, (1,), pts)
     assert got.values and 0 < sum(counts) <= 156 * 30
-    cut = depth_for("SL2", fq_oracle._hecke_window("SL2", f.window, (1,)))
-    assert got.values == _pointwise_hecke_operator(f, (1,), pts, cut)
+    assert got.values == _pointwise_hecke_operator(f, (1,), pts)
 
 
 def _act_loop_gm_averaging(f, points):
     """gm_averaging's function as one act per point and unit of F_q."""
     F = gf(f.q)
-    cut = depth_for(f.preset, fq_oracle._window_bound(points))
     out = {}
     for x in points:
         acc = CycNum.integer(0, F.p, f.q)
         for c in F.units():
-            v = f.values.get(act(x, fq_oracle.d_torus(c), cut))
+            v = f.values.get(act(x, fq_oracle.d_torus(c)))
             if v is not None:
                 acc = acc + v
         if not acc.is_zero():
@@ -1222,27 +1220,23 @@ _PLAN_WINDOWS = [("SL2", q) for q in (2, 3, 4, 5)] + [
 @pytest.mark.parametrize("preset,q", _PLAN_WINDOWS)
 def test_window_plans_match_the_product(preset, q):
     """A _Window's image of each point by each generator (its compiled
-    plan) equals _product_point's, errors included: on the SL2 chain
-    windows at the cut and level of orbit_partition and of the chain's
-    orbit_closure, and on the PGL2 (2,) and GL2 (2, 0) windows at their
-    own; and at every cut from 1 up on a sample of the points, where the
-    plans fall back."""
-    import random
-
+    plan) equals _product_point's: on the SL2 chain windows at the level
+    of orbit_partition and of the chain's orbit_closure, and on the PGL2
+    (2,) and GL2 (2, 0) windows at their own; with the points in both
+    orders, so that the t>j plans extend their series as points need more
+    terms, or have them already."""
     pts = _stabilizer_window(preset, q)
-    sample = random.Random(q).sample(pts, min(len(pts), 12))
     bound = fq_oracle._window_bound(pts)
     kinds = set()
     for level_bound in [bound, (3,)] if preset == "SL2" else [bound]:
         gens = fq_oracle._window_generators(preset, "Iwahori_twisted", q, level_bound)
         kinds |= {_generator_kind(name) for _g, _e, name in gens}
-        top = depth_for(preset, level_bound)
-        for cut in range(1, top + 1):
-            win = fq_oracle._Window(pts if cut == top else sample, gens, cut, False)
+        for order in (pts, pts[::-1]):
+            win = fq_oracle._Window(order, gens, False)
             for j, x in enumerate(win.points):
                 for i, (mat, _e, name) in enumerate(gens):
-                    want = _outcome(fq_oracle._product_point, x, mat, cut, True)
-                    assert _outcome(win.product, j, i) == want, (name, x, cut)
+                    want = fq_oracle._product_point(x, mat, True)
+                    assert win.product(j, i) == want, (name, x)
     assert kinds == {"x+", "x-", "t>"} | ({"gm", "torus"} if q > 2 else set())
 
 
@@ -1250,8 +1244,8 @@ def test_window_plans_match_the_product(preset, q):
                                       ("PGL2", 2), ("PGL2", 3), ("PGL2", 4),
                                       ("GL2", 2), ("GL2", 3), ("GL2", 4)])
 def test_no_twisted_generator_reaches_the_full_hermite_form(preset, q, monkeypatch):
-    """act by every twisted generator takes a closed form or the stabilizer
-    shortcut, never _hnf_point: on the SL2 chain windows at the cut and
+    """A window's image of a point by any twisted generator takes a closed
+    form or the t>j plan, never _hnf_point: on the SL2 chain windows at the
     level of orbit_partition and of the chain's orbit_closure, and on the
     PGL2 and GL2 bound-2 windows at their own."""
     if preset == "SL2":
@@ -1262,12 +1256,12 @@ def test_no_twisted_generator_reaches_the_full_hermite_form(preset, q, monkeypat
         bounds = [fq_oracle._window_bound(pts)]
     calls = _count_calls(monkeypatch, "_hnf_point")
     for bound in bounds:
-        cut = depth_for(preset, bound)
-        gens = {repr(g): g for spec in _SPECS
-                for g, _e, _name in fq_oracle._window_generators(preset, spec, q, bound)}
-        for p in pts:
-            for g in gens.values():
-                act(p, g, cut)
+        gens = list({repr(g): (g, e, name) for spec in _SPECS for g, e, name
+                     in fq_oracle._window_generators(preset, spec, q, bound)}.values())
+        win = fq_oracle._Window(pts, gens, False)
+        for j in range(len(pts)):
+            for i in range(len(gens)):
+                win.product(j, i)
     assert not calls
 
 
@@ -1276,13 +1270,12 @@ def _reference_partition(points, spec, q):
     spec's own generators, and the exponential tags read off act."""
     preset = points[0].preset
     bound = fq_oracle._window_bound(points)
-    cut = depth_for(preset, bound)
     gens = fq_oracle._window_generators(preset, spec, q, bound)
     assignment, orbits = {}, []
     for seed in [x for x in points if x.is_torus_point()] + points:
         if seed in assignment:
             continue
-        labels, partial, consistent = _reference_orbit_bfs([seed], gens, cut, gf(q).p, set(points))
+        labels, partial, consistent = _reference_orbit_bfs([seed], gens, gf(q).p, set(points))
         torus = sorted(x.torus_coweight() for x in labels if x.is_torus_point())
         assignment.update(dict.fromkeys(labels, len(orbits)))
         orbits.append({"label": torus[0] if torus else None, "tag": "single",
@@ -1294,7 +1287,7 @@ def _reference_partition(points, spec, q):
             lam = o["label"]
             if lam is None or not rd.is_dominant(lam) or o["partial"]:
                 continue
-            other = assignment.get(act(torus_point(preset, q, lam), x_plus(q, 1, -1), cut))
+            other = assignment.get(act(torus_point(preset, q, lam), x_plus(q, 1, -1)))
             if other is not None and other != k and not orbits[other]["partial"]:
                 o["tag"], orbits[other]["tag"], orbits[other]["label"] = "closed", "open", lam
     return assignment, orbits
@@ -1334,10 +1327,9 @@ def test_exponential_tags_do_not_depend_on_the_generator_order(q):
     pts = _chain_window(q)
     bound = fq_oracle._window_bound(pts)
     gens = fq_oracle._window_generators("SL2", "Iwahori_twisted", q, bound)
-    cut = depth_for("SL2", bound)
 
     def tags(gs):
-        _assignment, orbits = fq_oracle._Window(pts, gs, cut, False).partition("U_exp_twisted")
+        _assignment, orbits = fq_oracle._Window(pts, gs, False).partition("U_exp_twisted")
         return sorted((o["tag"], o["label"], sorted(o["points"])) for o in orbits)
 
     got = tags(gens)
@@ -1357,17 +1349,17 @@ def test_window_table_translates_each_pair_once(monkeypatch):
     translates, tests = Counter(), Counter()
     plan, fixes = fq_oracle._plan, fq_oracle._fixes
 
-    def counting_plan(q, mat, cut):
-        image = plan(q, mat, cut)
+    def counting_plan(q, mat):
+        image = plan(q, mat)
 
         def counting(point):
             translates[point, repr(mat)] += 1
             return image(point)
         return counting
 
-    def counting_fixes(point, mat, cut):
+    def counting_fixes(point, mat):
         tests[(point.a, point.c, point.b[:1] and point.b[0][0]), repr(mat)] += 1
-        return fixes(point, mat, cut)
+        return fixes(point, mat)
 
     monkeypatch.setattr(fq_oracle, "_plan", counting_plan)
     monkeypatch.setattr(fq_oracle, "_fixes", counting_fixes)
@@ -1404,7 +1396,7 @@ _F3_ON_F2 = FqFunction("SL2", 2, (2,), dict.fromkeys(_sl2_window(3), 1))
     lambda: fq_oracle.gm_averaging(_F3_ON_F2, enumerate_gr_window("SL2", (2,), 2)),
     lambda: fq_oracle.exponential_class(_F3_ON_F2, enumerate_gr_window("SL2", (2,), 2)),
     lambda: character_labeling(_pgl2_window(3), "SL2", 3, "U_twisted", 8,
-                               torus_point("PGL2", 3, (0,)), depth_for("SL2", (1,))),
+                               torus_point("PGL2", 3, (0,))),
     lambda: orbit_closure("SL2", 2, [torus_point("SL2", 3, (0,))], "U_twisted", (1,)),
     lambda: orbit_closure("SL2", 3, [torus_point("PGL2", 3, (0,))], "U_twisted", (1,)),
 ], ids=["orbit_partition", "hecke_operator", "whittaker_space", "baby_basis",
