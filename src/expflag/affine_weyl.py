@@ -408,32 +408,37 @@ class AffineWeyl:
     def enumerate_elements(self, length_bound: int):
         """All w with l(w) <= bound, BFS by length from Omega.
 
+        Each simple_steps row it fills holds the enumerated elements
+        themselves, not equal copies: every w s_i of a w it steps from has
+        length <= bound, so it is one of them.
+
         Raises AffineWeylError on a negative bound, and once more than
         _ELEMENT_CAP elements are held.
         """
         if length_bound < 0:
             raise AffineWeylError("length bound must be nonnegative")
-        seen = set()
+        seen = {}
         out = []
         frontier = list(self.omega_elements())
         for w in frontier:
-            seen.add(w)
+            seen[w] = w
             out.append(w)
         depth = 0
         while frontier and depth < length_bound:
             new = []
             for w in frontier:
+                row = []
                 for y, down in self.simple_steps(w):
-                    if down:
-                        continue
-                    if y not in seen:
-                        seen.add(y)
+                    if not down and y not in seen:
+                        seen[y] = y
                         new.append(y)
                         out.append(y)
                         if len(out) > _ELEMENT_CAP:
                             raise AffineWeylError(
                                 f"more than {_ELEMENT_CAP} elements of length "
                                 f"<= {length_bound}")
+                    row.append((seen[y], down))
+                self._step_cache[w] = tuple(row)
             frontier = new
             depth += 1
         return out

@@ -37,7 +37,9 @@ off a closed form (``_coset_shapes``), with no point built;
 of f, when it is smaller than the domain, and g' in K mu* K / K,
 mu* = -w0 mu, and sums f(y) into an index of the domain, since x g = y
 exactly when x = y g'; for a larger support each domain point gathers
-f(x g) over K mu K / K.
+f(x g) over K mu K / K. Either way it builds only the products whose
+shape (a, c, val b), known from y's shifted part and the lowest term of
+g' unless those two tie, is a shape of a point they may hit.
 
 ``act`` and ``translate`` take a closed form: ``_triangular_point`` for an
 upper-triangular element with a monomial diagonal (coset representatives,
@@ -55,6 +57,9 @@ inverted once; any other generator goes through ``_product_point``.
 Iwahori's generators, of which every group spec's are a subsequence, so
 all specs share the verdicts per shape and the translate per point and
 generator, and ``gm_averaging`` reads its images by the gm generators.
+``orbit_closure`` searches on a free window over the same generators and
+hands its images to the window of the points it returns, so the
+partitions that follow on those points compute none of them again.
 Each orbit keeps its character labels and consistency flag, which the
 baby basis and the averaging (linear per orbit: one sum of zeta^-c(y)
 f(y)) read.
@@ -379,6 +384,11 @@ def _lower_point(point: GrPoint, mat):
     pivot, top = (low, {a: 1}) if not high or min(low) < min(high) else (high, b)
     c1 = min(pivot)
     return _reduced(point.preset, point.q, a + c - c1, c1, top, _s_shift(pivot, -c1))
+
+
+def _shape(x):
+    """(a, c, val b) of a point, None for b = 0: all that _fixes reads."""
+    return x.a, x.c, x.b[0][0] if x.b else None
 
 
 def _fixes(point: GrPoint, mat):
@@ -706,6 +716,20 @@ class _Window:
         self.plans = [None] * len(gens)
         self.fixes, self.partitions = {}, {}
 
+    def adopt(self, other):
+        """Take over the images that other, a free window on the same
+        points, has computed by each generator whose matrix is also one of
+        this window's."""
+        mine = {io: i for io, (theirs, _e, their_name) in enumerate(other.gens)
+                for i, (mat, _e, name) in enumerate(self.gens)
+                if name == their_name and mat == theirs}
+        for x, seen in zip(other.points, other.images):
+            images = self.images[self.index[x]]
+            for io, k in seen.items():
+                i = mine.get(io)
+                if i is not None:
+                    images[i] = self.index[other.points[k]]
+
     def product(self, j, i):
         """Point j's image under generator i, by the generator's plan."""
         plan = self.plans[i]
@@ -742,7 +766,7 @@ class _Window:
             nxt = []
             for j in frontier:
                 x = self.points[j]
-                shape = (x.a, x.c, x.b[0][0] if x.b else None)
+                shape = _shape(x)
                 fixes = self.fixes.get(shape)
                 if fixes is None:
                     fixes = self.fixes[shape] = [
@@ -840,16 +864,22 @@ def orbit_partition(points, group_spec, q):
     return found
 
 
-def _window(points, q):
+def _window(points, q, closure=None, bound=None):
     """The _Window of a nonempty closed window over the twisted Iwahori's
-    generators at its level, one of the last few kept."""
+    generators at its level, one of the last few kept. bound, when given,
+    is _window_bound(points), already computed; a new window takes over
+    the images of closure, a free window on the same points, when given."""
     preset = points[0].preset
     key = (preset, q, frozenset(points))
     win = _partition_cache.pop(key, None)
     if win is None:
         _check_points(points, preset, q)
-        gens = _window_generators(preset, "Iwahori_twisted", q, _window_bound(points))
+        if bound is None:
+            bound = _window_bound(points)
+        gens = _window_generators(preset, "Iwahori_twisted", q, bound)
         win = _Window(points, gens, False)
+        if closure is not None:
+            win.adopt(closure)
     _partition_cache[key] = win
     if len(_partition_cache) > _PARTITION_CACHE_SIZE:
         del _partition_cache[next(iter(_partition_cache))]
@@ -861,13 +891,29 @@ def orbit_closure(preset, q, seeds, group_spec, bound):
 
     Unlike orbit_partition this does not need an ambient enumeration: the
     orbit of any point of type <= bound - 2 rho-hat stays inside type <=
-    bound, so the BFS terminates. The bound only sizes the generator
-    levels; it is not enforced pointwise.
+    bound, so the BFS terminates. The bound sizes the generator levels;
+    OracleError if the closure reaches a type past it, where that level
+    no longer covers the orbit and the returned set may not be closed.
+
+    The search runs on a free _Window over the twisted Iwahori's
+    generators at the bound's level, by the spec's, which are the spec's
+    own generators in their own order. It hands its images over: the
+    window orbit_partition keeps for the returned points (_window) starts
+    with every image by a generator whose matrix the closure's list
+    holds, so the partitions and the Gm-averaging on those points compute
+    only the images the closure did not (SL2's t>j generators, truncated
+    per level, and the torus). A window already kept for them stays.
     """
     _check_points(seeds, preset, q)
-    gens = _window_generators(preset, group_spec, q, bound)
-    labels, _partial, _consistent = _orbit_bfs(seeds, gens, gf(q).p)
-    return sorted(labels, key=lambda p: (p.a, p.c, p.b))
+    free = _Window(seeds, _window_generators(preset, "Iwahori_twisted", q, bound), True)
+    free.search(range(len(free.points)), group_spec, gf(q).p)
+    points = sorted(free.points, key=lambda p: (p.a, p.c, p.b))
+    if points:
+        top = _window_bound(points)
+        if not _rd(preset).dominance_leq(top, bound):
+            raise OracleError(f"the orbits reach type {top}, past the bound {tuple(bound)}")
+        _window(points, q, free, top)
+    return points
 
 
 def _window_bound(points):
@@ -906,7 +952,10 @@ def hecke_operator(f: FqFunction, mu, domain_points):
     (on the diagonal (a, c) -> (-c, -a)). When f's support is smaller than
     the domain, each y in it adds f(y) at every y g' in the domain, and
     each domain point reads that index; otherwise each domain point
-    gathers f(x g). Both read the products off _read_off.
+    gathers f(x g). Both read the products off _read_off, which builds
+    only those whose shape (a, c, val b) is the shape of a point they may
+    hit: of a domain point for the index, of a support point for the
+    gather.
     """
     preset, q = f.preset, f.q
     _check_points(domain_points, preset, q)
@@ -916,14 +965,16 @@ def hecke_operator(f: FqFunction, mu, domain_points):
     if len(f.values) < len(domain):
         am, cm = _diagonal(preset, mu)
         star = _rep_shapes(preset, PRESETS[preset].coords(-cm, -am), q)
+        lands = {_shape(x) for x in domain}
         index = {}
         for y, v in f.values.items():
             for (a1, c1), reps in star.items():
-                for x in _read_off(y, a1, c1, reps):
+                for x in _read_off(y, a1, c1, reps, lands):
                     if x in domain:
                         index[x] = index[x] + v if x in index else v
     else:
         shapes = _rep_shapes(preset, mu, q)
+        lands = {_shape(y) for y in f.values}
     out = {}
     rd = _rd(preset)
     for x in domain_points:
@@ -932,7 +983,7 @@ def hecke_operator(f: FqFunction, mu, domain_points):
         else:
             acc = 0
             for (a1, c1), reps in shapes.items():
-                for y in _read_off(x, a1, c1, reps):
+                for y in _read_off(x, a1, c1, reps, lands):
                     v = f.values.get(y)
                     if v is not None:
                         acc = acc + v if acc != 0 else v
@@ -946,22 +997,40 @@ def hecke_operator(f: FqFunction, mu, domain_points):
 
 
 def _rep_shapes(preset, mu, q):
-    """K mu K / K grouped by diagonal: {(a, c): [representative points]}."""
+    """K mu K / K grouped by diagonal and lowest term: {(a, c): {val b':
+    [representative points]}}, val b' None for b' = 0."""
     shapes = {}
     for g in _coset_points(preset, mu, q):
-        shapes.setdefault((g.a, g.c), []).append(g)
+        shapes.setdefault((g.a, g.c), {}).setdefault(_shape(g)[2], []).append(g)
     return shapes
 
 
-def _read_off(x, a1, c1, reps):
+def _read_off(x, a1, c1, reps, lands):
     """x g for the representatives g = [[t^a1, b'], [0, t^c1]] of one
-    diagonal: [[t^(a+a1), (t^c1 b + t^a b') mod t^(a+a1)], [0, t^(c+c1)]],
-    translate's closed form, x's part shifted once; plain tuples on SL2
-    and GL2, which a GrPoint hashes and compares as."""
+    diagonal, grouped by val b': [[t^(a+a1), (t^c1 b + t^a b') mod
+    t^(a+a1)], [0, t^(c+c1)]], translate's closed form, x's part shifted
+    once; plain tuples on SL2 and GL2, which a GrPoint hashes and compares
+    as. It builds only the products whose shape (a, c, val b), after the
+    projective rescale, lies in lands: val b is the lower of the shifted
+    part's and a + val b', or, where those tie and may cancel, unknown, so
+    that group is built whole."""
     preset, q, a, c = x.preset, x.q, x.a + a1, x.c + c1
     F = gf(q)
     shifted = [(e + c1, co) for e, co in x.b if e + c1 < a]
-    bs = [_add_terms(F, shifted, [(e + x.a, co) for e, co in g.b], a) for g in reps]
+    low = shifted[0][0] if shifted else None
+    a0, c0 = a, c
+    if preset in _PROJECTIVE:
+        P = PRESETS[preset]
+        a0, c0 = P.diagonal(*P.coords(a, c))
+    bs = []
+    for v, group in reps.items():
+        v = None if v is None else v + x.a
+        if v is None or v != low:
+            # no tie, so nothing cancels: val b is the lower of the two
+            v = min((e for e in (v, low) if e is not None), default=None)
+            if (a0, c0, None if v is None else v + c0 - c) not in lands:
+                continue
+        bs += [_add_terms(F, shifted, [(e + x.a, co) for e, co in g.b], a) for g in group]
     if preset in _PROJECTIVE:
         return [_canonical_point(preset, q, a, c, b) for b in bs]
     return [(preset, q, a, c, b) for b in bs]

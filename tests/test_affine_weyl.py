@@ -132,6 +132,22 @@ def test_step_table_and_word_memo_match_the_direct_reads(name):
         assert W.reduced_word(w) == _peel(W, w)
 
 
+def test_enumeration_steps_hold_the_enumerated_elements():
+    """The step rows enumerate_elements fills hold the very elements it
+    returns, not equal copies, for every element below the bound."""
+    W = AffineWeyl(build_root_datum("SL3"))
+    elems = W.enumerate_elements(6)
+    mine = {w: w for w in elems}
+    assert len(mine) == len(elems)
+    rows = 0
+    for w in elems:
+        if W.length(w) < 6:
+            rows += 1
+            for y, _down in W.simple_steps(w):
+                assert y is mine[y]
+    assert 0 < rows < len(elems)
+
+
 @pytest.mark.parametrize("index", [-1, 3])
 def test_out_of_range_index_is_rejected_with_warm_tables(index):
     """-1 would read the last entry of a step-table row."""

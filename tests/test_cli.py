@@ -2,8 +2,11 @@
 
 import itertools
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -12,6 +15,7 @@ from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import expflag
 from expflag.affine_weyl import AffineWeyl, ExpLabel
 from expflag.cli import main
 from expflag.exp_module import basis_vector, fiber_class, phi_element
@@ -195,6 +199,21 @@ def test_verify_passes(runner):
 def test_bad_group_is_config_error(runner):
     res = runner.invoke(main, ["weyl", "--group", "E9"])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("group,code", [("SL2", 0), ("E9", 2)])
+def test_python_m_expflag_runs_the_cli(group, code):
+    """python -m expflag runs the command from a checkout, with its exit
+    codes: 0 for a passing verify, 2 for an unknown group."""
+    env = dict(os.environ, PYTHONPATH=str(Path(expflag.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "expflag", "verify", "--group", group, "--bound", "1",
+         "--q", "2,3"], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == code, done.stderr
+    if code == 0:
+        assert json.loads(done.stdout)["passed"]
+    else:
+        assert "unknown group 'E9'" in done.stderr
 
 
 @pytest.mark.parametrize("args", [

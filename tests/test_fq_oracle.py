@@ -292,12 +292,29 @@ def test_closed_form_translates_match_general_hnf(preset, q):
     reps += [_m_mul(F, g, diag) for g in reps]
     for p in pts:
         for g in gens + reps:
-            for fast, prod in ((act, _m_mul(F, g, p.matrix())),
-                               (translate, _m_mul(F, p.matrix(), g))):
-                assert fast(p, g) == _hnf_point(preset, q, prod), (fast.__name__, p, g)
+            for fast, left in ((act, True), (translate, False)):
+                assert fast(p, g) == _general_form(preset, q, p, g, left), (fast.__name__, p, g)
         # every coset representative takes the closed form
         for g in reps:
             assert _triangular_point(p, g, left=False) is not None
+
+
+# past every exponent of the products these tests take, and of the inverse
+# terms their Hermite forms read
+_PAST_EVERY_EXPONENT = 60
+
+
+def _general_form(preset, q, p, g, left):
+    """The Hermite form of g p (left) or p g: _hnf_point where a closed form
+    applies, which act and translate then take instead; otherwise, where
+    they call _hnf_point themselves (the t>j generators), _truncated_hnf at
+    a cut past every exponent, so that no comparison is with itself."""
+    F = gf(q)
+    prod = _m_mul(F, g, p.matrix()) if left else _m_mul(F, p.matrix(), g)
+    if (_triangular_point(p, g, left) is not None
+            or (left and fq_oracle._lower_point(p, g) is not None)):
+        return _hnf_point(preset, q, prod)
+    return _truncated_hnf(preset, q, prod, _PAST_EVERY_EXPONENT)
 
 
 def _point_key(p):
@@ -329,10 +346,10 @@ def _twisted_elements(preset, q, level_hi):
 @pytest.mark.parametrize("preset,q", [("SL2", 2), ("SL2", 3), ("SL2", 4),
                                       ("PGL2", 2), ("PGL2", 3)])
 def test_bounded_hnf_matches_full_precision(preset, q):
-    """act/translate by every twisted generator equal _hnf_point of the
-    product, on the SL2 chain windows and the PGL2 bound-2 window, at the
-    level of orbit_partition and, for SL2, of the chain's orbit_closure."""
-    F = gf(q)
+    """act/translate by every twisted generator equal the general Hermite
+    form of the product (_general_form), on the SL2 chain windows and the
+    PGL2 bound-2 window, at the level of orbit_partition and, for SL2, of
+    the chain's orbit_closure."""
     if preset == "SL2":
         pts = _chain_window(q)
         levels = [_window_level(pts), 8]
@@ -342,9 +359,9 @@ def test_bounded_hnf_matches_full_precision(preset, q):
     for level_hi in levels:
         for p in pts:
             for g in _twisted_elements(preset, q, level_hi):
-                for fast, prod in ((act, _m_mul(F, g, p.matrix())),
-                                   (translate, _m_mul(F, p.matrix(), g))):
-                    assert fast(p, g) == _hnf_point(preset, q, prod), (fast.__name__, p, g)
+                for fast, left in ((act, True), (translate, False)):
+                    assert fast(p, g) == _general_form(preset, q, p, g, left), \
+                        (fast.__name__, p, g)
 
 
 def _truncated_hnf(preset, q, mat, cut):
@@ -609,6 +626,79 @@ def test_partition_cache_keeps_the_most_recently_used_windows(monkeypatch):
     assert len(fq_oracle._partition_cache) == size
     assert orbits(0) is first[0]
     assert orbits(1) is not first[1]
+
+
+def _closure(preset, q, top):
+    """The SL2 chain window of that top, or a U-rtimes-Gm closure of torus
+    points on PGL2 and GL2."""
+    if preset == "SL2":
+        return _chain_window(q, top)
+    if preset == "PGL2":
+        seeds = [torus_point(preset, q, (nu,)) for nu in (-1, 0, 1)]
+        return orbit_closure(preset, q, seeds, "U_rtimes_Gm_twisted", (3,))
+    seeds = [torus_point(preset, q, lam) for lam in ((1, 0), (0, 1), (2, -1), (-1, 2))]
+    return orbit_closure(preset, q, seeds, "U_rtimes_Gm_twisted", (3, -2))
+
+
+@pytest.mark.parametrize("preset,q,top", [("SL2", q, top) for q in (2, 3, 4, 5) for top in (1, 2)]
+                         + [("PGL2", 3, None), ("GL2", 3, None)])
+def test_a_closure_hands_over_a_window_that_partitions_as_a_cold_one(
+        preset, q, top, monkeypatch):
+    """orbit_closure leaves the window of its points in the cache: the
+    points in sorted order, closed, over the generators _window builds for
+    them, with the closure's images. Every spec's partition on it equals
+    the one on a cold window, labels and their order included."""
+    monkeypatch.setattr(fq_oracle, "_partition_cache", {})
+    pts = _closure(preset, q, top)
+    key = (preset, q, frozenset(pts))
+    assert list(fq_oracle._partition_cache) == [key]
+    handed = fq_oracle._partition_cache[key]
+    assert handed.points == sorted(pts, key=_point_key) == pts and not handed.free
+    bound = fq_oracle._window_bound(pts)
+    assert handed.gens == fq_oracle._window_generators(preset, "Iwahori_twisted", q, bound)
+    assert sum(map(len, handed.images)) > len(pts)
+    warm = [_partition_view(orbit_partition(pts, spec, q)) for spec in _SPECS]
+    assert fq_oracle._partition_cache[key] is handed
+    for spec, want in zip(_SPECS, warm):
+        fq_oracle._partition_cache.clear()
+        assert _partition_view(orbit_partition(pts, spec, q)) == want, spec
+
+
+def test_an_empty_closure_caches_nothing(monkeypatch):
+    monkeypatch.setattr(fq_oracle, "_partition_cache", {})
+    assert orbit_closure("SL2", 3, [], "U_twisted", (2,)) == []
+    assert fq_oracle._partition_cache == {}
+
+
+def test_a_closure_keeps_the_window_already_kept_for_its_points(monkeypatch):
+    """A closure whose points have a cold window in the cache, with a
+    finished partition, leaves that window and its partition in place."""
+    monkeypatch.setattr(fq_oracle, "_partition_cache", {})
+    pts = _chain_window(3)
+    fq_oracle._partition_cache.clear()
+    found = orbit_partition(pts, "U_twisted", 3)
+    win = fq_oracle._window(pts, 3)
+    assert _chain_window(3) == pts
+    assert fq_oracle._window(pts, 3) is win
+    assert orbit_partition(pts, "U_twisted", 3) is found
+
+
+def test_closures_keep_the_cache_at_its_size(monkeypatch):
+    monkeypatch.setattr(fq_oracle, "_partition_cache", {})
+    size = fq_oracle._PARTITION_CACHE_SIZE
+    for n, q in enumerate((2, 3, 4, 5, 7), 1):
+        pts = _chain_window(q)
+        assert len(fq_oracle._partition_cache) == min(n, size)
+        assert list(fq_oracle._partition_cache)[-1] == ("SL2", q, frozenset(pts))
+
+
+def test_a_closure_past_its_bound_is_an_oracle_error(monkeypatch):
+    """The orbit of t^(3) reaches types past (1,), which the generators'
+    level no longer covers."""
+    monkeypatch.setattr(fq_oracle, "_partition_cache", {})
+    with pytest.raises(OracleError, match=r"past the bound \(1,\)"):
+        orbit_closure("SL2", 2, [torus_point("SL2", 2, (3,))], "U_twisted", (1,))
+    assert fq_oracle._partition_cache == {}
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -1075,6 +1165,16 @@ _FAR_CASES = [("SL2", (2,), (1,), ((2,), (16,)), (2,)),
               ("PGL2", (3,), (1,), ((2,), (10,)), (2,))]
 
 
+def _case_window(preset, q, bound):
+    """The points of a window of the Hecke cases: None is the chain window,
+    (bound, far) the window of bound and the torus point t^far."""
+    if bound is None:
+        return _chain_window(q)
+    if isinstance(bound[0], tuple):
+        return _case_window(preset, q, bound[0]) + [torus_point(preset, q, bound[1])]
+    return enumerate_gr_window(preset, bound, q)
+
+
 @pytest.mark.parametrize("preset,f_bound,mu,domain_bound,support", _HECKE_CASES + _FAR_CASES)
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("kind", ["point", "baby"])
@@ -1090,15 +1190,7 @@ def test_hecke_operator_on_a_sparse_support(
 
     rng = random.Random(q)
     p = gf(q).p
-
-    def window(bound):
-        if bound is None:
-            return _chain_window(q)
-        if isinstance(bound[0], tuple):
-            return window(bound[0]) + [torus_point(preset, q, bound[1])]
-        return enumerate_gr_window(preset, bound, q)
-
-    source = window(f_bound)
+    source = _case_window(preset, q, f_bound)
     if kind == "point":
         values = {rng.choice(source): CycNum.zeta_power(1, p, q)}
     else:
@@ -1107,7 +1199,7 @@ def test_hecke_operator_on_a_sparse_support(
                      and not orbits[assignment[x]]["partial"])
         values = {y: CycNum.zeta_power(e, p, q) for y, e in orbit["labels"].items()}
     f = FqFunction(preset, q, support, values)
-    pts = window(domain_bound)
+    pts = _case_window(preset, q, domain_bound)
     got = _outcome(hecke_operator, f, mu, pts)
     want = _outcome(_pointwise_hecke_operator, f, mu, pts)
     assert (got if isinstance(got, type) else got.values) == want
@@ -1160,6 +1252,119 @@ def test_hecke_operator_gathers_when_the_support_outgrows_the_domain(monkeypatch
     got = hecke_operator(f, (1,), pts)
     assert got.values and 0 < sum(counts) <= 156 * 30
     assert got.values == _pointwise_hecke_operator(f, (1,), pts)
+
+
+@pytest.mark.parametrize("preset,f_bound,mu,domain_bound,support",
+                         _FAR_CASES + [c for c in _HECKE_CASES if c[0] == "PGL2"])
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("direction", ["index", "gather"])
+def test_hecke_shape_filter_matches_the_translates_both_ways(
+        preset, f_bound, mu, domain_bound, support, q, direction, monkeypatch):
+    """hecke_operator, which builds only the read-offs whose shape (a, c,
+    val b) a domain point (index) or a support point (gather) has, equals
+    the sum over exact translates, the same values or the same error: for
+    f on three points, indexed from its support, and for f on every source
+    and domain point, gathered over the domain. Some read-offs are not
+    built, except in a gather over a window whose every shape f's support
+    has."""
+    import random
+
+    rng = random.Random(q)
+    source = _case_window(preset, q, f_bound)
+    pts = _case_window(preset, q, domain_bound)
+    support_points = rng.sample(source, 3) if direction == "index" else set(source + pts)
+    f = FqFunction(preset, q, support, {y: rng.choice((-2, -1, 1, 2)) for y in support_points})
+    readers, built = set(), []
+    read_off = fq_oracle._read_off
+
+    def counting(x, a1, c1, reps, lands):
+        out = read_off(x, a1, c1, reps, lands)
+        readers.add(x)
+        built.append((len(out), sum(map(len, reps.values()))))
+        return out
+
+    monkeypatch.setattr(fq_oracle, "_read_off", counting)
+    got = _outcome(hecke_operator, f, mu, pts)
+    want = _outcome(_pointwise_hecke_operator, f, mu, pts)
+    assert (got if isinstance(got, type) else got.values) == want
+    assert readers == (set(f.values) if direction == "index" else set(pts))
+    kept, everything = map(sum, zip(*built))
+    if direction == "gather" and domain_bound not in [c[3] for c in _FAR_CASES]:
+        # f's support has every shape of the plain PGL2 window
+        assert kept == everything
+    else:
+        assert kept < everything
+
+
+def _cancelling_products(q):
+    """(y, g, x = y g) for the SL2 points y of type <= 2 and g in K (1) K / K
+    where the lowest terms of t^c' b and t^a b' share an exponent and
+    cancel, so that val b of the product lies above both."""
+    out = []
+    for y in enumerate_gr_window("SL2", (2,), q):
+        for g in coset_reps("SL2", (1,), q):
+            (_m00, m01), (_m10, m11) = g
+            if not (y.b and m01) or y.b[0][0] + min(m11) != y.a + min(m01):
+                continue
+            x = translate(y, g)
+            if not x.b or x.b[0][0] > y.a + min(m01):
+                out.append((y, g, x))
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("direction", ["index", "gather"])
+def test_hecke_read_off_builds_a_product_whose_lowest_terms_cancel(q, direction):
+    """A product whose two lowest terms tie is built whatever the shape
+    of its lower exponent: indexed from f = the delta at y on the domain
+    of x = y g and a far torus point, and gathered at y from f = the delta
+    at x, hecke_operator equals the sum over translates and is nonzero."""
+    cases = _cancelling_products(q)
+    assert cases
+    far = torus_point("SL2", q, (16,))
+    for y, _g, x in cases:
+        if direction == "index":
+            f, pts = FqFunction("SL2", q, (3,), {y: 1}), [x, far]
+        else:
+            f, pts = FqFunction("SL2", q, (3,), {x: 1}), [y]
+        got = hecke_operator(f, (1,), pts).values
+        assert got == _pointwise_hecke_operator(f, (1,), pts) and got, (y, x)
+
+
+def test_the_averaging_chain_computes_each_product_once(monkeypatch):
+    """One averaging_chain(5, 1) of the benchmark makes at most 1,600
+    _Window.product calls (2,704 when orbit_closure kept its window to
+    itself) and builds at most 500 Hecke read-offs, the 350 + 150 domain
+    points they land on (3,900 with no shape filter)."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # the module's dataclasses look themselves up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    monkeypatch.setattr(fq_oracle, "_partition_cache", {})
+    products, built = [], []
+    product, read_off = fq_oracle._Window.product, fq_oracle._read_off
+
+    def counting_product(self, j, i):
+        products.append((j, i))
+        return product(self, j, i)
+
+    def counting_read_off(*args):
+        out = read_off(*args)
+        built.append(len(out))
+        return out
+
+    monkeypatch.setattr(fq_oracle._Window, "product", counting_product)
+    monkeypatch.setattr(fq_oracle, "_read_off", counting_read_off)
+    res = workloads.averaging_chain(5, 1)
+    assert res.checks and not res.check_failures
+    assert 0 < len(products) <= 1600
+    assert 0 < sum(built) <= 500
 
 
 def _act_loop_gm_averaging(f, points):
