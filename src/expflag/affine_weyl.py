@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from operator import add, mul
 from typing import NamedTuple
 
-from .root_datum import FiniteWeylElement, RootDatum
+from .root_datum import RootDatum
 
 
 class AffineWeylError(ValueError):
@@ -70,12 +70,12 @@ class AffineRoot:
 class AffineWeylElement(NamedTuple):
     """w = t_lam v with lam in X_*(T) and v in W0.
 
-    Equality and hashing are those of the pair (lam, v), and v hashes by
-    its index.
+    v is the int that RootDatum indexes W0 by, so equality and hashing are
+    those of a pair of a tuple and an int.
     """
 
     lam: tuple
-    v: FiniteWeylElement
+    v: int
 
 
 class _ExpLabelTuple(NamedTuple):
@@ -119,7 +119,7 @@ class AffineWeyl:
         self._simple_n = [ar.level for ar in self.simple_affine_roots]
         # _right_table[v][i] = (v lam_i, v u_i) for s_i = t_{lam_i} u_i
         self._right_table = [
-            [(v.apply_coweight(s.lam), rd.w_mul(v, s.v)) for s in self.simples]
+            [(rd.apply_coweight(v, s.lam), rd.w_mul(v, s.v)) for s in self.simples]
             for v in rd.weyl_elements()
         ]
         self._positive = [
@@ -165,17 +165,17 @@ class AffineWeyl:
 
     def mul(self, x: AffineWeylElement, y: AffineWeylElement) -> AffineWeylElement:
         # (t_lam v)(t_mu u) = t_{lam + v mu} (v u)
-        lam = tuple(map(add, x.lam, x.v.apply_coweight(y.lam)))
+        lam = tuple(map(add, x.lam, self.rd.apply_coweight(x.v, y.lam)))
         return AffineWeylElement(lam, self.rd.w_mul(x.v, y.v))
 
     def inverse(self, x: AffineWeylElement) -> AffineWeylElement:
         vinv = self.rd.w_inverse(x.v)
-        lam = tuple(-a for a in vinv.apply_coweight(x.lam))
+        lam = tuple(-a for a in self.rd.apply_coweight(vinv, x.lam))
         return AffineWeylElement(lam, vinv)
 
     def right_mul_simple(self, x: AffineWeylElement, i: int) -> AffineWeylElement:
         """x s_i, read off the right-multiplication table."""
-        shift, u = self._right_table[x.v.index][i]
+        shift, u = self._right_table[x.v][i]
         return AffineWeylElement(tuple(map(add, x.lam, shift)), u)
 
     def check_simple(self, i: int) -> None:
@@ -235,7 +235,7 @@ class AffineWeyl:
         if w in self._len_cache:
             return self._len_cache[w]
         rd = self.rd
-        vinv_perm = rd.root_perm[rd.inv_table[w.v.index]]
+        vinv_perm = rd.root_perm[rd.inv_table[w.v]]
         neg = self._root_negative
         total = sum(
             abs(rd.pair(a, w.lam) + neg[vinv_perm[k]]) for k, a in self._positive
@@ -264,7 +264,7 @@ class AffineWeyl:
         """w(alpha_i + n_i) = v(alpha_i) + n_i + <v(alpha_i), lam> for
         w = t_lam v, as (index k of v(alpha_i) in rd.roots, level)."""
         rd = self.rd
-        k = rd.root_perm[w.v.index][self._simple_k[i]]
+        k = rd.root_perm[w.v][self._simple_k[i]]
         return k, self._simple_n[i] + sum(map(mul, rd.roots[k], w.lam))
 
     def is_right_descent(self, w: AffineWeylElement, i: int) -> bool:
@@ -390,7 +390,7 @@ class AffineWeyl:
         <alpha_i, lam> >= 1, or = 0 with i a left descent of v.
         """
         rd = self.rd
-        desc = rd.left_descents[w.v.index]
+        desc = rd.left_descents[w.v]
         for i, a in enumerate(rd.simple_roots):
             p = rd.pair(a, w.lam)
             if p < 0 or (p == 0 and i not in desc):
@@ -453,7 +453,7 @@ class AffineWeyl:
         return labels
 
     def sort_key(self, w: AffineWeylElement):
-        return (self.length(w), w.lam, w.v.word)
+        return (self.length(w), w.lam, self.rd.words[w.v])
 
     # ---- translations and dominance helpers
 
@@ -463,13 +463,25 @@ class AffineWeyl:
     # ---- serialization
 
     def to_json(self, w: AffineWeylElement):
-        return {"lambda": list(w.lam), "v_word": list(w.v.word)}
+        return {"lambda": list(w.lam), "v_word": list(self.rd.words[w.v])}
 
     def from_json(self, doc) -> AffineWeylElement:
-        v = self.rd.identity
+        """Inverse of to_json. Raises AffineWeylError unless lambda is
+        char_lattice_rank integers and each v_word letter is in 0..rank-1."""
+        rd = self.rd
+        lam = tuple(doc["lambda"])
+        if len(lam) != rd.char_lattice_rank or not all(isinstance(a, int) for a in lam):
+            raise AffineWeylError(
+                f"lambda {list(lam)} is not a coweight of {rd.name}: "
+                f"expected {rd.char_lattice_rank} integers")
+        v = rd.identity
         for i in doc["v_word"]:
-            v = self.rd.w_mul(v, self.rd.simple_reflections[i])
-        return AffineWeylElement(tuple(doc["lambda"]), v)
+            if not isinstance(i, int) or not 0 <= i < rd.rank:
+                raise AffineWeylError(
+                    f"v_word letter {i!r} names no simple reflection of W0: "
+                    f"letters run over 0..{rd.rank - 1}")
+            v = rd.w_mul(v, rd.simple_reflections[i])
+        return AffineWeylElement(lam, v)
 
     def label_to_json(self, label: ExpLabel):
         doc = self.to_json(label.elt)

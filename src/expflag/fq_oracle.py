@@ -34,12 +34,10 @@ diagonals, and the size and trace counts of each diagonal of K mu K / K
 off a closed form (``_coset_shapes``), with no point built;
 ``hecke_operator`` reads y g' off the triangular closed form
 (``_read_off``, no GrPoint built on SL2 and GL2) for the y in the support
-of f, when it is smaller than the domain, and g' in K mu* K / K,
-mu* = -w0 mu, and sums f(y) into an index of the domain, since x g = y
-exactly when x = y g'; for a larger support each domain point gathers
-f(x g) over K mu K / K. Either way it builds only the products whose
-shape (a, c, val b), known from y's shifted part and the lowest term of
-g' unless those two tie, is a shape of a point they may hit.
+of f and g' in K mu* K / K, mu* = -w0 mu, and sums f(y) into an index of
+the domain, since x g = y exactly when x = y g'. It builds only the
+products whose shape (a, c, val b), known from y's shifted part and the
+lowest term of g' unless those two tie, is the shape of a domain point.
 
 ``act`` and ``translate`` take a closed form: ``_triangular_point`` for an
 upper-triangular element with a monomial diagonal (coset representatives,
@@ -949,44 +947,28 @@ def hecke_operator(f: FqFunction, mu, domain_points):
     a point whose type is not below the window bound of f.
 
     x g = y exactly when x = y g' for one g' in K mu* K / K, mu* = -w0 mu
-    (on the diagonal (a, c) -> (-c, -a)). When f's support is smaller than
-    the domain, each y in it adds f(y) at every y g' in the domain, and
-    each domain point reads that index; otherwise each domain point
-    gathers f(x g). Both read the products off _read_off, which builds
-    only those whose shape (a, c, val b) is the shape of a point they may
-    hit: of a domain point for the index, of a support point for the
-    gather.
+    (on the diagonal (a, c) -> (-c, -a)): each y in f's support adds f(y)
+    at every y g' in the domain, and each domain point reads that index.
+    The products come off _read_off, which builds only those whose shape
+    (a, c, val b) is the shape of a domain point.
     """
     preset, q = f.preset, f.q
     _check_points(domain_points, preset, q)
     _check_points(f.values, preset, q)
     domain = set(domain_points)
-    index = None
-    if len(f.values) < len(domain):
-        am, cm = _diagonal(preset, mu)
-        star = _rep_shapes(preset, PRESETS[preset].coords(-cm, -am), q)
-        lands = {_shape(x) for x in domain}
-        index = {}
-        for y, v in f.values.items():
-            for (a1, c1), reps in star.items():
-                for x in _read_off(y, a1, c1, reps, lands):
-                    if x in domain:
-                        index[x] = index[x] + v if x in index else v
-    else:
-        shapes = _rep_shapes(preset, mu, q)
-        lands = {_shape(y) for y in f.values}
+    am, cm = _diagonal(preset, mu)
+    star = _rep_shapes(preset, PRESETS[preset].coords(-cm, -am), q)
+    lands = {_shape(x) for x in domain}
+    index = {}
+    for y, v in f.values.items():
+        for (a1, c1), reps in star.items():
+            for x in _read_off(y, a1, c1, reps, lands):
+                if x in domain:
+                    index[x] = index[x] + v if x in index else v
     out = {}
     rd = _rd(preset)
     for x in domain_points:
-        if index is not None:
-            acc = index.get(x, 0)
-        else:
-            acc = 0
-            for (a1, c1), reps in shapes.items():
-                for y in _read_off(x, a1, c1, reps, lands):
-                    v = f.values.get(y)
-                    if v is not None:
-                        acc = acc + v if acc != 0 else v
+        acc = index.get(x, 0)
         if acc:
             if not rd.dominance_leq(x.coweight(), f.window):
                 raise SupportEscapesWindow(

@@ -7,14 +7,16 @@ encoded entirely by the lattices: SL2 and PGL2 share a Cartan matrix but
 differ in where the (co)roots sit.
 
 The finite Weyl group W0 is built once, at construction, by a BFS over words
-(x s_i for each x in turn, i ascending). Each element is known by its BFS
-position ``index`` and keeps the reduced word BFS reached it by, so words,
-sort keys and output never depend on how an element was computed. Integer
-tables indexed by position hold products, inverses, the action on the list
-of roots and the left descents; multiplication and inversion are lookups.
-A reflection s_alpha is read off one matrix formula, x -> x - <alpha, x>
-alpha^vee: the simple ones seed the BFS, and ``reflection`` looks the matrix
-of any other up among the elements the BFS built.
+(x s_i for each x in turn, i ascending). An element of W0 is its BFS
+position, an int, so words, sort keys and output never depend on how an
+element was computed. Lists indexed by that int hold each element's reduced
+word (the one BFS reached it by), its matrix on X_*(T), its products,
+inverse, action on the list of roots and left descents; multiplication and
+inversion are lookups. W0 acts faithfully on its roots, so the BFS tells
+elements apart by their root permutations, composed from those of the
+simple reflections that the reflection closure of the roots already
+computes; each matrix is formed once, from its BFS parent's, and
+``reflection`` finds s_alpha by its permutation.
 
 Coordinates are integers. Each root carries its simple-root coordinates
 from the reflection closure, which give positivity, height and the highest
@@ -34,7 +36,7 @@ rejects a coweight without ``char_lattice_rank`` coordinates.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 
 class RootDatumError(ValueError):
@@ -65,40 +67,6 @@ def _mat_mul(x, y):
     )
 
 
-class FiniteWeylElement:
-    """Element of W0, built once per root datum and known by its index.
-
-    ``index`` is the element's position in ``RootDatum.weyl_elements()``
-    (BFS by length), ``word`` the reduced word that BFS reached it by and
-    ``mat`` its matrix on X_*(T) (columns are images of basis vectors); its
-    action on the roots is ``RootDatum.apply_weight``. Equality and hashing
-    use ``index``.
-    """
-
-    __slots__ = ("index", "word", "mat")
-
-    def __init__(self, index, word, mat):
-        self.index = index
-        self.word = word
-        self.mat = mat
-
-    def __eq__(self, other):
-        return isinstance(other, FiniteWeylElement) and self.index == other.index
-
-    def __hash__(self):
-        return self.index
-
-    def __repr__(self):
-        return f"FiniteWeylElement(index={self.index}, word={self.word})"
-
-    def apply_coweight(self, v):
-        return tuple(sum(map(mul, row, v)) for row in self.mat)
-
-    @property
-    def length(self):
-        return len(self.word)
-
-
 class RootDatum:
     """Based root datum with derived data computed eagerly.
 
@@ -127,8 +95,7 @@ class RootDatum:
         self._cartan_det = _det(self.cartan)
         self._cartan_adj = _adjugate(self.cartan)
 
-        self._build_roots()
-        self._build_weyl()
+        self._build_weyl(self._build_roots())
         self._build_rho()
         self._windows = {}  # dominant_window per bound
 
@@ -213,10 +180,12 @@ class RootDatum:
 
     def _build_roots(self):
         """Reflection closure of the simple roots, with coroots and
-        simple-root coordinates (``root_coords``) in parallel."""
+        simple-root coordinates (``root_coords``) in parallel. Returns the
+        simple reflections as maps, images[i][r] = s_i(r)."""
         n = self.rank
         roots = dict(zip(self.simple_roots, self.simple_coroots))
         coords = {r: tuple(int(j == i) for j in range(n)) for i, r in enumerate(self.simple_roots)}
+        images = [{} for _ in range(n)]
         frontier = list(roots.items())
         while frontier:
             new = []
@@ -224,7 +193,7 @@ class RootDatum:
                 for i in range(n):
                     a, av = self.simple_roots[i], self.simple_coroots[i]
                     k = self.pair(r, av)
-                    r2 = _vec_sub(r, _vec_scale(k, a))
+                    r2 = images[i][r] = _vec_sub(r, _vec_scale(k, a))
                     k2 = self.pair(a, c)
                     c2 = _vec_sub(c, _vec_scale(k2, av))
                     if r2 not in roots:
@@ -244,104 +213,115 @@ class RootDatum:
         self.simple_root_set = frozenset(self.simple_roots)
         if len(self.positive_roots) != len(self.roots) // 2:
             raise RootDatumError("root system not balanced")
+        return images
 
     def height(self, r):
         """Sum of the coefficients of the root r in the basis of simple roots."""
         return sum(self.root_coords[r])
 
-    def _build_weyl(self):
+    def _build_weyl(self, images):
         """W0 by BFS on words, with its tables.
 
         Elements are numbered in BFS order (x s_i for each x in turn, i
-        ascending), so index 0 is the identity and each element keeps the
-        first word that reached it. The tables, by index:
-          - ``mul_table[x][y]``: the product xy;
-          - ``inv_table[x]``: the inverse;
+        ascending), so 0 is the identity and each element keeps the first
+        word that reached it. The lists, by element:
+          - ``words[x]``: that reduced word;
+          - ``mats[x]``: the matrix on X_*(T) (columns are images of basis
+            vectors), formed once, from the BFS parent's;
           - ``root_perm[x][k]``: the index in ``roots`` of x(roots[k]),
             read through ``root_index`` (root -> its index in ``roots``);
+            BFS tells elements apart by it;
+          - ``mul_table[x][y]``: the product xy;
+          - ``inv_table[x]``: the inverse;
           - ``left_descents[x]``: the simple i with x^-1(alpha_i) < 0,
             i.e. l(s_i x) < l(x).
         """
         n = self.char_lattice_rank
         roots = self.roots
         rindex = self.root_index = {r: k for k, r in enumerate(roots)}
-        s_mats, s_perms = [], []
-        for a, av in zip(self.simple_roots, self.simple_coroots):
-            s_mats.append(_reflection_matrix(a, av))
-            s_perms.append(tuple(
-                rindex[_vec_sub(r, _vec_scale(self.pair(r, av), a))] for r in roots
-            ))
-        ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        mats, words, perms, parent = [ident], [()], [tuple(range(len(roots)))], [0]
-        by_mat = self._by_mat = {ident: 0}
-        right = []  # right[x][i]: the index of x s_i
+        # (x s_i)(r) = x(s_i r): x's permutation read at s_i's (two roots
+        # at least, so itemgetter returns a tuple)
+        steps = [itemgetter(*[rindex[img[r]] for r in roots]) for img in images]
+        s_mats = [_reflection_matrix(a, av) for a, av in zip(self.simple_roots, self.simple_coroots)]
+        ident = tuple(range(len(roots)))
+        perms, words, parent = [ident], [()], [0]
+        mats = [tuple(tuple(int(i == j) for j in range(n)) for i in range(n))]
+        by_perm = {ident: 0}
+        right = []  # right[x][i]: x s_i
         x = 0
-        while x < len(mats):
+        while x < len(perms):
             row = []
-            for i in range(self.rank):
-                m = _mat_mul(mats[x], s_mats[i])
-                if m not in by_mat:
-                    by_mat[m] = len(mats)
-                    mats.append(m)
+            for i, step in enumerate(steps):
+                p = step(perms[x])
+                if p not in by_perm:
+                    by_perm[p] = len(perms)
+                    perms.append(p)
                     words.append(words[x] + (i,))
-                    # (x s_i)(r) = x(s_i r)
-                    perms.append(tuple(perms[x][k] for k in s_perms[i]))
+                    mats.append(_mat_mul(mats[x], s_mats[i]))
                     parent.append(x)
-                    if len(mats) > 100000:
+                    if len(perms) > 100000:
                         raise RootDatumError("Weyl group too large")
-                row.append(by_mat[m])
+                row.append(by_perm[p])
             right.append(row)
             x += 1
+        self.words, self.mats, self.root_perm = words, mats, perms
         # x y = (x y') s_i when y = y' s_i is y's BFS word
         self.mul_table = []
-        for x in range(len(mats)):
+        for x in range(len(perms)):
             row = [x]
-            for y in range(1, len(mats)):
+            for y in range(1, len(perms)):
                 row.append(right[row[parent[y]]][words[y][-1]])
             self.mul_table.append(row)
         self.inv_table = [row.index(0) for row in self.mul_table]
-        self.root_perm = perms
         simple_idx = [rindex[a] for a in self.simple_roots]
         self.left_descents = [
             frozenset(
                 i for i, k in enumerate(simple_idx)
                 if roots[perms[self.inv_table[x]][k]] not in self.positive_root_set
             )
-            for x in range(len(mats))
+            for x in range(len(perms))
         ]
-        self._w0 = [FiniteWeylElement(x, words[x], mats[x]) for x in range(len(mats))]
-        self.identity = self._w0[0]
-        self.simple_reflections = [self._w0[j] for j in right[0]]
+        self.identity = 0
+        self.simple_reflections = right[0]
 
-    def w_mul(self, x: FiniteWeylElement, y: FiniteWeylElement) -> FiniteWeylElement:
-        return self._w0[self.mul_table[x.index][y.index]]
+    def w_mul(self, x: int, y: int) -> int:
+        return self.mul_table[x][y]
 
-    def w_inverse(self, x: FiniteWeylElement) -> FiniteWeylElement:
-        return self._w0[self.inv_table[x.index]]
+    def w_inverse(self, x: int) -> int:
+        return self.inv_table[x]
 
     def weyl_elements(self):
-        """All of W0, each with one reduced word, BFS by length."""
-        return self._w0
+        """All of W0, BFS by length: the range of its indices."""
+        return range(len(self.words))
 
-    def longest_element(self):
-        return self._w0[-1]
+    def longest_element(self) -> int:
+        return len(self.words) - 1
 
-    def apply_weight(self, x: FiniteWeylElement, root):
+    def apply_coweight(self, x: int, lam):
+        """x(lam) for lam in X_*(T)."""
+        return tuple(sum(map(mul, row, lam)) for row in self.mats[x])
+
+    def apply_weight(self, x: int, root):
         """x(root) for root any sequence; W0 acts on X*(T) here only through
         the roots."""
         root = tuple(root)
         try:
-            return self.roots[self.root_perm[x.index][self.root_index[root]]]
+            return self.roots[self.root_perm[x][self.root_index[root]]]
         except KeyError:
             raise RootDatumError(f"{root} is not a root") from None
 
-    def reflection(self, root) -> FiniteWeylElement:
-        """s_root, the element of W0 whose matrix is x -> x - <root, x> root^vee;
-        root may be any sequence."""
+    def reflection(self, root) -> int:
+        """s_root, chi -> chi - <chi, root^vee> root, found by its permutation
+        of the roots; root may be any sequence."""
         root = tuple(root)
         if root not in self.coroot_of:
             raise RootDatumError(f"{root} is not a root")
-        return self._w0[self._by_mat[_reflection_matrix(root, self.coroot_of[root])]]
+        coroot = self.coroot_of[root]
+        perm = tuple(
+            self.root_index[_vec_sub(r, _vec_scale(self.pair(r, coroot), root))]
+            for r in self.roots
+        )
+        return self.root_perm.index(perm)
 
     def _build_rho(self):
         # 2 rho = sum of positive roots in X*(T), 2 rho-hat = sum of positive

@@ -55,9 +55,8 @@ def double_coset_lift(W: AffineWeyl, mu) -> HeckeElement:
 
 def poincare_poly(W: AffineWeyl) -> QPoly:
     coeffs = {}
-    for v in W.rd.weyl_elements():
-        l = len(v.word)
-        coeffs[l] = coeffs.get(l, 0) + 1
+    for word in W.rd.words:
+        coeffs[len(word)] = coeffs.get(len(word), 0) + 1
     return QPoly(coeffs)
 
 
@@ -100,7 +99,7 @@ def _dominant_of(W: AffineWeyl, w):
     rd = W.rd
     lam = w.lam
     for v in rd.weyl_elements():
-        cand = v.apply_coweight(lam)
+        cand = rd.apply_coweight(v, lam)
         if rd.is_dominant(cand):
             return tuple(cand)
     raise NormalizationFailure("no dominant conjugate found")
@@ -131,7 +130,7 @@ def spherical_sum(vec, b, omega, step, what):
     w0 = W.rd.longest_element()
     ys, coeffs = [], []
     for mu, c in b.items():
-        mu_star = tuple(-a for a in w0.apply_coweight(mu))
+        mu_star = tuple(-a for a in W.rd.apply_coweight(w0, mu))
         for y in iwahori_orbits_in_spherical(W, mu_star):
             ys.append(W.inverse(y))
             coeffs.append(c)

@@ -73,7 +73,7 @@ def iwahori_orbits_in_spherical(W: AffineWeyl, mu):
     if not W.rd.is_dominant(mu):
         raise StrataError("mu must be dominant")
     f0 = W.facet_f0()
-    orbit = {v.apply_coweight(mu) for v in W.rd.weyl_elements()}
+    orbit = {W.rd.apply_coweight(v, mu) for v in W.rd.weyl_elements()}
     return sorted((W.right_minimal(W.translation(kappa), f0) for kappa in orbit),
                   key=W.sort_key)
 
@@ -86,7 +86,7 @@ def double_coset_elements(W: AffineWeyl, mu):
     are distinct elements.
     """
     finite = W.rd.weyl_elements()
-    orbit = {v.apply_coweight(mu) for v in finite}
+    orbit = {W.rd.apply_coweight(v, mu) for v in finite}
     out = [AffineWeylElement(kappa, u) for kappa in orbit for u in finite]
     out.sort(key=W.sort_key)
     return out

@@ -8,6 +8,8 @@ import pytest
 from expflag.root_datum import (
     RootDatumError, _adjoint_preset, _simply_connected, build_root_datum)
 from expflag.affine_weyl import AffineWeyl, AffineWeylElement, AffineWeylError, ExpLabel
+from expflag.coefficients import QPoly
+from expflag.hecke import HeckeElement
 
 PRESETS = ["SL2", "PGL2", "GL2", "SL3", "PGL3", "Sp4"]
 
@@ -209,7 +211,7 @@ def test_translation_lengths_are_weyl_invariant(W):
         lam = tuple(rng.randrange(-2, 3) for _ in range(rd.char_lattice_rank))
         base = W.length(W.translation(lam))
         for v in rd.weyl_elements():
-            assert W.length(W.translation(v.apply_coweight(lam))) == base
+            assert W.length(W.translation(rd.apply_coweight(v, lam))) == base
 
 
 def test_coset_representatives_partition(W):
@@ -237,6 +239,21 @@ def test_element_json_round_trip(W):
     for _ in range(40):
         w = _random_element(W, rng)
         assert W.from_json(W.to_json(w)) == w
+
+
+@pytest.mark.parametrize("doc,match", [
+    ({"lambda": [0, 0], "v_word": [5]}, "letter 5 names no simple"),
+    # a negative letter used to wrap around to the last simple reflection
+    ({"lambda": [0, 0], "v_word": [-1]}, "letter -1 names no simple"),
+    ({"lambda": [0, 0, 0], "v_word": []}, r"lambda \[0, 0, 0\] is not a coweight"),
+    ({"lambda": [0.5, 0], "v_word": [0]}, r"lambda \[0.5, 0\] is not a coweight"),
+])
+def test_element_json_with_a_bad_entry_is_rejected(doc, match):
+    W = AffineWeyl(build_root_datum("SL3"))
+    with pytest.raises(AffineWeylError, match=match):
+        W.from_json(doc)
+    with pytest.raises(AffineWeylError, match=match):
+        HeckeElement.from_json(W, [{"element": doc, "qpoly": QPoly({0: 1}).to_json()}])
 
 
 @pytest.mark.parametrize("index", [-1, 2, 7])

@@ -202,7 +202,7 @@ def test_maximal_elements_have_no_level_zero_simple_image(name):
     box."""
     rd = build_root_datum(name)
     W = AffineWeyl(rd)
-    bound = len(rd.longest_element().word) + 4
+    bound = len(rd.words[rd.longest_element()]) + 4
     checked = 0
     for lam in itertools.product(range(-3, 4), repeat=rd.char_lattice_rank):
         for v in rd.weyl_elements():
@@ -274,7 +274,7 @@ def test_case_analysis_matches_the_per_pair_rule(name):
     """Case ids, classes and order, on every label of length at most
     l(w0) + 4 (6 in rank one), which reaches each case on every preset."""
     W = AffineWeyl(build_root_datum(name))
-    bound = max(6, len(W.rd.longest_element().word) + 4)
+    bound = max(6, len(W.rd.words[W.rd.longest_element()]) + 4)
     for lab in W.enumerate_exp_labels(bound):
         for s in range(W.num_simples):
             near = []
@@ -326,7 +326,7 @@ def test_module_associativity(name, bound):
 
 def _dual(rd, mu):
     """mu* = -w0(mu), the dominant representative of -mu."""
-    return tuple(-a for a in rd.longest_element().apply_coweight(mu))
+    return tuple(-a for a in rd.apply_coweight(rd.longest_element(), mu))
 
 
 @pytest.mark.parametrize("name,pairs", [

@@ -135,7 +135,7 @@ def test_double_coset_enumeration_matches_the_product_definition(preset):
     assert dominant
     for mu in dominant:
         ref = {
-            W.mul(W.translation(v.apply_coweight(mu)), AffineWeylElement(W.identity.lam, u))
+            W.mul(W.translation(rd.apply_coweight(v, mu)), AffineWeylElement(W.identity.lam, u))
             for v in rd.weyl_elements()
             for u in rd.weyl_elements()
         }
